@@ -22,7 +22,6 @@ from .elliptic import (
     NonPositiveCoefficient,
     NotConverged,
     apply_L,
-    lipschitz_gap,
     solve_L,
     solve_L_info,
 )
@@ -42,12 +41,9 @@ from .grid import (
     Field,
     FieldStats,
     SnapshotFormatError,
-    Spectrum,
     TorusGrid,
     field_stats,
-    forward_transform,
     hs_norm,
-    inverse_transform,
     read_snapshot,
     spectral_derivative,
     write_snapshot,
@@ -91,13 +87,12 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # grid
-    "TorusGrid", "Field", "Spectrum", "FieldStats", "SnapshotFormatError",
-    "forward_transform", "inverse_transform", "spectral_derivative",
-    "hs_norm", "field_stats", "write_snapshot", "read_snapshot",
+    "TorusGrid", "Field", "FieldStats", "SnapshotFormatError",
+    "spectral_derivative", "hs_norm", "field_stats", "write_snapshot",
+    "read_snapshot",
     # elliptic
     "EllipticProblem", "CGInfo", "NonPositiveCoefficient", "NotConverged",
     "NearDegenerateWarning", "apply_L", "solve_L", "solve_L_info",
-    "lipschitz_gap",
     # evolution
     "EvolveConfig", "Verdict", "BlowupReport", "EvolveResult",
     "PositivityLost", "monitor_index", "rhs", "step_rk4", "evolve",

@@ -33,13 +33,28 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import ConservedEnergyParams, energy_series, fit_dispersion, track_peak
-from .evolution import EvolveConfig, evolve, measure_mass
-from .grid import Field, TorusGrid, field_stats, hs_norm, read_snapshot, write_snapshot
+from .evolution import (
+    EvolveConfig,
+    _default_monitor_index,
+    _monitor_value,
+    evolve,
+    measure_mass,
+)
+from .grid import (
+    Field,
+    SnapshotFormatError,
+    TorusGrid,
+    field_stats,
+    read_snapshot,
+    write_snapshot,
+)
 from .profile import (
     ProfileError,
     ProfileParams,
     ProfileSolution,
     ShotClass,
+    _c_bar,
+    _fmt,
     decay_check,
     find_mu_c,
     integrate_shot,
@@ -59,10 +74,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _UsageError(message)
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 # -- option tables -----------------------------------------------------------
@@ -322,7 +333,10 @@ def _load_run_snapshots(run_dir: str) -> list[tuple[float, Field]]:
         fld = read_snapshot(path)
         with open(path[:-4] + ".json") as fh:
             sidecar = json.load(fh)
-        out.append((float(sidecar["t"]), fld))
+        t = sidecar.get("t") if isinstance(sidecar, dict) else None
+        if not isinstance(t, (int, float)) or not math.isfinite(t):
+            raise SnapshotFormatError(f"{path[:-4]}.json: sidecar lacks a finite time 't'")
+        out.append((float(t), fld))
     out.sort(key=lambda pair: pair[0])
     return out
 
@@ -367,7 +381,7 @@ def _cmd_shoot(ns: argparse.Namespace) -> int:
     )
     fit = decay_check(sol)
     sol = replace(sol, decay=fit)
-    c_bar = sol.Q_tau ** (1.0 - params.n) * params.c
+    c_bar = _c_bar(params, 1.0 / sol.Q_tau)
 
     print(f"Q_star = {_fmt(report.Q_star)}")
     print(f"Q1 = {_fmt(report.Q1)}")
@@ -452,7 +466,7 @@ def _sweep_task(item: tuple[float, float, float, float, float]) -> list[str]:
         except ProfileError as exc:
             fit, error = None, f"{type(exc).__name__}: {exc}"
         k = fit.k if fit is not None else float("nan")
-        c_bar = sol.Q_tau ** (1.0 - n) * c
+        c_bar = _c_bar(params, 1.0 / sol.Q_tau)
         return [
             _fmt(d), _fmt(n), _fmt(c), _fmt(mu_c), _fmt(sol.Q_tau),
             _fmt(k), _fmt(c_bar), error.replace(",", ";"),
@@ -496,11 +510,10 @@ def _cmd_embed(ns: argparse.Namespace) -> int:
 
     os.makedirs(ns.out, exist_ok=True)
     write_snapshot(fld, os.path.join(ns.out, "snap_000000.bin"))
-    s_default = grid.d / 2 + grid.d // 2 + 3
     sidecar = {
         "t": 0.0,
         "step": 0,
-        "monitor": hs_norm(fld - 1.0, s_default) + field_stats(fld).inv_sup,
+        "monitor": _monitor_value(fld, _default_monitor_index(grid)),
         "config_hash": _config_hash(cfg),
     }
     with open(os.path.join(ns.out, "snap_000000.json"), "w") as fh:

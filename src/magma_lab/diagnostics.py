@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolution import EvolveConfig, PositivityLost, step_rk4
-from .grid import Field, TorusGrid, forward_transform, spectral_derivative
+from .grid import Field, TorusGrid, spectral_derivative
 
 __all__ = [
     "ConservedEnergyParams",
@@ -124,16 +124,16 @@ def fit_dispersion(
     for x, kj in zip(grid.coordinates(), k_vec):
         phase = phase + kj * x
     phi = Field(grid, 1.0 + epsilon * np.cos(phase))
-    idx = grid.mode_index(mode)
+    wave = np.exp(-1j * phase)  # the mode's coefficient is mean(phi * wave)
 
     times = np.empty(n_steps + 1)
     coeff = np.empty(n_steps + 1, dtype=np.complex128)
     times[0] = 0.0
-    coeff[0] = forward_transform(phi).coeffs[idx]
+    coeff[0] = np.mean(phi.values * wave)
     for step in range(1, n_steps + 1):
         phi = step_rk4(phi, dt, cfg)
         times[step] = step * dt
-        coeff[step] = forward_transform(phi).coeffs[idx]
+        coeff[step] = np.mean(phi.values * wave)
 
     if np.min(np.abs(coeff)) < 0.25 * epsilon:
         raise RuntimeError("tracked mode lost most of its amplitude")

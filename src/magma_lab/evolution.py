@@ -104,17 +104,15 @@ class EvolveResult:
 def monitor_index(cfg: EvolveConfig, grid: TorusGrid) -> float:
     if cfg.s_monitor is not None:
         return cfg.s_monitor
+    return _default_monitor_index(grid)
+
+
+def _default_monitor_index(grid: TorusGrid) -> float:
     return grid.d / 2 + grid.d // 2 + 3
 
 
 def _monitor_value(phi: Field, s: float) -> float:
     return hs_norm(phi - 1.0, s) + field_stats(phi).inv_sup
-
-
-def _cg_cap(cfg: EvolveConfig, grid: TorusGrid) -> int:
-    if cfg.cg_max_iter is not None:
-        return cfg.cg_max_iter
-    return 10 * max(grid.n_points)
 
 
 def _rhs_raw(
@@ -131,7 +129,7 @@ def _rhs_raw(
         s=grid.shape,
         axes=tuple(range(grid.d)),
     )
-    out, info = _solve_raw(grid, a, g, cfg.elliptic_tol, _cg_cap(cfg, grid), guess)
+    out, info = _solve_raw(grid, a, g, cfg.elliptic_tol, cfg.cg_max_iter, guess)
     return out, info.iterations
 
 
@@ -201,14 +199,10 @@ class _Log:
 
 def _inspect(vals: np.ndarray, grid: TorusGrid, s: float) -> tuple[float, float, float]:
     """(monitor, mass, min) of a raw state; non-finite states monitor +inf."""
-    lo = float(vals.min()) if np.all(np.isfinite(vals)) else -np.inf
-    if not np.isfinite(lo) or lo <= 0.0:
-        if not np.isfinite(lo):
-            return np.inf, np.nan, lo
-        phi = Field(grid, vals)
-        return _monitor_value(phi, s), measure_mass(phi), lo
+    if not np.all(np.isfinite(vals)):
+        return np.inf, np.nan, -np.inf
     phi = Field(grid, vals)
-    return _monitor_value(phi, s), measure_mass(phi), lo
+    return _monitor_value(phi, s), measure_mass(phi), float(vals.min())
 
 
 def evolve(phi0: Field, cfg: EvolveConfig) -> EvolveResult:

@@ -2,14 +2,16 @@
 
 Conventions used throughout the package:
 
-* the forward transform divides by the number of points, so the zeroth
-  coefficient equals the mean of the field;
-* wavenumbers on axis ``j`` are ``2*pi*fftfreq(N_j, L_j/N_j)``;
+* every transform is a real one (``rfftn``/``irfftn``);
+* wavenumbers on axis ``j`` are ``2*pi*fftfreq(N_j, L_j/N_j)``; the rfft
+  lattice keeps the first ``N/2 + 1`` of them on the last axis;
 * odd-order spectral derivatives zero the Nyquist mode on the axis being
   differentiated, so real fields stay real and the derivative is
   skew-adjoint on the grid;
-* ``hs_norm(f, 0)`` equals the L2 norm of ``f`` over the torus, i.e. the
-  Parseval weight carries the domain volume.
+* ``hs_norm`` sums the half spectrum, counting each interior last-axis
+  column twice for its conjugate mirror and the mean and Nyquist columns
+  once; ``hs_norm(f, 0)`` equals the L2 norm of ``f`` over the torus,
+  i.e. the Parseval weight carries the domain volume.
 """
 
 from __future__ import annotations
@@ -24,11 +26,8 @@ import numpy as np
 __all__ = [
     "TorusGrid",
     "Field",
-    "Spectrum",
     "FieldStats",
     "SnapshotFormatError",
-    "forward_transform",
-    "inverse_transform",
     "spectral_derivative",
     "hs_norm",
     "field_stats",
@@ -101,12 +100,7 @@ class TorusGrid:
 
     def coordinates(self) -> tuple[np.ndarray, ...]:
         """Open (broadcastable) coordinate arrays, one per axis."""
-        return tuple(
-            self.axis_coordinates(j).reshape(
-                tuple(-1 if i == j else 1 for i in range(self.d))
-            )
-            for j in range(self.d)
-        )
+        return tuple(self._along(j, self.axis_coordinates(j)) for j in range(self.d))
 
     def meshgrid(self) -> tuple[np.ndarray, ...]:
         axes = [self.axis_coordinates(j) for j in range(self.d)]
@@ -116,30 +110,10 @@ class TorusGrid:
         n, L = self.n_points[axis], self.lengths[axis]
         return 2.0 * np.pi * np.fft.fftfreq(n, d=L / n)
 
-    @cached_property
-    def k_squared(self) -> np.ndarray:
-        """|k|^2 on the full transform lattice, Nyquist at its true value."""
-        out = np.zeros(self.shape)
-        for j in range(self.d):
-            kj = self.axis_wavenumbers(j).reshape(
-                tuple(-1 if i == j else 1 for i in range(self.d))
-            )
-            out = out + kj**2
-        return out
+    def _along(self, axis: int, arr: np.ndarray) -> np.ndarray:
+        """Shape a 1d array over ``axis`` to broadcast against the grid."""
+        return arr.reshape(tuple(-1 if i == axis else 1 for i in range(self.d)))
 
-    @cached_property
-    def deriv_multipliers(self) -> tuple[np.ndarray, ...]:
-        """Broadcastable i*k per axis with the Nyquist entry zeroed."""
-        out = []
-        for j in range(self.d):
-            k = self.axis_wavenumbers(j).copy()
-            k[self.n_points[j] // 2] = 0.0
-            out.append(
-                (1j * k).reshape(tuple(-1 if i == j else 1 for i in range(self.d)))
-            )
-        return tuple(out)
-
-    # rfft-layout companions for the real-transform fast paths
     @cached_property
     def rfft_shape(self) -> tuple[int, ...]:
         return self.shape[:-1] + (self.n_points[-1] // 2 + 1,)
@@ -148,16 +122,9 @@ class TorusGrid:
     def rfft_deriv_multipliers(self) -> tuple[np.ndarray, ...]:
         out = []
         for j in range(self.d):
-            if j == self.d - 1:
-                n, L = self.n_points[j], self.lengths[j]
-                k = 2.0 * np.pi * np.fft.rfftfreq(n, d=L / n)
-                k[-1] = 0.0
-            else:
-                k = self.axis_wavenumbers(j).copy()
-                k[self.n_points[j] // 2] = 0.0
-            out.append(
-                (1j * k).reshape(tuple(-1 if i == j else 1 for i in range(self.d)))
-            )
+            k = self.axis_wavenumbers(j)[: self.rfft_shape[j]]
+            k[self.n_points[j] // 2] = 0.0
+            out.append(self._along(j, 1j * k))
         return tuple(out)
 
     @cached_property
@@ -168,11 +135,14 @@ class TorusGrid:
             out = out + np.abs(ik) ** 2
         return out
 
-    def mode_index(self, mode: Sequence[int]) -> tuple[int, ...]:
-        """Lattice index of integer Fourier mode ``mode`` on the full layout."""
-        if len(mode) != self.d:
-            raise ValueError("mode vector length must match grid dimension")
-        return tuple(int(m) % n for m, n in zip(mode, self.n_points))
+    @cached_property
+    def norm_k_squared(self) -> np.ndarray:
+        """|k|^2 on the rfft lattice with the Nyquist modes at their true value."""
+        out = np.zeros(self.rfft_shape)
+        for j in range(self.d):
+            k = self.axis_wavenumbers(j)[: self.rfft_shape[j]]
+            out = out + self._along(j, k) ** 2
+        return out
 
     def mode_wavevector(self, mode: Sequence[int]) -> np.ndarray:
         return np.array([2.0 * np.pi * m / L for m, L in zip(mode, self.lengths)])
@@ -241,47 +211,11 @@ class Field:
         return float(self.values.mean())
 
 
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Fourier coefficients on the full transform lattice, mean at index 0."""
-
-    grid: TorusGrid
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        coeffs = np.asarray(self.coeffs, dtype=np.complex128)
-        if coeffs.shape != self.grid.shape:
-            raise ValueError(
-                f"coeffs shape {coeffs.shape} does not match grid {self.grid.shape}"
-            )
-        if not np.all(np.isfinite(coeffs)):
-            raise ValueError("spectrum coefficients must be finite")
-        object.__setattr__(self, "coeffs", _readonly(coeffs.copy()))
-
-
 @dataclass(frozen=True)
 class FieldStats:
     min: float
     max: float
     inv_sup: float
-
-
-def forward_transform(f: Field) -> Spectrum:
-    return Spectrum(f.grid, np.fft.fftn(f.values) / f.grid.size)
-
-
-def _reflection_index(shape: tuple[int, ...]):
-    return np.ix_(*[(-np.arange(n)) % n for n in shape])
-
-
-def inverse_transform(s: Spectrum) -> Field:
-    """Invert the transform; rejects coefficients without conjugate symmetry."""
-    c = s.coeffs
-    mirrored = np.conj(c[_reflection_index(s.grid.shape)])
-    scale = max(1.0, float(np.abs(c).max()))
-    if not np.allclose(c, mirrored, rtol=0.0, atol=1e-10 * scale):
-        raise ValueError("coefficients are not conjugate symmetric")
-    return Field(s.grid, np.fft.ifftn(c * s.grid.size).real)
 
 
 def spectral_derivative(f: Field, axis: int) -> Field:
@@ -299,9 +233,11 @@ def hs_norm(f: Field, s: float) -> float:
     """Sobolev norm of index ``s``; reduces to the L2 norm at ``s = 0``."""
     if s < 0:
         raise ValueError("norm index must be nonnegative")
-    c = np.fft.fftn(f.values) / f.grid.size
-    weight = (1.0 + f.grid.k_squared) ** s
-    total = np.sum(weight * (c.real**2 + c.imag**2)) * f.grid.volume
+    c = np.fft.rfftn(f.values) / f.grid.size
+    power = c.real**2 + c.imag**2
+    # interior last-axis columns stand for themselves and their conjugates
+    power[..., 1:-1] *= 2.0
+    total = np.sum((1.0 + f.grid.norm_k_squared) ** s * power) * f.grid.volume
     return float(np.sqrt(total))
 
 

@@ -274,13 +274,18 @@ def _golden_min(f, lo: float, hi: float, xtol: float = 1e-12, seeds: int = 600):
     return xm, float(f(xm))
 
 
+def _q1(p: ProfileParams) -> float:
+    """Q1 = (c/n)^{1/(n-1)}: the minimizer of mu_1 and the decay threshold."""
+    return (p.c / p.n) ** (1.0 / (p.n - 1.0))
+
+
 def structure_report(p: ProfileParams) -> StructureReport:
     """Locate the minima of the three mu curves and check their ordering."""
     qs = q_star(p.n)
     eps = 1e-7 * (1.0 - qs)
     lo, hi = qs + eps, 1.0 - eps
 
-    Q1 = (p.c / p.n) ** (1.0 / (p.n - 1.0))
+    Q1 = _q1(p)
     mu1_min = float(mu_curve(1, Q1, p))
     Q2, mu2_min = _golden_min(lambda q: mu_curve(2, q, p), lo, hi)
     Q3, mu3_min = _golden_min(lambda q: mu_curve(3, q, p), lo, hi)
@@ -438,11 +443,9 @@ def integrate_shot(
                 f"no event fired by r_max={r_max} and the endpoint is not flat "
                 f"(Q_r={Qre:.3e}); enlarge r_max"
             )
-        a1 = float(sol.sol(r_max / 4.0)[0])
-        a2 = float(sol.sol(r_max / 2.0)[0])
-        a3 = float(Qe)
-        den = a1 - 2.0 * a2 + a3
-        q_tau = a3 - (a3 - a2) ** 2 / den if abs(den) > 1e-15 else a3
+        q_tau = _aitken_limit(
+            float(sol.sol(r_max / 4.0)[0]), float(sol.sol(r_max / 2.0)[0]), float(Qe)
+        )
         outcome = ShotOutcome(ShotClass.FLAT, Q_tau=float(q_tau))
 
     if not keep_samples:
@@ -463,12 +466,8 @@ def integrate_shot(
     return outcome, samples
 
 
-def _aitken_limit(r: np.ndarray, Q: np.ndarray) -> float:
-    """Accelerated limit of Q from its values at the last three dyadic radii."""
-    spline = CubicSpline(r, Q)
-    a1 = float(spline(r[-1] / 4.0))
-    a2 = float(spline(r[-1] / 2.0))
-    a3 = float(Q[-1])
+def _aitken_limit(a1: float, a2: float, a3: float) -> float:
+    """Accelerated limit of Q from its values at three successive dyadic radii."""
     den = a1 - 2.0 * a2 + a3
     if abs(den) < 1e-15:
         return a3
@@ -546,7 +545,11 @@ def find_mu_c(
     if outcome.classification is ShotClass.FLAT:
         q_tau = float(outcome.Q_tau)
     else:
-        q_tau = _aitken_limit(samples.r, samples.Q)
+        spline = CubicSpline(samples.r, samples.Q)
+        r_end = samples.r[-1]
+        q_tau = _aitken_limit(
+            float(spline(r_end / 4.0)), float(spline(r_end / 2.0)), float(samples.Q[-1])
+        )
     if not (report.Q_star < q_tau < 1.0):
         raise ProfileError(f"limit {q_tau} escaped (Q_star, 1)")
 
@@ -568,8 +571,7 @@ def decay_check(
     at least 20 samples or the tail is deemed too short.
     """
     p = sol.params
-    Q1 = (p.c / p.n) ** (1.0 / (p.n - 1.0))
-    if not sol.Q_tau < Q1:
+    if not sol.Q_tau < _q1(p):
         return None
     L = sol.Q_tau ** (-p.n) - p.n / (p.c * sol.Q_tau)
     if not L > 0:
@@ -614,13 +616,18 @@ class RescaledProfile:
     Q: np.ndarray
 
 
+def _c_bar(p: ProfileParams, q0_bar: float) -> float:
+    """Wave speed q0^(n-1) c after the rescaling Q -> q0*Q."""
+    return q0_bar ** (p.n - 1.0) * p.c
+
+
 def rescale(sol: ProfileSolution, q0_bar: float) -> RescaledProfile:
     if not q0_bar > 0:
         raise ValueError("scale factor must be positive")
     p = sol.params
     scaling = Rescaling(
         q0_bar=q0_bar,
-        c_bar=q0_bar ** (p.n - 1.0) * p.c,
+        c_bar=_c_bar(p, q0_bar),
         r_scale=q0_bar ** (p.n / 2.0),
         mu_bar=q0_bar ** (1.0 - p.n) * _require_mu(p),
     )
@@ -697,6 +704,15 @@ def embed_on_torus(
 
 # -- verification helpers ---------------------------------------------------
 
+def _qr_over_r(samples: ShotSamples) -> np.ndarray:
+    """Q_r/r along the samples; at the center it takes its limit Q_rr(0)."""
+    r, Qr = samples.r, samples.Q_r
+    nz = r > 0
+    w3 = samples.Q_rr.copy()
+    w3[nz] = Qr[nz] / r[nz]
+    return w3
+
+
 def ode_residual(samples: ShotSamples, p: ProfileParams) -> np.ndarray:
     """Residual of the profile equation reconstructed from samples alone.
 
@@ -707,13 +723,9 @@ def ode_residual(samples: ShotSamples, p: ProfileParams) -> np.ndarray:
     r, Q, Qr, Qrr = samples.r, samples.Q, samples.Q_r, samples.Q_rr
     w1 = Q**p.n
     w2 = w1 * Qrr
-    w3 = np.empty_like(Qr)
-    nz = r > 0
-    w3[nz] = Qr[nz] / r[nz]
-    w3[~nz] = Qrr[~nz]  # limit of Q_r/r at the center equals Q_rr(0)
     d1 = make_interp_spline(r, w1, k=5).derivative()(r)
     d2 = make_interp_spline(r, w2, k=5).derivative()(r)
-    d3 = make_interp_spline(r, w3, k=5).derivative()(r)
+    d3 = make_interp_spline(r, _qr_over_r(samples), k=5).derivative()(r)
     return -Qr + d1 / p.c + d2 + (p.d - 1.0) * w1 * d3
 
 
@@ -725,13 +737,10 @@ def qr2_identity_gap(samples: ShotSamples, p: ProfileParams) -> float:
     """
     mu = _require_mu(p)
     r, Q, Qr = samples.r, samples.Q, samples.Q_r
-    w3 = np.empty_like(Qr)
-    nz = r > 0
-    w3[nz] = Qr[nz] / r[nz]
-    w3[~nz] = samples.Q_rr[~nz]
     inner = cumulative_trapezoid(Qr**3 / Q**2, r, initial=0.0)
     correction = cumulative_trapezoid(
-        ((p.n / 2.0) * inner + (p.d - 1.0) * w3) * Q**p.n * Qr, r, initial=0.0
+        ((p.n / 2.0) * inner + (p.d - 1.0) * _qr_over_r(samples)) * Q**p.n * Qr,
+        r, initial=0.0,
     )
     lhs = 0.5 * Q**p.n * Qr**2
     rhs = _g2(Q, p.n, p.c) + _h2(Q, p.n, p.d) * mu - correction
@@ -767,17 +776,25 @@ def read_profile_csv(path) -> ProfileSolution:
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines or not lines[0].startswith("# "):
-        raise ValueError("profile archive lacks its metadata line")
+        raise ValueError(f"{path}: profile archive lacks its metadata line")
     meta: dict[str, float] = {}
     for item in lines[0][2:].split(", "):
         key, _, value = item.partition("=")
         meta[key.strip()] = float(value)
-    if lines[1] != "r,Q,Q_r,Q_rr":
-        raise ValueError("profile archive lacks the column header")
-    data = np.array(
-        [[float(v) for v in row.split(",")] for row in lines[2:] if row],
-        dtype=np.float64,
-    )
+    missing = [k for k in ("d", "n", "c", "mu_c", "Q_tau", "k", "M") if k not in meta]
+    if missing:
+        raise ValueError(f"{path}: profile metadata lacks {', '.join(missing)}")
+    if meta["Q_tau"] <= 0.0:  # nan is allowed: a single shot has no limit
+        raise ValueError(f"{path}: profile metadata Q_tau must be positive")
+    if len(lines) < 2 or lines[1] != "r,Q,Q_r,Q_rr":
+        raise ValueError(f"{path}: profile archive lacks the column header")
+    rows = [line.split(",") for line in lines[2:] if line]
+    if not rows:
+        raise ValueError(f"{path}: profile archive holds no sample rows")
+    for i, row in enumerate(rows, start=1):
+        if len(row) != 4:
+            raise ValueError(f"{path}: sample row {i} holds {len(row)} values, not 4")
+    data = np.array([[float(v) for v in row] for row in rows], dtype=np.float64)
     params = ProfileParams(d=meta["d"], n=meta["n"], c=meta["c"], mu=meta["mu_c"])
     samples = ShotSamples(r=data[:, 0], Q=data[:, 1], Q_r=data[:, 2], Q_rr=data[:, 3])
     decay = None

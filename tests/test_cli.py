@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from magma_lab import read_profile_csv, read_snapshot
+from magma_lab import Field, TorusGrid, read_profile_csv, read_snapshot, write_snapshot
 from magma_lab.cli import _config_hash, main
 
 
@@ -324,6 +324,44 @@ def test_diagnose_energy(evolve_run, tmp_path):
     assert float(info["max_relative_drift"]) < 1e-5
     lines = (out_dir / "energy.csv").read_text().splitlines()
     assert len(lines) == 1 + 11
+
+
+_META = "# d=1.0, n=2.5, c=1.7, mu_c=-0.05, Q_tau=0.7, Q_star=0.3, k=nan, M=nan"
+_ROWS = "r,Q,Q_r,Q_rr\n0.0,1.0,0.0,-0.05\n1.0,0.98,-0.04,-0.03\n"
+
+
+@pytest.mark.parametrize(
+    "kind, text",
+    [
+        ("profile", _META + "\n"),
+        ("profile", _META.replace(", k=nan", "") + "\n" + _ROWS),
+        ("profile", _META.replace(", c=1.7", "") + "\n" + _ROWS),
+        ("profile", _META + "\nr,Q,Q_r,Q_rr\n0.0,1.0,0.0\n"),
+        ("profile", _META + "\nr,Q,Q_r,Q_rr\n"),
+        ("profile", _META.replace("Q_tau=0.7", "Q_tau=0.0") + "\n" + _ROWS),
+        ("sidecar", '{"step": 0}\n'),
+        ("sidecar", '{"t": null}\n'),
+        ("sidecar", '{"t": NaN}\n'),
+        ("sidecar", "[0.0]\n"),
+    ],
+    ids=["meta-only", "no-k", "no-c", "short-row", "no-rows", "zero-Q_tau",
+         "no-t", "null-t", "nan-t", "list"],
+)
+def test_malformed_archive_is_exit_code_not_traceback(tmp_path, kind, text):
+    if kind == "profile":
+        (tmp_path / "profile.csv").write_text(text)
+        argvs = [["embed", "--profile", str(tmp_path / "profile.csv"),
+                  "--n-points", "16", "-o", str(tmp_path / "out")]]
+    else:
+        write_snapshot(Field.constant(TorusGrid.cubic(1, 16), 1.0),
+                       tmp_path / "snap_000000.bin")
+        (tmp_path / "snap_000000.json").write_text(text)
+        argvs = [["diagnose", "track", "--run", str(tmp_path)],
+                 ["diagnose", "energy", "--run", str(tmp_path), "--n", "2"]]
+    for argv in argvs:
+        code, _, err = run_cli(argv)
+        assert code in (1, 3)
+        assert "Traceback" not in err
 
 
 def test_diagnose_dispersion(tmp_path):

@@ -13,8 +13,6 @@ from magma_lab import (
     NotConverged,
     TorusGrid,
     apply_L,
-    hs_norm,
-    lipschitz_gap,
     solve_L,
     solve_L_info,
 )
@@ -149,26 +147,3 @@ def test_preconditioner_keeps_iterations_modest():
     rhs = Field.from_function(g, lambda x: np.sin(5 * x) + np.cos(x))
     _, info = solve_L_info(EllipticProblem(a=a, g=rhs, tol=1e-12))
     assert info.iterations <= 40
-
-
-def test_lipschitz_gap():
-    g = TorusGrid((64,), (2.0 * np.pi,))
-    a = Field.from_function(g, lambda x: 2.0 + np.cos(x))
-    rhs = Field.from_function(g, np.sin)
-    assert lipschitz_gap(a, a, rhs) == pytest.approx(0.0, abs=1e-11)
-    b = a + Field.constant(g, 1e-4)
-    small = lipschitz_gap(a, b, rhs)
-    assert 0.0 < small < 1e-3
-    c = a + Field.constant(g, 1.0)
-    assert lipschitz_gap(a, c, rhs) > small
-
-
-def test_hs_gap_consistent_with_solutions():
-    g = TorusGrid((64,), (2.0 * np.pi,))
-    a = Field.from_function(g, lambda x: 2.0 + np.cos(x))
-    b = Field.from_function(g, lambda x: 2.0 + 0.5 * np.cos(x))
-    rhs = Field.from_function(g, lambda x: np.sin(2 * x))
-    ua = solve_L(EllipticProblem(a=a, g=rhs, tol=1e-13))
-    ub = solve_L(EllipticProblem(a=b, g=rhs, tol=1e-13))
-    direct = hs_norm(ua - ub, 1.0)
-    assert lipschitz_gap(a, b, rhs, tol=1e-13) == pytest.approx(direct, rel=1e-8)

@@ -8,18 +8,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from magma_lab import (
+    EvolveConfig,
     Field,
     SnapshotFormatError,
     TorusGrid,
+    Verdict,
+    evolve,
     field_stats,
-    forward_transform,
+    fit_dispersion,
     hs_norm,
-    inverse_transform,
     read_snapshot,
     spectral_derivative,
     write_snapshot,
 )
-from magma_lab.grid import SNAPSHOT_MAGIC, Spectrum
+from magma_lab.grid import SNAPSHOT_MAGIC
 
 
 def test_grid_validation():
@@ -59,11 +61,7 @@ def test_wavenumbers_and_modes():
     gl = TorusGrid((8,), (4.0 * np.pi,))
     assert gl.axis_wavenumbers(0)[1] == pytest.approx(0.5)
     g2 = TorusGrid((8, 8), (2.0 * np.pi, 2.0 * np.pi))
-    idx = g2.mode_index((1, -2))
-    assert idx == (1, 6)
     np.testing.assert_allclose(g2.mode_wavevector((1, -2)), [1.0, -2.0])
-    with pytest.raises(ValueError):
-        g2.mode_index((1,))
 
 
 def test_field_validation_and_ops():
@@ -86,27 +84,6 @@ def test_field_validation_and_ops():
         _ = f + Field.constant(other, 1.0)
     with pytest.raises(ValueError):
         f.values[0] = 3.0
-
-
-def test_forward_transform_mean_and_mode():
-    g = TorusGrid((32,), (2.0 * np.pi,))
-    f = Field.from_function(g, lambda x: 1.5 + np.cos(3 * x))
-    spec = forward_transform(f)
-    assert spec.coeffs[g.mode_index((0,))] == pytest.approx(1.5)
-    assert spec.coeffs[g.mode_index((3,))] == pytest.approx(0.5)
-    assert spec.coeffs[g.mode_index((-3,))] == pytest.approx(0.5)
-
-
-def test_inverse_transform_round_trip_and_symmetry_check():
-    g = TorusGrid((16, 8), (2.0 * np.pi, 1.0))
-    rng = np.random.default_rng(7)
-    f = Field(g, rng.normal(size=g.shape))
-    back = inverse_transform(forward_transform(f))
-    np.testing.assert_allclose(back.values, f.values, atol=1e-13)
-    bad = np.zeros(g.shape, dtype=complex)
-    bad[1, 0] = 1.0j
-    with pytest.raises(ValueError, match="conjugate"):
-        inverse_transform(Spectrum(g, bad))
 
 
 def test_spectral_derivative_exact_on_trig():
@@ -166,16 +143,43 @@ def test_field_stats():
 
 
 @given(
-    st.integers(min_value=2, max_value=8).map(lambda m: 2 * m),
+    st.lists(st.integers(min_value=2, max_value=8), min_size=1, max_size=3),
     st.floats(min_value=0.5, max_value=20.0),
+    st.floats(min_value=0.0, max_value=6.0),
     st.integers(min_value=0, max_value=2**31 - 1),
 )
-def test_transform_round_trip_property(n, length, seed):
-    g = TorusGrid((n,), (length,))
-    vals = np.random.default_rng(seed).normal(size=g.shape)
-    f = Field(g, vals)
-    back = inverse_transform(forward_transform(f))
-    np.testing.assert_allclose(back.values, vals, atol=1e-12)
+def test_hs_norm_matches_full_lattice_parseval(halves, length, s, seed):
+    g = TorusGrid(tuple(2 * m for m in halves), (length,) * len(halves))
+    rng = np.random.default_rng(seed)
+
+    def along(axis, arr):
+        return arr.reshape([-1 if i == axis else 1 for i in range(g.d)])
+
+    vals = rng.normal(size=g.shape)
+    k_sq = np.zeros(g.shape)
+    for axis, n in enumerate(g.n_points):
+        vals = vals + rng.normal() * along(axis, (-1.0) ** np.arange(n))  # Nyquist
+        k_sq = k_sq + along(axis, 2.0 * np.pi * np.fft.fftfreq(n, d=length / n)) ** 2
+    c = np.fft.fftn(vals) / g.size
+    want = np.sqrt(np.sum((1.0 + k_sq) ** s * np.abs(c) ** 2) * g.volume)
+    assert hs_norm(Field(g, vals), s) == pytest.approx(want, rel=1e-12)
+
+
+def test_torus_paths_use_real_transforms_only(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("full complex transform called")
+
+    monkeypatch.setattr(np.fft, "fftn", forbidden)
+    monkeypatch.setattr(np.fft, "ifftn", forbidden)
+    g = TorusGrid((16,), (2.0 * np.pi,))
+    phi = Field.from_function(g, lambda x: 1.0 + 0.1 * np.cos(x))
+    assert hs_norm(phi, 2.0) > 0.0
+    spectral_derivative(phi, 0)
+    res = evolve(phi, EvolveConfig(n_exponent=2.0, dt=0.01, t_end=0.03))
+    assert res.report.verdict is Verdict.COMPLETED_TO_T_END
+    assert len(res.report.times) == 4
+    fit = fit_dispersion(g, 2.0, (1,), periods=0.25)
+    assert fit.relative_error < 1e-2
 
 
 @given(st.integers(min_value=0, max_value=2**31 - 1))
