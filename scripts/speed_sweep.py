@@ -17,7 +17,14 @@ import sys
 
 import numpy as np
 
-from magma_lab import ProfileError, ProfileParams, decay_check, find_mu_c
+from magma_lab import (
+    ProfileError,
+    ProfileParams,
+    decay_check,
+    find_mu_c,
+    rescale,
+    structure_report,
+)
 
 
 def main() -> None:
@@ -35,14 +42,14 @@ def main() -> None:
     rows = ["c,mu_c,Q_tau,Q1,c_bar,k,sqrtL"]
     for c in speeds:
         p = ProfileParams(d=args.d, n=args.n, c=float(c))
-        Q1 = (p.c / p.n) ** (1.0 / (p.n - 1.0))
         try:
+            Q1 = structure_report(p).Q1
             mu_c, sol = find_mu_c(p, bisect_tol=args.bisect_tol)
             fit = decay_check(sol)
         except ProfileError as exc:
             print(f"c = {c:.4f}: {type(exc).__name__}: {exc}", file=sys.stderr)
             continue
-        c_bar = sol.Q_tau ** (1.0 - p.n) * p.c
+        c_bar = rescale(sol, 1.0 / sol.Q_tau).scaling.c_bar
         k = fit.k if fit is not None else float("nan")
         sqrtL = fit.L**0.5 if fit is not None else float("nan")
         rows.append(

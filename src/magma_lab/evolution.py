@@ -7,8 +7,9 @@ for the compaction rate C := phi_t, giving the Banach-space ODE
 
 which is non-stiff because N gains a derivative, so classical RK4 with a
 fixed step is used.  Every step evaluates the dichotomy monitor
-hs_norm(phi - 1, s) + sup|1/phi|; threshold crossings, positivity loss and
-elliptic breakdowns are reported as verdicts, never exceptions.
+hs_norm(phi - 1, s) + sup|1/phi|; threshold crossings, positivity loss,
+elliptic breakdowns and a stalled step-size controller are reported as
+verdicts, never exceptions.
 """
 
 from __future__ import annotations
@@ -44,11 +45,13 @@ class Verdict(Enum):
     THRESHOLD_EXCEEDED = "threshold_exceeded"
     ELLIPTIC_FAILURE = "elliptic_failure"
     POSITIVITY_LOST = "positivity_lost"
+    STEP_CONTROL_FAILURE = "step_control_failure"
 
 
 @dataclass(frozen=True)
 class EvolveConfig:
-    """Fixed-step integration settings; adaptivity is opt-in."""
+    """RK4 steps of width dt, the last one shortened to end on t_end; with
+    adaptive=True, dt is the first width and step doubling meets step_tol."""
 
     n_exponent: float
     dt: float
@@ -138,9 +141,10 @@ def _step_raw(
     vals: np.ndarray,
     dt: float,
     cfg: EvolveConfig,
-    guess: np.ndarray | None,
+    first: tuple[np.ndarray, int],
 ) -> tuple[np.ndarray, int, np.ndarray]:
-    k1, i1 = _rhs_raw(grid, vals, cfg, guess)
+    """RK4 step from the first stage ``first = (k1, its CG iterations)``."""
+    k1, i1 = first
     k2, i2 = _rhs_raw(grid, vals + (0.5 * dt) * k1, cfg, k1)
     k3, i3 = _rhs_raw(grid, vals + (0.5 * dt) * k2, cfg, k2)
     k4, i4 = _rhs_raw(grid, vals + dt * k3, cfg, k3)
@@ -158,8 +162,8 @@ def step_rk4(phi: Field, dt: float, cfg: EvolveConfig, guess: Field | None = Non
     """One classical RK4 step; all four stages share the elliptic tolerance."""
     if not dt > 0:
         raise ValueError("dt must be positive")
-    g = None if guess is None else guess.values
-    out, _, _ = _step_raw(phi.grid, phi.values, dt, cfg, g)
+    first = _rhs_raw(phi.grid, phi.values, cfg, None if guess is None else guess.values)
+    out, _, _ = _step_raw(phi.grid, phi.values, dt, cfg, first)
     return Field(phi.grid, out)
 
 
@@ -168,76 +172,18 @@ def measure_mass(phi: Field) -> float:
     return float((phi.values - 1.0).sum()) * phi.grid.cell_volume
 
 
-class _Log:
-    def __init__(self) -> None:
-        self.times: list[float] = []
-        self.monitor: list[float] = []
-        self.mass: list[float] = []
-        self.min_phi: list[float] = []
-        self.cg: list[int] = []
-
-    def add(self, t: float, mon: float, mass: float, lo: float, cg: int) -> None:
-        self.times.append(t)
-        self.monitor.append(mon)
-        self.mass.append(mass)
-        self.min_phi.append(lo)
-        self.cg.append(cg)
-
-    def report(self, verdict: Verdict, t_event: float | None, s: float) -> BlowupReport:
-        return BlowupReport(
-            verdict=verdict,
-            t_event=t_event,
-            final_monitor=self.monitor[-1],
-            s_monitor=s,
-            times=np.array(self.times),
-            monitor=np.array(self.monitor),
-            mass=np.array(self.mass),
-            min_phi=np.array(self.min_phi),
-            cg_iterations=np.array(self.cg, dtype=np.int64),
-        )
-
-
-def _inspect(vals: np.ndarray, grid: TorusGrid, s: float) -> tuple[float, float, float]:
-    """(monitor, mass, min) of a raw state; non-finite states monitor +inf."""
-    if not np.all(np.isfinite(vals)):
-        return np.inf, np.nan, -np.inf
-    phi = Field(grid, vals)
-    return _monitor_value(phi, s), measure_mass(phi), float(vals.min())
-
-
-def evolve(phi0: Field, cfg: EvolveConfig) -> EvolveResult:
-    """Integrate to t_end or to the first dichotomy verdict.
-
-    Failures surface as verdicts: threshold crossing, positivity loss and
-    elliptic non-convergence all terminate the run with the offending time.
-    """
-    grid = phi0.grid
-    s = monitor_index(cfg, grid)
-    log = _Log()
-    snapshots: list[tuple[float, Field]] = [(0.0, phi0)]
-
-    vals = phi0.values
-    mon, mass, lo = _inspect(vals, grid, s)
-    log.add(0.0, mon, mass, lo, 0)
-    if lo <= 0.0:
-        return EvolveResult(snapshots, log.report(Verdict.POSITIVITY_LOST, 0.0, s))
-    if mon > cfg.blowup_threshold:
-        return EvolveResult(snapshots, log.report(Verdict.THRESHOLD_EXCEEDED, 0.0, s))
-
-    stepper = _adaptive_steps if cfg.adaptive else _fixed_steps
-    verdict, t_event, vals, snapshots = stepper(grid, vals, cfg, s, log, snapshots)
-
-    if snapshots[-1][0] != log.times[-1] and np.all(np.isfinite(vals)):
-        snapshots.append((log.times[-1], Field(grid, vals)))
-    return EvolveResult(snapshots, log.report(verdict, t_event, s))
-
-
-def _check_state(
-    vals: np.ndarray, grid: TorusGrid, s: float, t: float, cfg: EvolveConfig,
-    log: _Log, cg: int,
+def _record(
+    rows: list[tuple], t: float, vals: np.ndarray, grid: TorusGrid, s: float,
+    cfg: EvolveConfig, cg: int,
 ) -> Verdict | None:
-    mon, mass, lo = _inspect(vals, grid, s)
-    log.add(t, mon, mass, lo, cg)
+    """Append (t, monitor, mass, min_phi, cg) of a state and return its
+    verdict, if any; a non-finite state records monitor +inf."""
+    if np.all(np.isfinite(vals)):
+        phi = Field(grid, vals)
+        rows.append((t, _monitor_value(phi, s), measure_mass(phi), float(vals.min()), cg))
+    else:
+        rows.append((t, np.inf, np.nan, -np.inf, cg))
+    _, mon, _, lo, _ = rows[-1]
     if lo <= 0.0 and np.isfinite(lo):
         return Verdict.POSITIVITY_LOST
     if mon > cfg.blowup_threshold:
@@ -245,61 +191,75 @@ def _check_state(
     return None
 
 
-def _fixed_steps(grid, vals, cfg, s, log, snapshots):
+def evolve(phi0: Field, cfg: EvolveConfig) -> EvolveResult:
+    """Integrate to t_end or to the first verdict.
+
+    Fixed steps end at the times k*dt, and a shorter last step ends on
+    t_end.  Adaptive steps compare one step of width h with two of h/2, all
+    from one first stage: 11 elliptic solves per attempt (step doubling,
+    Hairer, Norsett & Wanner, Solving ODEs I, II.4).  Failures are verdicts:
+    threshold, positivity and elliptic failures at the failing step's end
+    time; a stalled controller (next width below 1e-12*dt, or over 60
+    rejections in a row) at the last accepted time.
+    """
+    grid = phi0.grid
+    s = monitor_index(cfg, grid)
+    rows: list[tuple[float, float, float, float, int]] = []
+    snapshots: list[tuple[float, Field]] = [(0.0, phi0)]
+    vals = phi0.values
+    verdict = _record(rows, 0.0, vals, grid, s, cfg, 0)
+    t_event: float | None = 0.0
     n_full = int(np.floor(cfg.t_end / cfg.dt + 1e-9))
-    widths = [cfg.dt] * n_full
-    if cfg.t_end - n_full * cfg.dt > 1e-12 * cfg.dt:
-        widths.append(cfg.t_end - n_full * cfg.dt)
-    guess = None
-    t = 0.0
-    for k, dt in enumerate(widths, start=1):
-        t = cfg.t_end if k == len(widths) else k * cfg.dt
-        try:
-            vals, cg, guess = _step_raw(grid, vals, dt, cfg, guess)
-        except PositivityLost:
-            return Verdict.POSITIVITY_LOST, t, vals, snapshots
-        except NotConverged:
-            return Verdict.ELLIPTIC_FAILURE, t, vals, snapshots
-        verdict = _check_state(vals, grid, s, t, cfg, log, cg)
-        if verdict is not None:
-            return verdict, t, vals, snapshots
-        if cfg.snapshot_every > 0 and k % cfg.snapshot_every == 0 and k != len(widths):
-            snapshots.append((t, Field(grid, vals)))
-    return Verdict.COMPLETED_TO_T_END, None, vals, snapshots
-
-
-def _adaptive_steps(grid, vals, cfg, s, log, snapshots):
-    """Step-doubling control: compare one dt step with two dt/2 steps."""
-    t = 0.0
-    dt = cfg.dt
-    guess = None
-    accepted = 0
-    rejections = 0
-    while t < cfg.t_end - 1e-12 * cfg.dt:
-        dt = min(dt, cfg.t_end - t)
-        try:
-            coarse, cg1, _ = _step_raw(grid, vals, dt, cfg, guess)
-            half, cg2, g_half = _step_raw(grid, vals, 0.5 * dt, cfg, guess)
-            fine, cg3, g_fine = _step_raw(grid, half, 0.5 * dt, cfg, g_half)
-        except PositivityLost:
-            return Verdict.POSITIVITY_LOST, t + dt, vals, snapshots
-        except NotConverged:
-            return Verdict.ELLIPTIC_FAILURE, t + dt, vals, snapshots
-        scale = max(float(np.linalg.norm(fine)), 1e-30)
-        err = float(np.linalg.norm(fine - coarse)) / (15.0 * scale)
-        if err <= cfg.step_tol:
-            t += dt
-            vals, guess = fine, g_fine
-            accepted += 1
-            rejections = 0
-            verdict = _check_state(vals, grid, s, t, cfg, log, cg1 + cg2 + cg3)
-            if verdict is not None:
-                return verdict, t, vals, snapshots
-            if cfg.snapshot_every > 0 and accepted % cfg.snapshot_every == 0:
-                snapshots.append((t, Field(grid, vals)))
+    n_steps = n_full + int(cfg.t_end - n_full * cfg.dt > 1e-12 * cfg.dt)
+    t, dt, guess, accepted, rejected = 0.0, cfg.dt, None, 0, 0
+    while verdict is None and (
+        t < cfg.t_end - 1e-12 * cfg.dt if cfg.adaptive else accepted < n_steps
+    ):
+        if cfg.adaptive:
+            if dt < 1e-12 * cfg.dt or rejected > 60:
+                verdict, t_event = Verdict.STEP_CONTROL_FAILURE, t
+                break
+            dt = min(dt, cfg.t_end - t)
+            t_event = t + dt
         else:
-            rejections += 1
-            if rejections > 60:
-                raise RuntimeError("adaptive step control failed to make progress")
-        dt *= min(5.0, max(0.2, 0.9 * (cfg.step_tol / max(err, 1e-30)) ** 0.2))
-    return Verdict.COMPLETED_TO_T_END, None, vals, snapshots
+            dt = cfg.dt if accepted < n_full else cfg.t_end - n_full * cfg.dt
+            t_event = cfg.t_end if accepted + 1 == n_steps else (accepted + 1) * cfg.dt
+        try:
+            first = _rhs_raw(grid, vals, cfg, guess)
+            new, cg, last = _step_raw(grid, vals, dt, cfg, first)
+            if cfg.adaptive:
+                half, cg_half, g_half = _step_raw(grid, vals, 0.5 * dt, cfg, first)
+                first_half = _rhs_raw(grid, half, cfg, g_half)
+                fine, cg_fine, last = _step_raw(grid, half, 0.5 * dt, cfg, first_half)
+        except PositivityLost:
+            verdict = Verdict.POSITIVITY_LOST
+            break
+        except NotConverged:
+            verdict = Verdict.ELLIPTIC_FAILURE
+            break
+        if cfg.adaptive:
+            scale = max(float(np.linalg.norm(fine)), 1e-30)
+            err = float(np.linalg.norm(fine - new)) / (15.0 * scale)
+            dt *= min(5.0, max(0.2, 0.9 * (cfg.step_tol / max(err, 1e-30)) ** 0.2))
+            if err > cfg.step_tol:
+                rejected += 1
+                continue
+            rejected = 0
+            new, cg = fine, cg + cg_half - first[1] + cg_fine  # k1 is counted once
+        t, vals, guess = t_event, new, last
+        accepted += 1
+        verdict = _record(rows, t, vals, grid, s, cfg, cg)
+        if verdict is None and cfg.snapshot_every > 0 and accepted % cfg.snapshot_every == 0:
+            snapshots.append((t, Field(grid, vals)))
+    if verdict is None:
+        verdict, t_event = Verdict.COMPLETED_TO_T_END, None
+
+    if snapshots[-1][0] != rows[-1][0] and np.all(np.isfinite(vals)):
+        snapshots.append((rows[-1][0], Field(grid, vals)))
+    times, monitor, mass, min_phi, cg = (np.array(col) for col in zip(*rows))
+    report = BlowupReport(
+        verdict=verdict, t_event=t_event, final_monitor=monitor[-1], s_monitor=s,
+        times=times, monitor=monitor, mass=mass, min_phi=min_phi,
+        cg_iterations=cg.astype(np.int64),
+    )
+    return EvolveResult(snapshots, report)

@@ -559,6 +559,11 @@ def find_mu_c(
     return mu_c, solution
 
 
+def _decay_rate(p: ProfileParams, q_tau: float) -> float:
+    """L = Q_tau^{-n} - n/(c Q_tau): the squared linearized tail rate."""
+    return q_tau ** (-p.n) - p.n / (p.c * q_tau)
+
+
 def decay_check(
     sol: ProfileSolution,
     fit_range: tuple[float, float] = (1e-6, 1e-2),
@@ -573,7 +578,7 @@ def decay_check(
     p = sol.params
     if not sol.Q_tau < _q1(p):
         return None
-    L = sol.Q_tau ** (-p.n) - p.n / (p.c * sol.Q_tau)
+    L = _decay_rate(p, sol.Q_tau)
     if not L > 0:
         raise ProfileError("decay criterion held but L <= 0")
 
@@ -799,10 +804,8 @@ def read_profile_csv(path) -> ProfileSolution:
     samples = ShotSamples(r=data[:, 0], Q=data[:, 1], Q_r=data[:, 2], Q_rr=data[:, 3])
     decay = None
     if math.isfinite(meta["k"]):
-        q_tau = meta["Q_tau"]
-        L = q_tau ** (-params.n) - params.n / (params.c * q_tau)
         decay = DecayFit(
-            M=meta["M"], k=meta["k"], L=L,
+            M=meta["M"], k=meta["k"], L=_decay_rate(params, meta["Q_tau"]),
             r_window=(float("nan"), float("nan")), n_samples=0,
         )
     return ProfileSolution(

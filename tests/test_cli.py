@@ -223,6 +223,16 @@ def test_evolve_verdicts_exit_zero(tmp_path):
     assert float(info["t_event"]) == 0.0
     assert float(info["final_monitor"]) > 0.5
 
+    # a step tolerance below rounding stalls the controller: a verdict too
+    code, out, err = run_cli([
+        "evolve", "--n-points", "16", "--n", "2", "--dt", "1e-3",
+        "--t-end", "1e-3", "--init", "modes:base=1;amp=0.5,k=1,phase=0",
+        "--adaptive", "--step-tol", "1e-18", "-o", str(tmp_path / "y"),
+    ])
+    assert code == 0
+    assert parsed(out)["verdict"] == "step_control_failure"
+    assert "Traceback" not in err
+
 
 def test_missing_snapshot_file_is_io_error(tmp_path):
     code, _, _ = run_cli([

@@ -12,6 +12,7 @@ from magma_lab import (
     TorusGrid,
     Verdict,
     apply_L,
+    evolution,
     evolve,
     measure_mass,
     monitor_index,
@@ -137,8 +138,11 @@ def test_evolve_handles_partial_final_step():
     phi0 = Field.from_function(g, lambda x: 1.0 + 0.1 * np.cos(x))
     result = evolve(phi0, _cfg(dt=0.1, t_end=0.55))
     assert result.report.verdict is Verdict.COMPLETED_TO_T_END
-    assert result.report.times[-1] == pytest.approx(0.55, abs=1e-14)
-    assert len(result.report.times) == 1 + 6  # t=0, five full steps, remainder
+    # times are k*dt, not accumulated sums, and the remainder step ends on t_end
+    assert list(result.report.times) == [k * 0.1 for k in range(6)] + [0.55]
+    # three full steps; the last time is t_end, not 3*0.1 = 0.30000000000000004
+    rep = evolve(phi0, _cfg(dt=0.1, t_end=0.3)).report
+    assert list(rep.times) == [0.0, 0.1, 0.2, 0.3]
 
 
 def test_immediate_verdicts_at_t0():
@@ -188,10 +192,25 @@ def test_constant_background_is_steady():
     np.testing.assert_allclose(final.values, 1.0, atol=1e-12)
 
 
-def test_adaptive_matches_fixed_fine_run():
+def _count_rhs_calls(monkeypatch, limit: int | None = None) -> list[int]:
+    """Count elliptic solves; past ``limit`` calls raise instead."""
+    real, calls = evolution._rhs_raw, [0]
+
+    def counted(*args):
+        calls[0] += 1
+        if limit is not None and calls[0] > limit:
+            raise AssertionError(f"more than {limit} right-hand side evaluations")
+        return real(*args)
+
+    monkeypatch.setattr(evolution, "_rhs_raw", counted)
+    return calls
+
+
+def test_adaptive_matches_fixed_fine_run(monkeypatch):
     g = TorusGrid((64,), (2.0 * np.pi,))
     phi0 = Field.from_function(g, lambda x: 1.0 + 0.3 * np.cos(x))
     fixed = evolve(phi0, _cfg(dt=1e-3, t_end=0.5, elliptic_tol=1e-12))
+    calls = _count_rhs_calls(monkeypatch)
     adaptive = evolve(
         phi0,
         _cfg(
@@ -208,3 +227,21 @@ def test_adaptive_matches_fixed_fine_run():
     assert gap < 1e-7
     # the controller should beat the fixed grid on step count
     assert len(adaptive.report.times) < len(fixed.report.times)
+    # 11 accepted steps, none rejected; each shares k1 between the dt and dt/2 steps
+    assert len(adaptive.report.times) == 1 + 11
+    assert calls[0] == 11 * 11
+
+
+def test_stalled_step_control_is_a_verdict(monkeypatch):
+    # below the rounding level of the error estimate the controller shrinks
+    # dt towards zero; the run must end in a verdict, not crawl
+    _count_rhs_calls(monkeypatch, limit=5000)
+    g = TorusGrid((16,), (2.0 * np.pi,))
+    phi0 = Field.from_function(g, lambda x: 1.0 + 0.5 * np.cos(x))
+    cfg = _cfg(dt=1e-3, t_end=1e-3, adaptive=True, step_tol=1e-18)
+    result = evolve(phi0, cfg)
+    rep = result.report
+    assert rep.verdict is Verdict.STEP_CONTROL_FAILURE
+    assert rep.t_event == rep.times[-1]  # the last accepted time
+    assert 0.0 < rep.t_event < cfg.t_end
+    assert result.snapshots[-1][0] == rep.t_event
