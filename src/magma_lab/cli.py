@@ -7,9 +7,9 @@ shots), ``embed`` (periodize an archived profile), and ``diagnose``
 
 Every physical or numerical option can come from a ``key=value`` config
 file (``--config``); explicit flags override file values, which override
-built-in defaults.  The merged, typed configuration is hashed and written
-to ``manifest.json`` in the run directory together with the list of
-artifacts produced.
+built-in defaults.  One helper, ``_write_run``, makes every run directory:
+it writes the artifacts in order, then ``manifest.json`` with the merged,
+typed configuration, its hash and the list of artifacts produced.
 
 Exit codes: 0 success (including every evolve verdict), 1 configuration
 or usage errors, 2 numerical failures, 3 I/O failures.
@@ -27,7 +27,7 @@ import sys
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from multiprocessing import Pool
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -52,19 +52,18 @@ from .profile import (
     ProfileError,
     ProfileParams,
     ProfileSolution,
-    ShotClass,
     _c_bar,
     _fmt,
     decay_check,
+    embed_on_torus,
     find_mu_c,
     integrate_shot,
-    q_star,
     read_profile_csv,
     structure_report,
     write_profile_csv,
 )
 
-__all__ = ["main", "RunManifest"]
+__all__ = ["main"]
 
 
 class _UsageError(Exception):
@@ -77,18 +76,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 # -- option tables -----------------------------------------------------------
-
-def _c_float(s: str) -> float:
-    return float(s)
-
-
-def _c_int(s: str) -> int:
-    return int(s)
-
-
-def _c_str(s: str) -> str:
-    return s
-
 
 def _c_bool(s: str) -> bool:
     t = s.strip().lower()
@@ -120,45 +107,45 @@ class _Opt:
 
 
 SHOOT_OPTS: dict[str, _Opt] = {
-    "d": _Opt(_c_float, required=True, help="spatial dimension of the profile"),
-    "n": _Opt(_c_float, required=True, help="nonlinearity exponent in [2, 3]"),
-    "c": _Opt(_c_float, required=True, help="wave speed in [1.55, n)"),
-    "mu": _Opt(_c_float, help="fire one shot at this curvature instead of searching"),
-    "bisect_tol": _Opt(_c_float, 1e-12, help="bisection width for the critical curvature"),
-    "r_max": _Opt(_c_float, 200.0, help="integration radius for classification"),
-    "r_max_final": _Opt(_c_float, help="radius for the final critical shot (default 2*r_max)"),
-    "r_max_cap": _Opt(_c_float, help="radius ceiling for indeterminate shots (default 32*r_max)"),
-    "flat_tol": _Opt(_c_float, 1e-9, help="slope tolerance for the flat classification"),
-    "rtol": _Opt(_c_float, 1e-10, help="relative tolerance of the shot integrator"),
-    "dr_sample": _Opt(_c_float, 0.01, help="radial sample spacing of stored profiles"),
+    "d": _Opt(float, required=True, help="spatial dimension of the profile"),
+    "n": _Opt(float, required=True, help="nonlinearity exponent in [2, 3]"),
+    "c": _Opt(float, required=True, help="wave speed in [1.55, n)"),
+    "mu": _Opt(float, help="fire one shot at this curvature instead of searching"),
+    "bisect_tol": _Opt(float, 1e-12, help="bisection width for the critical curvature"),
+    "r_max": _Opt(float, 200.0, help="integration radius for classification"),
+    "r_max_final": _Opt(float, help="radius for the final critical shot (default 2*r_max)"),
+    "r_max_cap": _Opt(float, help="radius ceiling for indeterminate shots (default 32*r_max)"),
+    "flat_tol": _Opt(float, 1e-9, help="slope tolerance for the flat classification"),
+    "rtol": _Opt(float, 1e-10, help="relative tolerance of the shot integrator"),
+    "dr_sample": _Opt(float, 0.01, help="radial sample spacing of stored profiles"),
 }
 
 EVOLVE_OPTS: dict[str, _Opt] = {
     "n_points": _Opt(_c_ints, required=True, help="grid points per axis, e.g. 64,64"),
     "lengths": _Opt(_c_floats, help="box side lengths (default 2*pi per axis)"),
-    "n": _Opt(_c_float, required=True, help="nonlinearity exponent in [2, 3]"),
-    "dt": _Opt(_c_float, required=True, help="time step"),
-    "t_end": _Opt(_c_float, required=True, help="final time"),
-    "init": _Opt(_c_str, "constant:1.0", help="initial condition spec (see docs)"),
-    "threshold": _Opt(_c_float, 1e6, help="monitor value treated as blow-up"),
-    "s_monitor": _Opt(_c_float, help="Sobolev index of the monitor (default d/2+floor(d/2)+3)"),
-    "snapshot_every": _Opt(_c_int, 0, help="store every k-th step (0: first and last only)"),
-    "elliptic_tol": _Opt(_c_float, 1e-10, help="relative residual target of the CG solves"),
-    "cg_max_iter": _Opt(_c_int, help="CG iteration cap (default 10*max(n_points))"),
+    "n": _Opt(float, required=True, help="nonlinearity exponent in [2, 3]"),
+    "dt": _Opt(float, required=True, help="time step"),
+    "t_end": _Opt(float, required=True, help="final time"),
+    "init": _Opt(str, "constant:1.0", help="initial condition spec (see docs)"),
+    "threshold": _Opt(float, 1e6, help="monitor value treated as blow-up"),
+    "s_monitor": _Opt(float, help="Sobolev index of the monitor (default d/2+floor(d/2)+3)"),
+    "snapshot_every": _Opt(int, 0, help="store every k-th step (0: first and last only)"),
+    "elliptic_tol": _Opt(float, 1e-10, help="relative residual target of the CG solves"),
+    "cg_max_iter": _Opt(int, help="CG iteration cap (default 10*max(n_points))"),
     "adaptive": _Opt(_c_bool, False, help="use step-doubling time-step control"),
-    "step_tol": _Opt(_c_float, 1e-8, help="local error target for adaptive stepping"),
+    "step_tol": _Opt(float, 1e-8, help="local error target for adaptive stepping"),
 }
 
 SWEEP_OPTS: dict[str, _Opt] = {
     "d": _Opt(_c_floats, required=True, help="dimensions, e.g. 1,2,3 or 1:7:4"),
     "n": _Opt(_c_floats, required=True, help="exponents, e.g. 2,2.5,3"),
     "c": _Opt(_c_floats, required=True, help="wave speeds, e.g. 1.55:1.7:5"),
-    "bisect_tol": _Opt(_c_float, 1e-8, help="bisection width per grid point"),
-    "r_max": _Opt(_c_float, 200.0, help="integration radius for classification"),
+    "bisect_tol": _Opt(float, 1e-8, help="bisection width per grid point"),
+    "r_max": _Opt(float, 200.0, help="integration radius for classification"),
 }
 
 EMBED_OPTS: dict[str, _Opt] = {
-    "profile": _Opt(_c_str, required=True, help="profile.csv or a run directory holding one"),
+    "profile": _Opt(str, required=True, help="profile.csv or a run directory holding one"),
     "n_points": _Opt(_c_ints, required=True, help="grid points per axis"),
     "lengths": _Opt(_c_floats, help="box side lengths (default 2*pi per axis)"),
     "center": _Opt(_c_floats, help="peak location (default the domain midpoint)"),
@@ -167,22 +154,22 @@ EMBED_OPTS: dict[str, _Opt] = {
 DISPERSION_OPTS: dict[str, _Opt] = {
     "n_points": _Opt(_c_ints, required=True, help="grid points per axis"),
     "lengths": _Opt(_c_floats, help="box side lengths (default 2*pi per axis)"),
-    "n": _Opt(_c_float, required=True, help="nonlinearity exponent in [2, 3]"),
+    "n": _Opt(float, required=True, help="nonlinearity exponent in [2, 3]"),
     "mode": _Opt(_c_ints, required=True, help="integer mode per axis, e.g. 1,0"),
-    "epsilon": _Opt(_c_float, 1e-4, help="perturbation amplitude"),
-    "periods": _Opt(_c_float, 3.0, help="number of analytic periods to integrate"),
-    "steps_per_period": _Opt(_c_int, 64, help="RK4 steps per analytic period"),
-    "elliptic_tol": _Opt(_c_float, 1e-12, help="relative residual target of the CG solves"),
+    "epsilon": _Opt(float, 1e-4, help="perturbation amplitude"),
+    "periods": _Opt(float, 3.0, help="number of analytic periods to integrate"),
+    "steps_per_period": _Opt(int, 64, help="RK4 steps per analytic period"),
+    "elliptic_tol": _Opt(float, 1e-12, help="relative residual target of the CG solves"),
 }
 
 TRACK_OPTS: dict[str, _Opt] = {
-    "run": _Opt(_c_str, required=True, help="evolve run directory with snapshots"),
+    "run": _Opt(str, required=True, help="evolve run directory with snapshots"),
 }
 
 ENERGY_OPTS: dict[str, _Opt] = {
-    "run": _Opt(_c_str, required=True, help="evolve run directory with snapshots"),
-    "n": _Opt(_c_float, required=True, help="nonlinearity exponent in [2, 3]"),
-    "m": _Opt(_c_float, 0.0, help="gradient weight of the energy (exact invariant at 0)"),
+    "run": _Opt(str, required=True, help="evolve run directory with snapshots"),
+    "n": _Opt(float, required=True, help="nonlinearity exponent in [2, 3]"),
+    "m": _Opt(float, 0.0, help="gradient weight of the energy (exact invariant at 0)"),
 }
 
 
@@ -230,28 +217,37 @@ def _config_hash(config: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    config: dict
-    config_hash: str
-    created_utc: str
-    outputs: list[str]
-    version: str
+def _json(obj: object, indent: int | None = None) -> str:
+    return json.dumps(obj, indent=indent, sort_keys=True) + "\n"
 
 
-def _write_manifest(out_dir: str, command: str, config: dict, outputs: list[str]) -> None:
-    manifest = RunManifest(
-        command=command,
-        config=config,
-        config_hash=_config_hash(config),
+def _csv(header: str, rows: Iterable[Iterable[object]]) -> str:
+    """CSV text: the header, then one line per row; non-string cells via _fmt."""
+    lines = [",".join(v if isinstance(v, str) else _fmt(v) for v in row) for row in rows]
+    return "".join(line + "\n" for line in [header, *lines])
+
+
+_Artifact = tuple[str, str | Callable[[str], None]]  # text, or a writer of the path
+
+
+def _write_run(out_dir: str, command: str, config: dict, files: list[_Artifact]) -> None:
+    """Make the run directory, write each named file in order (text, or a
+    writer called with its path), then manifest.json listing the names."""
+    os.makedirs(out_dir, exist_ok=True)
+    for name, content in files:
+        path = os.path.join(out_dir, name)
+        if callable(content):
+            content(path)
+        else:
+            with open(path, "w", newline="") as fh:
+                fh.write(content)
+    manifest = dict(
+        command=command, config=config, config_hash=_config_hash(config),
         created_utc=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        outputs=list(outputs),
-        version=__version__,
+        outputs=[name for name, _ in files], version=__version__,
     )
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(asdict(manifest), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with open(os.path.join(out_dir, "manifest.json"), "w", newline="") as fh:
+        fh.write(_json(manifest, indent=2))
 
 
 def _make_grid(n_points: list[int], lengths: list[float] | None) -> TorusGrid:
@@ -309,19 +305,26 @@ def _initial_field(spec: str, grid: TorusGrid) -> Field:
             raise ValueError("snapshot grid does not match the requested grid")
         return fld
     if kind == "profile":
-        return _embed_profile(rest, grid, None)
+        return embed_on_torus(_read_profile(rest), grid)
     raise ValueError(f"unknown initial-condition kind {kind!r}")
 
 
-def _profile_csv_path(path: str) -> str:
-    return os.path.join(path, "profile.csv") if os.path.isdir(path) else path
+def _read_profile(path: str) -> ProfileSolution:
+    """A profile archive, given as its csv path or a run directory holding one."""
+    return read_profile_csv(os.path.join(path, "profile.csv") if os.path.isdir(path) else path)
 
 
-def _embed_profile(path: str, grid: TorusGrid, center: list[float] | None) -> Field:
-    from .profile import embed_on_torus
-
-    sol = read_profile_csv(_profile_csv_path(path))
-    return embed_on_torus(sol, grid, None if center is None else tuple(center))
+def _snapshot_pair(
+    i: int, t: float, fld: Field, monitor: float, cfg_hash: str
+) -> list[_Artifact]:
+    """The snap_<i>.bin snapshot and its .json sidecar, as _load_run_snapshots
+    reads them back."""
+    stem = f"snap_{i:06d}"
+    sidecar = {"t": float(t), "step": i, "monitor": monitor, "config_hash": cfg_hash}
+    return [
+        (stem + ".bin", lambda path: write_snapshot(fld, path)),
+        (stem + ".json", _json(sidecar)),
+    ]
 
 
 def _load_run_snapshots(run_dir: str) -> list[tuple[float, Field]]:
@@ -345,7 +348,6 @@ def _load_run_snapshots(run_dir: str) -> list[tuple[float, Field]]:
 
 def _cmd_shoot(ns: argparse.Namespace) -> int:
     cfg = _merge_config(SHOOT_OPTS, ns)
-    outputs: list[str] = []
 
     if cfg["mu"] is not None:
         params = ProfileParams(d=cfg["d"], n=cfg["n"], c=cfg["c"], mu=cfg["mu"])
@@ -361,46 +363,36 @@ def _cmd_shoot(ns: argparse.Namespace) -> int:
             print(f"subcase = {outcome.subcase}")
         if outcome.Q_tau is not None:
             print(f"Q_tau = {_fmt(outcome.Q_tau)}")
-        if ns.out:
-            os.makedirs(ns.out, exist_ok=True)
-            sol = ProfileSolution(
-                params=params, samples=samples,
-                Q_tau=outcome.Q_tau if outcome.Q_tau is not None else float("nan"),
-            )
-            write_profile_csv(os.path.join(ns.out, "profile.csv"), sol)
-            outputs.append("profile.csv")
-            _write_manifest(ns.out, "shoot", cfg, outputs)
-        return 0
-
-    params = ProfileParams(d=cfg["d"], n=cfg["n"], c=cfg["c"])
-    report = structure_report(params)
-    mu_c, sol = find_mu_c(
-        params, bisect_tol=cfg["bisect_tol"], r_max=cfg["r_max"],
-        r_max_final=cfg["r_max_final"], r_max_cap=cfg["r_max_cap"],
-        rtol=cfg["rtol"], flat_tol=cfg["flat_tol"], dr_sample=cfg["dr_sample"],
-    )
-    fit = decay_check(sol)
-    sol = replace(sol, decay=fit)
-    c_bar = _c_bar(params, 1.0 / sol.Q_tau)
-
-    print(f"Q_star = {_fmt(report.Q_star)}")
-    print(f"Q1 = {_fmt(report.Q1)}")
-    print(f"mu1_min = {_fmt(report.mu1_min)}")
-    print(f"mu2_min = {_fmt(report.mu2_min)}")
-    print(f"mu3_min = {_fmt(report.mu3_min)}")
-    print(f"mu_c = {_fmt(mu_c)}")
-    print(f"Q_tau = {_fmt(sol.Q_tau)}")
-    print(f"c_bar = {_fmt(c_bar)}")
-    if fit is not None:
-        print(f"decay_k = {_fmt(fit.k)}")
-        print(f"decay_M = {_fmt(fit.M)}")
+        sol = ProfileSolution(
+            params=params, samples=samples,
+            Q_tau=outcome.Q_tau if outcome.Q_tau is not None else float("nan"),
+        )
     else:
-        print("decay_k = nan")
+        params = ProfileParams(d=cfg["d"], n=cfg["n"], c=cfg["c"])
+        report = structure_report(params)
+        mu_c, sol = find_mu_c(
+            params, bisect_tol=cfg["bisect_tol"], r_max=cfg["r_max"],
+            r_max_final=cfg["r_max_final"], r_max_cap=cfg["r_max_cap"],
+            rtol=cfg["rtol"], flat_tol=cfg["flat_tol"], dr_sample=cfg["dr_sample"],
+        )
+        fit = decay_check(sol)
+        sol = replace(sol, decay=fit)
+        print(f"Q_star = {_fmt(report.Q_star)}")
+        print(f"Q1 = {_fmt(report.Q1)}")
+        print(f"mu1_min = {_fmt(report.mu1_min)}")
+        print(f"mu2_min = {_fmt(report.mu2_min)}")
+        print(f"mu3_min = {_fmt(report.mu3_min)}")
+        print(f"mu_c = {_fmt(mu_c)}")
+        print(f"Q_tau = {_fmt(sol.Q_tau)}")
+        print(f"c_bar = {_fmt(_c_bar(params, 1.0 / sol.Q_tau))}")
+        if fit is not None:
+            print(f"decay_k = {_fmt(fit.k)}")
+            print(f"decay_M = {_fmt(fit.M)}")
+        else:
+            print("decay_k = nan")
     if ns.out:
-        os.makedirs(ns.out, exist_ok=True)
-        write_profile_csv(os.path.join(ns.out, "profile.csv"), sol)
-        outputs.append("profile.csv")
-        _write_manifest(ns.out, "shoot", cfg, outputs)
+        _write_run(ns.out, "shoot", cfg,
+                   [("profile.csv", lambda path: write_profile_csv(path, sol))])
     return 0
 
 
@@ -418,34 +410,14 @@ def _cmd_evolve(ns: argparse.Namespace) -> int:
     result = evolve(phi0, ecfg)
     rep = result.report
 
-    os.makedirs(ns.out, exist_ok=True)
-    outputs = ["log.csv"]
-    with open(os.path.join(ns.out, "log.csv"), "w", newline="") as fh:
-        fh.write("t,mass,monitor,min_phi,cg_iters\n")
-        for i in range(len(rep.times)):
-            fh.write(
-                f"{_fmt(rep.times[i])},{_fmt(rep.mass[i])},"
-                f"{_fmt(rep.monitor[i])},{_fmt(rep.min_phi[i])},"
-                f"{int(rep.cg_iterations[i])}\n"
-            )
-
+    log = zip(rep.times, rep.mass, rep.monitor, rep.min_phi, map(str, rep.cg_iterations))
+    files = [("log.csv", _csv("t,mass,monitor,min_phi,cg_iters", log))]
     cfg_hash = _config_hash(cfg)
     monitor_at = {float(t): float(m) for t, m in zip(rep.times, rep.monitor)}
     for i, (t, fld) in enumerate(result.snapshots):
-        stem = f"snap_{i:06d}"
-        write_snapshot(fld, os.path.join(ns.out, stem + ".bin"))
-        sidecar = {
-            "t": float(t),
-            "step": i,
-            "monitor": monitor_at.get(float(t), float("nan")),
-            "config_hash": cfg_hash,
-        }
-        with open(os.path.join(ns.out, stem + ".json"), "w") as fh:
-            json.dump(sidecar, fh, sort_keys=True)
-            fh.write("\n")
-        outputs.extend([stem + ".bin", stem + ".json"])
+        files += _snapshot_pair(i, t, fld, monitor_at.get(float(t), float("nan")), cfg_hash)
+    _write_run(ns.out, "evolve", cfg, files)
 
-    _write_manifest(ns.out, "evolve", cfg, outputs)
     print(f"verdict = {rep.verdict.value}")
     if rep.t_event is not None:
         print(f"t_event = {_fmt(rep.t_event)}")
@@ -478,25 +450,20 @@ def _sweep_task(item: tuple[float, float, float, float, float]) -> list[str]:
 
 def _cmd_sweep(ns: argparse.Namespace) -> int:
     cfg = _merge_config(SWEEP_OPTS, ns)
-    jobs = ns.jobs if ns.jobs is not None else int(os.environ.get("MAGMA_LAB_JOBS", "1"))
-    if jobs < 1:
+    if ns.jobs < 1:
         raise ValueError("jobs must be at least 1")
     items = [
         (d, n, c, cfg["bisect_tol"], cfg["r_max"])
         for d in cfg["d"] for n in cfg["n"] for c in cfg["c"]
     ]
-    if jobs == 1:
+    if ns.jobs == 1:
         rows = [_sweep_task(item) for item in items]
     else:
-        with Pool(processes=jobs) as pool:
+        with Pool(processes=ns.jobs) as pool:
             rows = pool.map(_sweep_task, items)
 
-    os.makedirs(ns.out, exist_ok=True)
-    with open(os.path.join(ns.out, "sweep.csv"), "w", newline="") as fh:
-        fh.write("d,n,c,mu_c,Q_tau,k,c_bar,error\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
-    _write_manifest(ns.out, "sweep", cfg, ["sweep.csv"])
+    table = _csv("d,n,c,mu_c,Q_tau,k,c_bar,error", rows)
+    _write_run(ns.out, "sweep", cfg, [("sweep.csv", table)])
     failures = sum(1 for row in rows if row[-1])
     print(f"rows = {len(rows)}")
     print(f"failures = {failures}")
@@ -506,20 +473,11 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
 def _cmd_embed(ns: argparse.Namespace) -> int:
     cfg = _merge_config(EMBED_OPTS, ns)
     grid = _make_grid(cfg["n_points"], cfg["lengths"])
-    fld = _embed_profile(cfg["profile"], grid, cfg["center"])
+    center = None if cfg["center"] is None else tuple(cfg["center"])
+    fld = embed_on_torus(_read_profile(cfg["profile"]), grid, center)
 
-    os.makedirs(ns.out, exist_ok=True)
-    write_snapshot(fld, os.path.join(ns.out, "snap_000000.bin"))
-    sidecar = {
-        "t": 0.0,
-        "step": 0,
-        "monitor": _monitor_value(fld, _default_monitor_index(grid)),
-        "config_hash": _config_hash(cfg),
-    }
-    with open(os.path.join(ns.out, "snap_000000.json"), "w") as fh:
-        json.dump(sidecar, fh, sort_keys=True)
-        fh.write("\n")
-    _write_manifest(ns.out, "embed", cfg, ["snap_000000.bin", "snap_000000.json"])
+    monitor = _monitor_value(fld, _default_monitor_index(grid))
+    _write_run(ns.out, "embed", cfg, _snapshot_pair(0, 0.0, fld, monitor, _config_hash(cfg)))
 
     stats = field_stats(fld)
     print(f"peak = {_fmt(stats.max)}")
@@ -540,19 +498,8 @@ def _cmd_diag_dispersion(ns: argparse.Namespace) -> int:
     print(f"omega_measured = {_fmt(fit.omega_measured)}")
     print(f"relative_error = {_fmt(fit.relative_error)}")
     if ns.out:
-        os.makedirs(ns.out, exist_ok=True)
-        payload = {
-            "mode": list(fit.mode),
-            "k": list(fit.k),
-            "omega_formula": fit.omega_formula,
-            "omega_measured": fit.omega_measured,
-            "epsilon": fit.epsilon,
-            "relative_error": fit.relative_error,
-        }
-        with open(os.path.join(ns.out, "dispersion.json"), "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        _write_manifest(ns.out, "diagnose dispersion", cfg, ["dispersion.json"])
+        payload = _json(asdict(fit), indent=2)
+        _write_run(ns.out, "diagnose dispersion", cfg, [("dispersion.json", payload)])
     return 0
 
 
@@ -563,12 +510,8 @@ def _cmd_diag_track(ns: argparse.Namespace) -> int:
     print(f"snapshots = {len(snapshots)}")
     print(f"speed = {_fmt(trace.speed)}")
     if ns.out:
-        os.makedirs(ns.out, exist_ok=True)
-        with open(os.path.join(ns.out, "peaks.csv"), "w", newline="") as fh:
-            fh.write("t,position\n")
-            for t, x in zip(trace.times, trace.positions):
-                fh.write(f"{_fmt(t)},{_fmt(x)}\n")
-        _write_manifest(ns.out, "diagnose track", cfg, ["peaks.csv"])
+        table = _csv("t,position", zip(trace.times, trace.positions))
+        _write_run(ns.out, "diagnose track", cfg, [("peaks.csv", table)])
     return 0
 
 
@@ -583,12 +526,8 @@ def _cmd_diag_energy(ns: argparse.Namespace) -> int:
     print(f"energy_final = {_fmt(energies[-1])}")
     print(f"max_relative_drift = {_fmt(drift)}")
     if ns.out:
-        os.makedirs(ns.out, exist_ok=True)
-        with open(os.path.join(ns.out, "energy.csv"), "w", newline="") as fh:
-            fh.write("t,energy\n")
-            for t, e in zip(times, energies):
-                fh.write(f"{_fmt(t)},{_fmt(e)}\n")
-        _write_manifest(ns.out, "diagnose energy", cfg, ["energy.csv"])
+        table = _csv("t,energy", zip(times, energies))
+        _write_run(ns.out, "diagnose energy", cfg, [("energy.csv", table)])
     return 0
 
 
@@ -629,8 +568,8 @@ def _build_parser() -> _Parser:
 
     p_sweep = subs.add_parser("sweep", help="critical curvatures over a parameter grid")
     _add_table(p_sweep, SWEEP_OPTS)
-    p_sweep.add_argument("--jobs", "-j", type=int, default=None,
-                         help="worker processes (default $MAGMA_LAB_JOBS or 1)")
+    p_sweep.add_argument("--jobs", "-j", type=int, default=1,
+                         help="worker processes (default 1)")
     _add_common(p_sweep, out_required=True)
     p_sweep.set_defaults(handler=_cmd_sweep)
 

@@ -200,7 +200,8 @@ def evolve(phi0: Field, cfg: EvolveConfig) -> EvolveResult:
     Hairer, Norsett & Wanner, Solving ODEs I, II.4).  Failures are verdicts:
     threshold, positivity and elliptic failures at the failing step's end
     time; a stalled controller (next width below 1e-12*dt, or over 60
-    rejections in a row) at the last accepted time.
+    rejections in a row) at the last accepted time.  A row's CG iterations
+    include those of the rejected attempts before it.
     """
     grid = phi0.grid
     s = monitor_index(cfg, grid)
@@ -211,7 +212,7 @@ def evolve(phi0: Field, cfg: EvolveConfig) -> EvolveResult:
     t_event: float | None = 0.0
     n_full = int(np.floor(cfg.t_end / cfg.dt + 1e-9))
     n_steps = n_full + int(cfg.t_end - n_full * cfg.dt > 1e-12 * cfg.dt)
-    t, dt, guess, accepted, rejected = 0.0, cfg.dt, None, 0, 0
+    t, dt, guess, accepted, rejected, pending = 0.0, cfg.dt, None, 0, 0, 0
     while verdict is None and (
         t < cfg.t_end - 1e-12 * cfg.dt if cfg.adaptive else accepted < n_steps
     ):
@@ -241,11 +242,11 @@ def evolve(phi0: Field, cfg: EvolveConfig) -> EvolveResult:
             scale = max(float(np.linalg.norm(fine)), 1e-30)
             err = float(np.linalg.norm(fine - new)) / (15.0 * scale)
             dt *= min(5.0, max(0.2, 0.9 * (cfg.step_tol / max(err, 1e-30)) ** 0.2))
+            cg += cg_half - first[1] + cg_fine  # k1 is counted once
             if err > cfg.step_tol:
-                rejected += 1
+                rejected, pending = rejected + 1, pending + cg
                 continue
-            rejected = 0
-            new, cg = fine, cg + cg_half - first[1] + cg_fine  # k1 is counted once
+            new, cg, rejected, pending = fine, cg + pending, 0, 0
         t, vals, guess = t_event, new, last
         accepted += 1
         verdict = _record(rows, t, vals, grid, s, cfg, cg)

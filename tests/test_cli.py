@@ -336,6 +336,32 @@ def test_diagnose_energy(evolve_run, tmp_path):
     assert len(lines) == 1 + 11
 
 
+@pytest.mark.parametrize("command", ["shoot", "sweep", "embed", "track", "energy",
+                                     "dispersion"])
+def test_manifest_lists_every_artifact(command, critical_run, evolve_run, tmp_path):
+    shoot_dir, _ = critical_run
+    out_dir = shoot_dir if command == "shoot" else tmp_path / command
+    argv = {
+        "shoot": None,
+        "sweep": ["sweep", "--d", "1", "--n", "2.5", "--c", "1.6"],
+        "embed": ["embed", "--profile", str(shoot_dir), "--n-points", "48,48,48",
+                  "--lengths", "240"],
+        "track": ["diagnose", "track", "--run", str(evolve_run)],
+        "energy": ["diagnose", "energy", "--run", str(evolve_run), "--n", "2"],
+        "dispersion": ["diagnose", "dispersion", "--n-points", "16", "--n", "2",
+                       "--mode", "1", "--periods", "1", "--steps-per-period", "16"],
+    }[command]
+    if argv is not None:
+        assert run_cli(argv + ["-o", str(out_dir)])[0] == 0
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["outputs"] == sorted(
+        p.name for p in out_dir.iterdir() if p.name != "manifest.json"
+    )
+    if command == "embed":
+        sidecar = json.loads((out_dir / "snap_000000.json").read_text())
+        assert sidecar["config_hash"] == manifest["config_hash"]
+
+
 _META = "# d=1.0, n=2.5, c=1.7, mu_c=-0.05, Q_tau=0.7, Q_star=0.3, k=nan, M=nan"
 _ROWS = "r,Q,Q_r,Q_rr\n0.0,1.0,0.0,-0.05\n1.0,0.98,-0.04,-0.03\n"
 

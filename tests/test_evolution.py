@@ -232,6 +232,25 @@ def test_adaptive_matches_fixed_fine_run(monkeypatch):
     assert calls[0] == 11 * 11
 
 
+def test_adaptive_report_counts_rejected_cg_work(monkeypatch):
+    # a rejected attempt's CG iterations are charged to the next accepted row
+    real, solved = evolution._solve_raw, [0]
+
+    def counted(*args):
+        out, info = real(*args)
+        solved[0] += info.iterations
+        return out, info
+
+    monkeypatch.setattr(evolution, "_solve_raw", counted)
+    g = TorusGrid((64,), (2.0 * np.pi,))
+    phi0 = Field.from_function(g, lambda x: 1.0 + 0.3 * np.cos(x))
+    calls = _count_rhs_calls(monkeypatch)
+    rep = evolve(phi0, _cfg(dt=0.4, t_end=0.5, adaptive=True, step_tol=1e-11)).report
+    assert rep.verdict is Verdict.COMPLETED_TO_T_END
+    assert calls[0] > 11 * (len(rep.times) - 1)  # some attempts were rejected
+    assert solved[0] == int(rep.cg_iterations.sum())
+
+
 def test_stalled_step_control_is_a_verdict(monkeypatch):
     # below the rounding level of the error estimate the controller shrinks
     # dt towards zero; the run must end in a verdict, not crawl
