@@ -113,11 +113,6 @@ SHOOT_OPTS: dict[str, _Opt] = {
     "mu": _Opt(float, help="fire one shot at this curvature instead of searching"),
     "bisect_tol": _Opt(float, 1e-12, help="bisection width for the critical curvature"),
     "r_max": _Opt(float, 200.0, help="integration radius for classification"),
-    "r_max_final": _Opt(float, help="radius for the final critical shot (default 2*r_max)"),
-    "r_max_cap": _Opt(float, help="radius ceiling for indeterminate shots (default 32*r_max)"),
-    "flat_tol": _Opt(float, 1e-9, help="slope tolerance for the flat classification"),
-    "rtol": _Opt(float, 1e-10, help="relative tolerance of the shot integrator"),
-    "dr_sample": _Opt(float, 0.01, help="radial sample spacing of stored profiles"),
 }
 
 EVOLVE_OPTS: dict[str, _Opt] = {
@@ -131,7 +126,6 @@ EVOLVE_OPTS: dict[str, _Opt] = {
     "s_monitor": _Opt(float, help="Sobolev index of the monitor (default d/2+floor(d/2)+3)"),
     "snapshot_every": _Opt(int, 0, help="store every k-th step (0: first and last only)"),
     "elliptic_tol": _Opt(float, 1e-10, help="relative residual target of the CG solves"),
-    "cg_max_iter": _Opt(int, help="CG iteration cap (default 10*max(n_points))"),
     "adaptive": _Opt(_c_bool, False, help="use step-doubling time-step control"),
     "step_tol": _Opt(float, 1e-8, help="local error target for adaptive stepping"),
 }
@@ -159,7 +153,6 @@ DISPERSION_OPTS: dict[str, _Opt] = {
     "epsilon": _Opt(float, 1e-4, help="perturbation amplitude"),
     "periods": _Opt(float, 3.0, help="number of analytic periods to integrate"),
     "steps_per_period": _Opt(int, 64, help="RK4 steps per analytic period"),
-    "elliptic_tol": _Opt(float, 1e-12, help="relative residual target of the CG solves"),
 }
 
 TRACK_OPTS: dict[str, _Opt] = {
@@ -351,10 +344,7 @@ def _cmd_shoot(ns: argparse.Namespace) -> int:
 
     if cfg["mu"] is not None:
         params = ProfileParams(d=cfg["d"], n=cfg["n"], c=cfg["c"], mu=cfg["mu"])
-        outcome, samples = integrate_shot(
-            params, r_max=cfg["r_max"], flat_tol=cfg["flat_tol"],
-            rtol=cfg["rtol"], dr_sample=cfg["dr_sample"],
-        )
+        outcome, samples = integrate_shot(params, r_max=cfg["r_max"])
         print(f"classification = {outcome.classification.value}")
         if outcome.r_star is not None:
             print(f"r_star = {_fmt(outcome.r_star)}")
@@ -370,11 +360,7 @@ def _cmd_shoot(ns: argparse.Namespace) -> int:
     else:
         params = ProfileParams(d=cfg["d"], n=cfg["n"], c=cfg["c"])
         report = structure_report(params)
-        mu_c, sol = find_mu_c(
-            params, bisect_tol=cfg["bisect_tol"], r_max=cfg["r_max"],
-            r_max_final=cfg["r_max_final"], r_max_cap=cfg["r_max_cap"],
-            rtol=cfg["rtol"], flat_tol=cfg["flat_tol"], dr_sample=cfg["dr_sample"],
-        )
+        mu_c, sol = find_mu_c(params, bisect_tol=cfg["bisect_tol"], r_max=cfg["r_max"])
         fit = decay_check(sol)
         sol = replace(sol, decay=fit)
         print(f"Q_star = {_fmt(report.Q_star)}")
@@ -404,8 +390,7 @@ def _cmd_evolve(ns: argparse.Namespace) -> int:
         n_exponent=cfg["n"], dt=cfg["dt"], t_end=cfg["t_end"],
         s_monitor=cfg["s_monitor"], blowup_threshold=cfg["threshold"],
         elliptic_tol=cfg["elliptic_tol"], snapshot_every=cfg["snapshot_every"],
-        cg_max_iter=cfg["cg_max_iter"], adaptive=cfg["adaptive"],
-        step_tol=cfg["step_tol"],
+        adaptive=cfg["adaptive"], step_tol=cfg["step_tol"],
     )
     result = evolve(phi0, ecfg)
     rep = result.report
@@ -492,7 +477,6 @@ def _cmd_diag_dispersion(ns: argparse.Namespace) -> int:
     fit = fit_dispersion(
         grid, cfg["n"], tuple(cfg["mode"]), epsilon=cfg["epsilon"],
         periods=cfg["periods"], steps_per_period=cfg["steps_per_period"],
-        elliptic_tol=cfg["elliptic_tol"],
     )
     print(f"omega_formula = {_fmt(fit.omega_formula)}")
     print(f"omega_measured = {_fmt(fit.omega_measured)}")

@@ -91,14 +91,13 @@ def fit_dispersion(
     epsilon: float = 1e-4,
     periods: float = 3.0,
     steps_per_period: int = 64,
-    elliptic_tol: float = 1e-12,
 ) -> DispersionFit:
     """Measure the oscillation frequency of one cosine mode on background 1.
 
     The analytic rate for amplitude 0 is omega = n k_d / (1 + |k|^2); the
     measured rate is the phase slope of the mode coefficient under the full
     nonlinear flow started from phi = 1 + epsilon cos(k.x), so it carries
-    an O(epsilon^2) correction.
+    an O(epsilon^2) correction.  The RK4 steps solve to elliptic_tol 1e-12.
     """
     if len(mode) != grid.d:
         raise ValueError("mode must have one integer per axis")
@@ -116,9 +115,7 @@ def fit_dispersion(
     period = 2.0 * np.pi / abs(omega_formula)
     dt = period / steps_per_period
     n_steps = int(round(periods * steps_per_period))
-    cfg = EvolveConfig(
-        n_exponent=n_exponent, dt=dt, t_end=n_steps * dt, elliptic_tol=elliptic_tol
-    )
+    cfg = EvolveConfig(n_exponent=n_exponent, dt=dt, t_end=n_steps * dt, elliptic_tol=1e-12)
 
     phase = np.zeros(grid.shape)
     for x, kj in zip(grid.coordinates(), k_vec):

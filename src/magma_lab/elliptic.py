@@ -34,7 +34,8 @@ class NonPositiveCoefficient(ValueError):
 
 
 class NotConverged(RuntimeError):
-    """Conjugate gradients hit the iteration cap before the tolerance."""
+    """Conjugate gradients hit the iteration cap or broke down before the
+    tolerance; ``residual`` is the relative residual of the last iterate."""
 
     def __init__(self, iterations: int, residual: float):
         self.iterations = iterations
@@ -127,7 +128,11 @@ def _solve_raw(
     while iterations < max_iter:
         iterations += 1
         Ap = _apply_raw(grid, a, p)
-        alpha = rz / float(np.vdot(p, Ap).real)
+        pAp = float(np.vdot(p, Ap).real)
+        if not pAp > 0.0:  # breakdown: the recursive residual underflowed
+            true_res = float(np.linalg.norm(g - _apply_raw(grid, a, x)))
+            raise NotConverged(iterations, true_res / norm_g)
+        alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
         res_norm = float(np.linalg.norm(r))

@@ -357,29 +357,29 @@ class ProfileSolution:
 
 R0 = 1e-6  # series start; quadratic truncation error O(r0^4)
 SUBCASE_TOL = 1e-9
+FLAT_TOL = 1e-9  # |Q_r| and |Q_rr| bound of a flat endpoint
+RTOL, ATOL = 1e-10, 1e-12  # DOP853 tolerances of every shot
+DR_SAMPLE = 0.01  # radial spacing of stored samples
 
 
 def integrate_shot(
     p: ProfileParams,
     r_max: float = 200.0,
-    flat_tol: float = 1e-9,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-    dr_sample: float = 0.01,
     keep_samples: bool = True,
 ) -> tuple[ShotOutcome, ShotSamples | None]:
     """Integrate one shot and classify it.
 
-    The state (Q, Q_r, Q_rr) starts at r0 = 1e-6 from the even series
-    Q = 1 + mu r0^2/2.  Terminal events: Q falling to Q_star, and Q_r
-    rising to zero.  Reaching r_max with |Q_r| <= flat_tol and settled
-    curvature counts as flat; anything else raises Indeterminate.
+    The state (Q, Q_r, Q_rr) starts at r0 = R0 from the even series
+    Q = 1 + mu r0^2/2 and is integrated by DOP853 at RTOL, ATOL.  Terminal
+    events: Q falling to Q_star, and Q_r rising to zero.  Reaching r_max
+    with |Q_r| <= FLAT_TOL and settled curvature counts as flat; anything
+    else raises Indeterminate.  Samples are kept every DR_SAMPLE.
     """
     mu = _require_mu(p)
     d, n, c = p.d, p.n, p.c
     qs = q_star(n)
-    if not dr_sample > R0:
-        raise ValueError("sample spacing must exceed the series start radius")
+    if not R0 < r_max < math.inf:
+        raise ValueError(f"r_max must be finite and exceed R0 = {R0}, got {r_max}")
 
     dm1 = d - 1.0
     noc = n / c
@@ -405,7 +405,7 @@ def integrate_shot(
 
     y0 = (1.0 + 0.5 * mu * R0**2, mu * R0, mu)
     sol = solve_ivp(
-        odes, (R0, r_max), y0, method="DOP853", rtol=rtol, atol=atol,
+        odes, (R0, r_max), y0, method="DOP853", rtol=RTOL, atol=ATOL,
         events=(ev_floor, ev_turn), dense_output=True,
     )
     if sol.status < 0:
@@ -435,9 +435,9 @@ def integrate_shot(
         Qe, Qre, Qrre = sol.y[:, -1]
         tail = np.linspace(r_max / 10.0, r_max, 9)
         Qrr_tail = sol.sol(tail)[2]
-        settled = (abs(Qre) <= flat_tol and Qe > qs
-                   and abs(Qrre) <= flat_tol
-                   and np.max(np.abs(Qrr_tail)) <= abs(Qrr_tail[0]) + 10 * flat_tol)
+        settled = (abs(Qre) <= FLAT_TOL and Qe > qs
+                   and abs(Qrre) <= FLAT_TOL
+                   and np.max(np.abs(Qrr_tail)) <= abs(Qrr_tail[0]) + 10 * FLAT_TOL)
         if not settled:
             raise Indeterminate(
                 f"no event fired by r_max={r_max} and the endpoint is not flat "
@@ -452,7 +452,7 @@ def integrate_shot(
         return outcome, None
 
     r_end = float(sol.t[-1])
-    interior = np.arange(dr_sample, r_end, dr_sample)
+    interior = np.arange(DR_SAMPLE, r_end, DR_SAMPLE)
     if len(interior) and r_end - interior[-1] < 1e-9:
         interior = interior[:-1]
     block = sol.sol(interior) if len(interior) else np.zeros((3, 0))
@@ -478,11 +478,6 @@ def find_mu_c(
     p: ProfileParams,
     bisect_tol: float = 1e-12,
     r_max: float = 200.0,
-    r_max_final: float | None = None,
-    r_max_cap: float | None = None,
-    rtol: float = 1e-10,
-    flat_tol: float = 1e-9,
-    dr_sample: float = 0.01,
 ) -> tuple[float, ProfileSolution]:
     """Bisect for the critical curvature and return the profile at mu_c.
 
@@ -490,25 +485,26 @@ def find_mu_c(
     the mu_2 minimum (non-crossing shots); both classifications are
     verified up front and maintained by bisection, so the returned value
     is the upper endpoint: crossing occurs within bisect_tol below it.
+    Shots use integrate_shot's RTOL, FLAT_TOL and DR_SAMPLE; the final
+    shot at mu_c integrates to 2*r_max and keeps its samples.
 
     An indeterminate shot (still descending at r_max) doubles its radius
-    up to r_max_cap (default 32*r_max) before giving up.  This is sound:
-    the classifying events are terminal, so a decision reached at one
-    radius is reached identically at any larger radius.
+    up to 32*r_max before giving up.  This is sound: the classifying
+    events are terminal, so a decision reached at one radius is reached
+    identically at any larger radius.
     """
+    if not math.isfinite(bisect_tol):
+        raise ValueError("bisect_tol must be finite")
     report = structure_report(p)
     lo = report.mu3_min * (1.0 + 1e-3)
     hi = report.mu2_min
-    cap = 32.0 * r_max if r_max_cap is None else r_max_cap
+    cap = 32.0 * r_max
 
     def shoot(mu: float, r_first: float, keep: bool):
         r = r_first
         while True:
             try:
-                return integrate_shot(
-                    replace(p, mu=mu), r_max=r, flat_tol=flat_tol,
-                    rtol=rtol, dr_sample=dr_sample, keep_samples=keep,
-                )
+                return integrate_shot(replace(p, mu=mu), r_max=r, keep_samples=keep)
             except Indeterminate:
                 if r >= cap:
                     raise
@@ -532,9 +528,7 @@ def find_mu_c(
             hi = mid
     mu_c = hi
 
-    outcome, samples = shoot(
-        mu_c, 2.0 * r_max if r_max_final is None else r_max_final, keep=True,
-    )
+    outcome, samples = shoot(mu_c, 2.0 * r_max, keep=True)
     if outcome.classification is ShotClass.CROSSED:
         raise Indeterminate(
             "critical shot crossed the floor on re-integration; increase r_max"
@@ -564,16 +558,13 @@ def _decay_rate(p: ProfileParams, q_tau: float) -> float:
     return q_tau ** (-p.n) - p.n / (p.c * q_tau)
 
 
-def decay_check(
-    sol: ProfileSolution,
-    fit_range: tuple[float, float] = (1e-6, 1e-2),
-) -> DecayFit | None:
+def decay_check(sol: ProfileSolution) -> DecayFit | None:
     """Fit the exponential tail envelope when the decay criterion holds.
 
     Returns nothing when Q_tau >= (c/n)^{1/(n-1)}; that is a valid outcome,
     not an error.  The envelope is fitted on samples whose distance to
-    Q_tau lies inside fit_range; the wider window (1e-10, 1e-2) must hold
-    at least 20 samples or the tail is deemed too short.
+    Q_tau lies inside (1e-6, 1e-2); the wider window (1e-10, 1e-2) must
+    hold at least 20 samples or the tail is deemed too short.
     """
     p = sol.params
     if not sol.Q_tau < _q1(p):
@@ -588,7 +579,7 @@ def decay_check(
         raise TailTooShort(
             f"only {int(window.sum())} samples within (1e-10, 1e-2) of Q_tau"
         )
-    fit = (delta > fit_range[0]) & (delta < fit_range[1])
+    fit = (delta > 1e-6) & (delta < 1e-2)
     if int(fit.sum()) < 2:
         raise TailTooShort("fit window holds fewer than 2 samples")
     r_fit = sol.samples.r[fit]

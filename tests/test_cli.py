@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import shutil
 import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -232,6 +234,42 @@ def test_evolve_verdicts_exit_zero(tmp_path):
     assert code == 0
     assert parsed(out)["verdict"] == "step_control_failure"
     assert "Traceback" not in err
+
+
+_EVOLVE = ["evolve", "--n-points", "64", "--n", "2", "--init", "modes:base=1;amp=0.3,k=1"]
+_SHOOT = ["shoot", "--d", "3", "--n", "2.5", "--c", "1.7"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        _EVOLVE + ["--dt", "0.01", "--t-end", "0.1", "--elliptic-tol", "1e-300"],
+        _EVOLVE + ["--dt", "inf", "--t-end", "0.1"],
+        _EVOLVE + ["--dt", "0.01", "--t-end", "inf"],
+        _EVOLVE + ["--dt", "1e-300", "--t-end", "1e300"],
+        _EVOLVE + ["--dt", "0.01", "--t-end", "0.1", "--s-monitor", "nan"],
+        _SHOOT + ["--mu", "-0.02", "--r-max", "nan"],
+        _SHOOT + ["--mu", "-0.02", "--r-max", "inf"],
+        _SHOOT + ["--mu", "-0.02", "--r-max", "0"],
+        _SHOOT + ["--mu", "-0.02", "--r-max=-5"],
+        _SHOOT + ["--bisect-tol", "nan"],
+        _SHOOT + ["--bisect-tol", "inf"],
+    ],
+    ids=["cg-breakdown", "dt-inf", "t-end-inf", "steps-overflow", "s-monitor-nan",
+         "r-max-nan", "r-max-inf", "r-max-0", "r-max-neg", "bisect-tol-nan",
+         "bisect-tol-inf"],
+)
+def test_degenerate_values_end_in_exit_code(tmp_path, argv):
+    # a separate interpreter with a timeout: some of these used to hang
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "magma_lab.cli", *argv, "-o", str(tmp_path / "run")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode in (0, 1, 2, 3)
+    if proc.returncode == 0:
+        assert "verdict" in parsed(proc.stdout)
+    assert "Traceback" not in proc.stderr
 
 
 def test_missing_snapshot_file_is_io_error(tmp_path):

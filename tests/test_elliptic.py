@@ -112,13 +112,21 @@ def test_warm_start_cheaper_than_cold():
 
 
 def test_not_converged_carries_diagnostics():
-    g = TorusGrid((64,), (2.0 * np.pi,))
-    a = Field.from_function(g, lambda x: 2.0 + 0.8 * np.sin(x))
-    rhs = Field.from_function(g, lambda x: np.cos(3 * x))
-    with pytest.raises(NotConverged) as err:
-        solve_L(EllipticProblem(a=a, g=rhs, tol=1e-14, max_iter=1))
-    assert err.value.iterations == 1
-    assert err.value.residual > 1e-14
+    cases = [
+        # (points, coefficient, right-hand side, tol, cap)
+        (64, lambda x: 2.0 + 0.8 * np.sin(x), lambda x: np.cos(3 * x), 1e-14, 1),
+        # CG breaks down once the recursive residual underflows (p.Ap = 0)
+        (256, lambda x: 1.3 + np.cos(x), np.sin, 1e-300, None),
+    ]
+    for n, coef, rhs_fn, tol, cap in cases:
+        g = TorusGrid((n,), (2.0 * np.pi,))
+        a = Field.from_function(g, coef)
+        rhs = Field.from_function(g, rhs_fn)
+        with pytest.raises(NotConverged) as err:
+            solve_L(EllipticProblem(a=a, g=rhs, tol=tol, max_iter=cap))
+        assert 1 <= err.value.iterations <= (cap or 10 * n)
+        # the true residual of the last iterate, not the recursive one
+        assert err.value.residual > 1e-14
 
 
 def test_near_degenerate_warning():

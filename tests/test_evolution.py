@@ -45,8 +45,11 @@ def test_config_validation():
         _cfg(elliptic_tol=-1e-10)
     with pytest.raises(ValueError):
         _cfg(snapshot_every=-1)
-    with pytest.raises(ValueError):
-        _cfg(cg_max_iter=0)
+    for bad in (dict(dt=np.inf), dict(dt=np.nan), dict(t_end=np.inf),
+                dict(dt=1e-300, t_end=1e300), dict(s_monitor=np.nan),
+                dict(s_monitor=np.inf), dict(elliptic_tol=np.inf)):
+        with pytest.raises(ValueError):
+            _cfg(**bad)
     with pytest.raises(ValueError):
         _cfg(step_tol=0.0)
 
@@ -178,7 +181,7 @@ def test_threshold_exceeded_mid_run():
 def test_elliptic_failure_verdict():
     g = TorusGrid((64,), (2.0 * np.pi,))
     phi0 = Field.from_function(g, lambda x: 1.0 + 0.3 * np.cos(x))
-    res = evolve(phi0, _cfg(cg_max_iter=1, elliptic_tol=1e-14))
+    res = evolve(phi0, _cfg(elliptic_tol=1e-16))  # below the 1e-12 floor
     assert res.report.verdict is Verdict.ELLIPTIC_FAILURE
     assert res.report.t_event == pytest.approx(0.01)
 
@@ -232,8 +235,8 @@ def test_adaptive_matches_fixed_fine_run(monkeypatch):
     assert calls[0] == 11 * 11
 
 
-def test_adaptive_report_counts_rejected_cg_work(monkeypatch):
-    # a rejected attempt's CG iterations are charged to the next accepted row
+def _count_cg_iterations(monkeypatch) -> list[int]:
+    """Sum the CG iterations of every converged elliptic solve."""
     real, solved = evolution._solve_raw, [0]
 
     def counted(*args):
@@ -242,6 +245,12 @@ def test_adaptive_report_counts_rejected_cg_work(monkeypatch):
         return out, info
 
     monkeypatch.setattr(evolution, "_solve_raw", counted)
+    return solved
+
+
+def test_adaptive_report_counts_rejected_cg_work(monkeypatch):
+    # a rejected attempt's CG iterations are charged to the next accepted row
+    solved = _count_cg_iterations(monkeypatch)
     g = TorusGrid((64,), (2.0 * np.pi,))
     phi0 = Field.from_function(g, lambda x: 1.0 + 0.3 * np.cos(x))
     calls = _count_rhs_calls(monkeypatch)
@@ -254,6 +263,7 @@ def test_adaptive_report_counts_rejected_cg_work(monkeypatch):
 def test_stalled_step_control_is_a_verdict(monkeypatch):
     # below the rounding level of the error estimate the controller shrinks
     # dt towards zero; the run must end in a verdict, not crawl
+    solved = _count_cg_iterations(monkeypatch)
     _count_rhs_calls(monkeypatch, limit=5000)
     g = TorusGrid((16,), (2.0 * np.pi,))
     phi0 = Field.from_function(g, lambda x: 1.0 + 0.5 * np.cos(x))
@@ -264,3 +274,5 @@ def test_stalled_step_control_is_a_verdict(monkeypatch):
     assert rep.t_event == rep.times[-1]  # the last accepted time
     assert 0.0 < rep.t_event < cfg.t_end
     assert result.snapshots[-1][0] == rep.t_event
+    # rejected attempts after the last accepted step are reported too
+    assert solved[0] == int(rep.cg_iterations.sum())

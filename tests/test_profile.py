@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import magma_lab.profile
 from magma_lab import (
     DecayFit,
     DomainTooSmall,
@@ -195,17 +196,19 @@ def test_integrate_shot_turning():
     assert none_samples is None
 
 
-def test_integrate_shot_requires_mu_and_sane_spacing():
+def test_integrate_shot_requires_mu_and_sane_radius():
     with pytest.raises(ValueError):
         integrate_shot(EXAMPLE)
-    with pytest.raises(ValueError):
-        integrate_shot(replace(EXAMPLE, mu=-0.021), dr_sample=1e-7)
+    for r_max in (np.nan, np.inf, 0.0, -5.0):
+        with pytest.raises(ValueError):
+            integrate_shot(replace(EXAMPLE, mu=-0.021), r_max=r_max)
 
 
-def test_classification_stable_under_tighter_rtol():
+def test_classification_stable_under_tighter_rtol(monkeypatch):
     p = replace(EXAMPLE, mu=-0.021)
-    out_a, _ = integrate_shot(p, rtol=1e-10, keep_samples=False)
-    out_b, _ = integrate_shot(p, rtol=5e-11, keep_samples=False)
+    out_a, _ = integrate_shot(p, keep_samples=False)
+    monkeypatch.setattr(magma_lab.profile, "RTOL", 5e-11)
+    out_b, _ = integrate_shot(p, keep_samples=False)
     assert out_a.classification is out_b.classification is ShotClass.CROSSED
     assert out_a.r_star == pytest.approx(out_b.r_star, abs=1e-5)
 
