@@ -105,6 +105,10 @@ def fit_dispersion(
         raise ValueError("mode must not be the mean")
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
+    if not 0 < periods < np.inf:
+        raise ValueError("periods must be positive and finite")
+    if not steps_per_period >= 1:
+        raise ValueError("steps_per_period must be at least 1")
 
     k_vec = grid.mode_wavevector(mode)
     k_sq = sum(kj**2 for kj in k_vec)

@@ -1,9 +1,14 @@
 """Variable-coefficient elliptic solves for L_a u := u - div(a grad u).
 
 The operator is symmetric positive definite on the grid whenever a > 0, so
-it is inverted matrix-free by preconditioned conjugate gradients.  The
-preconditioner is the constant-coefficient inverse (I - abar*Lap)^{-1} with
-abar = mean(a), applied by Fourier division; it is exact for constant a.
+it is inverted matrix-free by preconditioned conjugate gradients.  CG keeps
+its iterate, residual and search direction as rfft coefficients: applying
+L_a costs 2d real transforms per iteration, the constant-coefficient
+preconditioner (I - abar*Lap)^{-1} with abar = mean(a) is the diagonal
+multiply 1/(1 + abar|k|^2), exact for constant a, and inner products weight
+the half spectrum by its Hermitian mirrors.  When the recursive residual
+meets the tolerance, the true residual of the samples is re-checked; if it
+fails, CG restarts from it with a fresh search direction.
 """
 
 from __future__ import annotations
@@ -76,77 +81,88 @@ class EllipticProblem:
             raise ValueError("iteration cap must be at least 1")
 
 
-def _apply_raw(grid: TorusGrid, a: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """L_a u on raw sample arrays via real transforms."""
+def _div_a_grad(grid: TorusGrid, a: np.ndarray, uh: np.ndarray) -> np.ndarray:
+    """rfft coefficients of div(a grad u), given those of u: 2d transforms."""
     axes = tuple(range(grid.d))
-    uh = np.fft.rfftn(u)
     acc = np.zeros(grid.rfft_shape, dtype=np.complex128)
     for ik in grid.rfft_deriv_multipliers:
         du = np.fft.irfftn(ik * uh, s=grid.shape, axes=axes)
         acc += ik * np.fft.rfftn(a * du)
-    return u - np.fft.irfftn(acc, s=grid.shape, axes=axes)
+    return acc
+
+
+def _inner(grid: TorusGrid, uh: np.ndarray, vh: np.ndarray) -> float:
+    """Hermitian-weighted inner product of rfft coefficients: ``grid.size``
+    times the sample inner product of the real fields they stand for."""
+    return float(np.vdot(uh, grid.rfft_weights * vh).real)
+
+
+def _apply_raw(grid: TorusGrid, a: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """L_a u on raw sample arrays via real transforms."""
+    acc = _div_a_grad(grid, a, np.fft.rfftn(u))
+    return u - np.fft.irfftn(acc, s=grid.shape, axes=tuple(range(grid.d)))
 
 
 def _solve_raw(
     grid: TorusGrid,
     a: np.ndarray,
-    g: np.ndarray,
+    g_hat: np.ndarray,
     tol: float,
     max_iter: int | None,
     x0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, CGInfo]:
-    norm_g = float(np.linalg.norm(g))
+    """Solve L_a u = g from ``g_hat = rfftn(g)``; ``x0`` and the solution are
+    sample arrays, and the residual reported is that of the samples."""
+    axes = tuple(range(grid.d))
+
+    def norm(uh: np.ndarray) -> float:  # the sample 2-norm, by Parseval
+        return float(np.sqrt(_inner(grid, uh, uh) / grid.size))
+
+    norm_g = norm(g_hat)
     if norm_g == 0.0:
         return np.zeros(grid.shape), CGInfo(iterations=0, residual=0.0)
 
-    abar = float(a.mean())
-    precond_hat = 1.0 / (1.0 + abar * grid.rfft_k_squared)
+    def true_residual(xh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        x = np.fft.irfftn(xh, s=grid.shape, axes=axes)
+        return x, np.fft.irfftn(g_hat, s=grid.shape, axes=axes) - _apply_raw(grid, a, x)
 
-    def precondition(res: np.ndarray) -> np.ndarray:
-        return np.fft.irfftn(
-            precond_hat * np.fft.rfftn(res), s=grid.shape, axes=tuple(range(grid.d))
-        )
-
+    precond = 1.0 / (1.0 + float(a.mean()) * grid.rfft_k_squared)
     if x0 is None:
-        x = np.zeros(grid.shape)
-        r = g.copy()
+        xh = np.zeros(grid.rfft_shape, dtype=np.complex128)
+        rh = g_hat.copy()
     else:
-        x = x0.copy()
-        r = g - _apply_raw(grid, a, x)
+        xh = np.fft.rfftn(x0)
+        rh = g_hat - (xh - _div_a_grad(grid, a, xh))
 
     target = tol * norm_g
-    res_norm = float(np.linalg.norm(r))
-    if res_norm <= target:  # r is already the true residual of x
-        return x, CGInfo(0, res_norm / norm_g)
-
-    iterations = 0
     if max_iter is None:
         max_iter = 10 * max(grid.n_points)
-    z = precondition(r)
-    p = z.copy()
-    rz = float(np.vdot(r, z).real)
-    while iterations < max_iter:
-        iterations += 1
-        Ap = _apply_raw(grid, a, p)
-        pAp = float(np.vdot(p, Ap).real)
-        if not pAp > 0.0:  # breakdown: the recursive residual underflowed
-            true_res = float(np.linalg.norm(g - _apply_raw(grid, a, x)))
-            raise NotConverged(iterations, true_res / norm_g)
-        alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
-        res_norm = float(np.linalg.norm(r))
+    res_norm, iterations, p = norm(rh), 0, None
+    while True:
         if res_norm <= target:
-            # recursive residual can drift; re-check against the operator
-            r = g - _apply_raw(grid, a, x)
+            # the recursive residual can drift; re-check against the operator
+            x, r = true_residual(xh)
             res_norm = float(np.linalg.norm(r))
             if res_norm <= target:
                 return x, CGInfo(iterations=iterations, residual=res_norm / norm_g)
-        z = precondition(r)
-        rz_next = float(np.vdot(r, z).real)
-        p = z + (rz_next / rz) * p
+            # restart from the true residual: the old direction is not
+            # conjugate to it, and keeping it lets the residual diverge
+            rh, p = np.fft.rfftn(r), None
+        if iterations == max_iter:
+            raise NotConverged(iterations, res_norm / norm_g)
+        iterations += 1
+        z = precond * rh
+        rz_next = _inner(grid, rh, z)
+        p = z if p is None else z + (rz_next / rz) * p
         rz = rz_next
-    raise NotConverged(iterations, res_norm / norm_g)
+        Ap = p - _div_a_grad(grid, a, p)
+        pAp = _inner(grid, p, Ap)
+        if not pAp > 0.0:  # breakdown: the recursive residual underflowed
+            raise NotConverged(iterations, np.linalg.norm(true_residual(xh)[1]) / norm_g)
+        alpha = rz / pAp
+        xh += alpha * p
+        rh -= alpha * Ap
+        res_norm = norm(rh)
 
 
 def apply_L(a: Field, u: Field) -> Field:
@@ -172,6 +188,7 @@ def solve_L_info(p: EllipticProblem, x0: Field | None = None) -> tuple[Field, CG
             stacklevel=2,
         )
     x0_vals = None if x0 is None else x0.values
-    u, info = _solve_raw(p.a.grid, a, p.g.values, p.tol, p.max_iter, x0_vals)
+    g_hat = np.fft.rfftn(p.g.values)
+    u, info = _solve_raw(p.a.grid, a, g_hat, p.tol, p.max_iter, x0_vals)
     return Field(p.a.grid, u), info
 

@@ -126,12 +126,8 @@ def _rhs_raw(
     if not vals.min() > 0.0:
         raise PositivityLost(f"min(phi) = {vals.min():.3e}")
     a = np.exp(cfg.n_exponent * np.log(vals))
-    g = -np.fft.irfftn(
-        grid.rfft_deriv_multipliers[-1] * np.fft.rfftn(a),
-        s=grid.shape,
-        axes=tuple(range(grid.d)),
-    )
-    out, info = _solve_raw(grid, a, g, cfg.elliptic_tol, None, guess)
+    g_hat = -grid.rfft_deriv_multipliers[-1] * np.fft.rfftn(a)
+    out, info = _solve_raw(grid, a, g_hat, cfg.elliptic_tol, None, guess)
     return out, info.iterations
 
 

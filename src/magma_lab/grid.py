@@ -136,6 +136,14 @@ class TorusGrid:
         return out
 
     @cached_property
+    def rfft_weights(self) -> np.ndarray:
+        """Hermitian weights along the last rfft axis: interior columns count
+        twice, for their conjugate mirrors; the mean and Nyquist columns once."""
+        w = np.full(self.rfft_shape[-1], 2.0)
+        w[0] = w[-1] = 1.0
+        return self._along(self.d - 1, w)
+
+    @cached_property
     def norm_k_squared(self) -> np.ndarray:
         """|k|^2 on the rfft lattice with the Nyquist modes at their true value."""
         out = np.zeros(self.rfft_shape)
@@ -234,9 +242,7 @@ def hs_norm(f: Field, s: float) -> float:
     if s < 0:
         raise ValueError("norm index must be nonnegative")
     c = np.fft.rfftn(f.values) / f.grid.size
-    power = c.real**2 + c.imag**2
-    # interior last-axis columns stand for themselves and their conjugates
-    power[..., 1:-1] *= 2.0
+    power = f.grid.rfft_weights * (c.real**2 + c.imag**2)
     total = np.sum((1.0 + f.grid.norm_k_squared) ** s * power) * f.grid.volume
     return float(np.sqrt(total))
 

@@ -452,6 +452,25 @@ def test_diagnose_dispersion(tmp_path):
     assert payload["omega_formula"] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize(
+    "flag, value, name",
+    [("--steps-per-period", "0", "steps_per_period"), ("--periods", "nan", "periods")],
+)
+def test_dispersion_rejects_degenerate_sampling(tmp_path, flag, value, name):
+    # a separate interpreter, so a NumPy RuntimeWarning would reach stderr
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "magma_lab.cli", "diagnose", "dispersion",
+         "--n-points", "16", "--n", "2", "--mode", "1", flag, value,
+         "-o", str(tmp_path / "run")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert name in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_console_script_installed():
     exe = shutil.which("magma-lab")
     if exe is None:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from magma_lab import (
     EllipticProblem,
@@ -15,7 +17,9 @@ from magma_lab import (
     apply_L,
     solve_L,
     solve_L_info,
+    spectral_derivative,
 )
+from magma_lab.elliptic import _apply_raw, _div_a_grad, _inner
 
 
 def test_problem_validation():
@@ -155,3 +159,68 @@ def test_preconditioner_keeps_iterations_modest():
     rhs = Field.from_function(g, lambda x: np.sin(5 * x) + np.cos(x))
     _, info = solve_L_info(EllipticProblem(a=a, g=rhs, tol=1e-12))
     assert info.iterations <= 40
+
+
+def _graded_problem(grid: TorusGrid, tol: float) -> EllipticProblem:
+    """a = (1 + 0.3 sum_i cos((i+1) x_i + 0.3 i))^2.5 and g = -d_d a, the
+    shape of an evolution right-hand side."""
+    coords = grid.coordinates()
+    s = sum(np.cos((i + 1) * x + 0.3 * i) for i, x in enumerate(coords))
+    a = Field(grid, np.broadcast_to((1.0 + 0.3 * s) ** 2.5, grid.shape))
+    return EllipticProblem(a=a, g=-spectral_derivative(a, grid.d - 1), tol=tol)
+
+
+@pytest.mark.parametrize(
+    "shape, tol, iterations",
+    [((256,), 1e-10, 25), ((128, 128), 1e-10, 66), ((128, 128), 1e-12, 79)],
+)
+def test_pinned_iteration_counts(shape, tol, iterations):
+    # counts of the sample-space CG this solver replaced; the coefficient
+    # recursion is the same one in exact arithmetic
+    grid = TorusGrid(shape, (2.0 * np.pi,) * len(shape))
+    p = _graded_problem(grid, tol)
+    u, info = solve_L_info(p)
+    assert abs(info.iterations - iterations) <= 1
+    res = np.linalg.norm((p.g - apply_L(p.a, u)).values)
+    assert res <= tol * np.linalg.norm(p.g.values)
+
+
+def test_restart_after_failed_recheck_converges():
+    # the recursive residual meets 1e-12 before the true one does; carrying
+    # the old search direction past the re-check made the residual diverge
+    # (2e110 after the 2,560-iteration cap)
+    grid = TorusGrid((256,), (2.0 * np.pi,))
+    p = _graded_problem(grid, 1e-12)
+    u, info = solve_L_info(p)
+    assert info.iterations <= 40
+    res = np.linalg.norm((p.g - apply_L(p.a, u)).values)
+    assert res <= 1e-12 * np.linalg.norm(p.g.values)
+
+
+_EVEN_SHAPES = st.lists(
+    st.integers(min_value=2, max_value=6).map(lambda m: 2 * m), min_size=1, max_size=3
+)
+
+
+@given(_EVEN_SHAPES, st.integers(min_value=0, max_value=2**31 - 1))
+@example([4, 6, 8], 0)
+def test_coefficient_inner_product_is_parseval(shape, seed):
+    grid = TorusGrid(tuple(shape), tuple(1.0 + j for j in range(len(shape))))
+    rng = np.random.default_rng(seed)
+    u, v = rng.normal(size=(2, *grid.shape))
+    got = _inner(grid, np.fft.rfftn(u), np.fft.rfftn(v))
+    scale = grid.size * np.linalg.norm(u) * np.linalg.norm(v)
+    assert abs(got - grid.size * np.sum(u * v)) <= 1e-12 * scale
+
+
+@given(_EVEN_SHAPES, st.integers(min_value=0, max_value=2**31 - 1))
+@example([4, 6, 8], 0)
+def test_coefficient_apply_matches_sample_apply(shape, seed):
+    grid = TorusGrid(tuple(shape), tuple(1.0 + j for j in range(len(shape))))
+    rng = np.random.default_rng(seed)
+    a = np.exp(0.5 * rng.normal(size=grid.shape))
+    u = rng.normal(size=grid.shape)
+    uh = np.fft.rfftn(u)
+    got = uh - _div_a_grad(grid, a, uh)
+    want = np.fft.rfftn(_apply_raw(grid, a, u))
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)

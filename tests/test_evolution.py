@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from magma_lab import (
+    ConservedEnergyParams,
     EvolveConfig,
     Field,
     PositivityLost,
     TorusGrid,
     Verdict,
     apply_L,
+    energy_series,
     evolution,
     evolve,
     measure_mass,
@@ -276,3 +278,35 @@ def test_stalled_step_control_is_a_verdict(monkeypatch):
     assert result.snapshots[-1][0] == rep.t_event
     # rejected attempts after the last accepted step are reported too
     assert solved[0] == int(rep.cg_iterations.sum())
+
+
+def _criterion7_phi0(seed: int) -> Field:
+    """Criterion 7's initial data: five random-phase modes of amplitude 0.08/m."""
+    g = TorusGrid((256,), (2.0 * np.pi,))
+    rng = np.random.default_rng(seed)
+    x = g.axis_coordinates(0)
+    vals = np.ones(g.shape)
+    for m in range(1, 6):
+        vals += (0.08 / m) * np.cos(m * x + rng.uniform(0.0, 2.0 * np.pi))
+    return Field(g, vals)
+
+
+def test_solve_restarts_after_failed_recheck():
+    # at 1e-12 a recursive residual that passes but a true one that fails
+    # used to send CG off on a stale direction: elliptic_failure at t = 0.042
+    cfg = _cfg(dt=1e-3, t_end=0.1, elliptic_tol=1e-12)
+    rep = evolve(_criterion7_phi0(205), cfg).report
+    assert rep.verdict is Verdict.COMPLETED_TO_T_END
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", [24, 101, 201, 202, 205])
+def test_conservation_run_completes_for_failing_seeds(seed):
+    # seeds whose criterion-7 run ended in elliptic_failure before CG restarted
+    cfg = _cfg(dt=1e-3, t_end=5.0, snapshot_every=250, elliptic_tol=1e-12)
+    result = evolve(_criterion7_phi0(seed), cfg)
+    rep = result.report
+    assert rep.verdict is Verdict.COMPLETED_TO_T_END
+    assert np.max(np.abs(rep.mass - rep.mass[0])) <= 1e-10
+    _, energies = energy_series(result.snapshots, ConservedEnergyParams(n=2.0, m=0.0))
+    assert np.max(np.abs(energies - energies[0])) / abs(energies[0]) <= 1e-8
