@@ -8,7 +8,8 @@ preconditioner (I - abar*Lap)^{-1} with abar = mean(a) is the diagonal
 multiply 1/(1 + abar|k|^2), exact for constant a, and inner products weight
 the half spectrum by its Hermitian mirrors.  When the recursive residual
 meets the tolerance, the true residual of the samples is re-checked; if it
-fails, CG restarts from it with a fresh search direction.
+fails, CG restarts from it with a fresh search direction, at most
+MAX_RESTARTS times: a tolerance below the rounding floor then gives up.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ __all__ = [
 ]
 
 LOW_CONTRAST_RATIO = 1e-3
+MAX_RESTARTS = 16  # converging solves at 1e-12 have needed at most 4
 
 
 class NonPositiveCoefficient(ValueError):
@@ -137,7 +139,7 @@ def _solve_raw(
     target = tol * norm_g
     if max_iter is None:
         max_iter = 10 * max(grid.n_points)
-    res_norm, iterations, p = norm(rh), 0, None
+    res_norm, iterations, p, restarts = norm(rh), 0, None, 0
     while True:
         if res_norm <= target:
             # the recursive residual can drift; re-check against the operator
@@ -145,6 +147,9 @@ def _solve_raw(
             res_norm = float(np.linalg.norm(r))
             if res_norm <= target:
                 return x, CGInfo(iterations=iterations, residual=res_norm / norm_g)
+            restarts += 1
+            if restarts > MAX_RESTARTS:
+                raise NotConverged(iterations, res_norm / norm_g)
             # restart from the true residual: the old direction is not
             # conjugate to it, and keeping it lets the residual diverge
             rh, p = np.fft.rfftn(r), None

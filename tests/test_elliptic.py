@@ -197,6 +197,16 @@ def test_restart_after_failed_recheck_converges():
     assert res <= 1e-12 * np.linalg.norm(p.g.values)
 
 
+def test_sub_floor_tolerance_gives_up_after_restart_cap():
+    # 1e-13 lies below the rounding floor: every re-check fails, and the
+    # solve used to restart until the 2,560-iteration cap
+    grid = TorusGrid((256,), (2.0 * np.pi,))
+    with pytest.raises(NotConverged) as err:
+        solve_L(_graded_problem(grid, 1e-13))
+    assert err.value.iterations <= 100
+    assert err.value.residual > 1e-13
+
+
 _EVEN_SHAPES = st.lists(
     st.integers(min_value=2, max_value=6).map(lambda m: 2 * m), min_size=1, max_size=3
 )

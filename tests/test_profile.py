@@ -192,8 +192,68 @@ def test_integrate_shot_turning():
     assert outcome.subcase in ("convex", "degenerate", "at_floor")
     assert outcome.tau is not None and outcome.tau > 0.0
     assert abs(samples.Q_r[-1]) <= 1e-9
-    _, none_samples = integrate_shot(p, keep_samples=False)
+
+
+@pytest.mark.parametrize(
+    "p, r_max, cls",
+    [
+        (replace(EXAMPLE, mu=-0.021), 200.0, ShotClass.CROSSED),
+        (replace(EXAMPLE, mu=structure_report(EXAMPLE).mu2_min / 2.0), 200.0, ShotClass.TURNED),
+        (ProfileParams(d=3.0, n=2.5, c=1.9, mu=-0.009785371279291785), 60.0, ShotClass.FLAT),
+    ],
+)
+def test_classification_shot_matches_sample_shot(p, r_max, cls):
+    # a classification shot reads its probe radii from t_eval, a sample
+    # shot from dense output; both must classify alike, bit for bit
+    out_cls, none_samples = integrate_shot(p, r_max=r_max, keep_samples=False)
+    out_keep, _ = integrate_shot(p, r_max=r_max, keep_samples=True)
     assert none_samples is None
+    assert out_cls.classification is cls
+    assert out_cls == out_keep
+    if cls is ShotClass.FLAT:
+        assert out_cls.Q_tau == pytest.approx(0.80754, abs=1e-5)
+
+
+def test_only_the_final_shot_builds_dense_output(monkeypatch):
+    sols = []
+    solve_ivp = magma_lab.profile.solve_ivp
+
+    def recording(*args, **kwargs):
+        sols.append(solve_ivp(*args, **kwargs))
+        return sols[-1]
+
+    monkeypatch.setattr(magma_lab.profile, "solve_ivp", recording)
+    find_mu_c(EXAMPLE, bisect_tol=1e-8)
+    assert len(sols) > 2
+    assert all(s.sol is None for s in sols[:-1])
+    assert sols[-1].sol is not None
+
+
+# Shots within 1e-10 of mu_c (found at bisect_tol 1e-12) on both sides in
+# three regimes: (d, n, c, mu), r_max, class, subcase, r_star or tau.
+_NEAR_CRITICAL = [
+    ((1.0, 2.5, 1.7, -0.04232355446215736), 200.0, "CROSSED", None, 31.190430901795825),
+    ((1.0, 2.5, 1.7, -0.04232355440215736), 200.0, "CROSSED", None, 32.72261266550344),
+    ((1.0, 2.5, 1.7, -0.04232355434215736), 200.0, "TURNED", "convex", 18.816962906459278),
+    ((1.0, 2.5, 1.7, -0.04232355428215736), 200.0, "TURNED", "convex", 18.057228751952486),
+    ((3.0, 2.5, 1.7, -0.02076750604447499), 200.0, "CROSSED", None, 58.669908377604955),
+    ((3.0, 2.5, 1.7, -0.02076750598447499), 200.0, "CROSSED", None, 61.68801752094041),
+    ((3.0, 2.5, 1.7, -0.02076750592447499), 200.0, "TURNED", "convex", 31.16982269839193),
+    ((3.0, 2.5, 1.7, -0.02076750586447499), 200.0, "TURNED", "convex", 29.751197761481514),
+    ((7.0, 2.8, 2.0, -0.005645811857816623), 1600.0, "CROSSED", None, 1279.0683594426837),
+    ((7.0, 2.8, 2.0, -0.005645811797816623), 3200.0, "CROSSED", None, 1692.552354783511),
+    ((7.0, 2.8, 2.0, -0.0056458117378166235), 1600.0, "TURNED", "degenerate", 827.8525611580061),
+    ((7.0, 2.8, 2.0, -0.005645811677816624), 800.0, "TURNED", "degenerate", 626.6300337217652),
+]
+
+
+@pytest.mark.parametrize("params, r_max, cls, subcase, radius", _NEAR_CRITICAL)
+def test_near_critical_classification_table(params, r_max, cls, subcase, radius):
+    out, _ = integrate_shot(ProfileParams(*params), r_max=r_max, keep_samples=False)
+    assert out.classification is ShotClass[cls]
+    assert out.subcase == subcase
+    got = out.r_star if cls == "CROSSED" else out.tau
+    assert got == pytest.approx(radius, rel=1e-8)
 
 
 def test_integrate_shot_requires_mu_and_sane_radius():
