@@ -299,6 +299,44 @@ def test_solve_restarts_after_failed_recheck():
     assert rep.verdict is Verdict.COMPLETED_TO_T_END
 
 
+def test_stage_guesses_cut_cg_work(monkeypatch):
+    # extrapolated stage guesses: the parent's stage-to-stage guesses took
+    # 22.3 CG iterations per step here
+    solved = _count_cg_iterations(monkeypatch)
+    cfg = _cfg(dt=1e-3, t_end=0.2, elliptic_tol=1e-10)
+    rep = evolve(_criterion7_phi0(1), cfg).report
+    assert rep.verdict is Verdict.COMPLETED_TO_T_END
+    assert len(rep.cg_iterations) == 1 + 200
+    assert rep.cg_iterations[4:].mean() <= 8.0  # steps 4-200, full history
+    assert solved[0] == int(rep.cg_iterations.sum())
+
+
+def test_extrapolate_reproduces_polynomial_offsets():
+    base = np.array([0.5, -2.0])
+    assert evolution._extrapolate(base, []) is base
+    assert evolution._extrapolate(None, [base]) is None
+    # offsets o_j at steps j = 0..3; the newest-first history of steps
+    # 3-m..2 must give o_3 exactly for a polynomial of degree m - 1
+    for m, poly in ((1, lambda j: 3.0 + 0 * j), (2, lambda j: 1.0 - 2.0 * j),
+                    (3, lambda j: 2.0 + j - 0.5 * j * j)):
+        offs = [np.array([poly(j), 2.0 * poly(j)]) for j in range(3)]
+        got = evolution._extrapolate(base, offs[::-1][:m])
+        np.testing.assert_array_equal(got, base + np.array([poly(3), 2.0 * poly(3)]))
+
+
+def test_stage_guesses_leave_the_answer_alone():
+    # step_rk4 carries no history from step to step, so it is the reference
+    phi0 = _criterion7_phi0(1)
+    cfg = _cfg(dt=1e-3, t_end=0.05, elliptic_tol=1e-12)
+    result = evolve(phi0, cfg)
+    assert len(result.report.times) == 1 + 50
+    phi = phi0
+    for _ in range(50):
+        phi = step_rk4(phi, cfg.dt, cfg)
+    gap = np.max(np.abs(result.snapshots[-1][1].values - phi.values))
+    assert gap <= 1e-10
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("seed", [24, 101, 201, 202, 205])
 def test_conservation_run_completes_for_failing_seeds(seed):
