@@ -77,15 +77,6 @@ class _Parser(argparse.ArgumentParser):
 
 # -- option tables -----------------------------------------------------------
 
-def _c_bool(s: str) -> bool:
-    t = s.strip().lower()
-    if t in ("1", "true", "yes", "on"):
-        return True
-    if t in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {s!r}")
-
-
 def _c_ints(s: str) -> list[int]:
     return [int(v) for v in s.split(",") if v != ""]
 
@@ -126,8 +117,6 @@ EVOLVE_OPTS: dict[str, _Opt] = {
     "s_monitor": _Opt(float, help="Sobolev index of the monitor (default d/2+floor(d/2)+3)"),
     "snapshot_every": _Opt(int, 0, help="store every k-th step (0: first and last only)"),
     "elliptic_tol": _Opt(float, 1e-10, help="relative residual target of the CG solves"),
-    "adaptive": _Opt(_c_bool, False, help="use step-doubling time-step control"),
-    "step_tol": _Opt(float, 1e-8, help="local error target for adaptive stepping"),
 }
 
 SWEEP_OPTS: dict[str, _Opt] = {
@@ -270,21 +259,18 @@ def _initial_field(spec: str, grid: TorusGrid) -> Field:
             raise ValueError("modes spec must open with base=VALUE")
         vals = np.full(grid.shape, float(segments[0][5:]))
         for segment in segments[1:]:
-            amp: float | None = None
-            phase = 0.0
-            kvec: tuple[int, ...] | None = None
+            mode: dict[str, str] = {}
             for item in segment.split(","):
                 key, _, value = item.partition("=")
-                if key == "amp":
-                    amp = float(value)
-                elif key == "k":
-                    kvec = tuple(int(v) for v in value.split(":"))
-                elif key == "phase":
-                    phase = float(value)
-                else:
+                if key not in ("amp", "k", "phase"):
                     raise ValueError(f"unknown modes key {key!r}")
-            if amp is None or kvec is None:
+                if key in mode:
+                    raise ValueError(f"modes key {key!r} given twice in one mode")
+                mode[key] = value
+            if "amp" not in mode or "k" not in mode:
                 raise ValueError("every mode needs amp= and k=")
+            amp, phase = float(mode["amp"]), float(mode.get("phase", 0.0))
+            kvec = tuple(int(v) for v in mode["k"].split(":"))
             if len(kvec) != grid.d:
                 raise ValueError("mode k needs one integer per axis")
             arg = np.zeros(grid.shape)
@@ -390,7 +376,6 @@ def _cmd_evolve(ns: argparse.Namespace) -> int:
         n_exponent=cfg["n"], dt=cfg["dt"], t_end=cfg["t_end"],
         s_monitor=cfg["s_monitor"], blowup_threshold=cfg["threshold"],
         elliptic_tol=cfg["elliptic_tol"], snapshot_every=cfg["snapshot_every"],
-        adaptive=cfg["adaptive"], step_tol=cfg["step_tol"],
     )
     result = evolve(phi0, ecfg)
     rep = result.report
@@ -519,12 +504,7 @@ def _cmd_diag_energy(ns: argparse.Namespace) -> int:
 
 def _add_table(sub: argparse.ArgumentParser, table: dict[str, _Opt]) -> None:
     for dest, opt in table.items():
-        flag = "--" + dest.replace("_", "-")
-        if opt.convert is _c_bool:
-            sub.add_argument(flag, nargs="?", const="true", default=None,
-                             metavar="BOOL", help=opt.help)
-        else:
-            sub.add_argument(flag, default=None, metavar="V", help=opt.help)
+        sub.add_argument("--" + dest.replace("_", "-"), default=None, metavar="V", help=opt.help)
 
 
 def _add_common(sub: argparse.ArgumentParser, out_required: bool) -> None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import EvolveConfig, PositivityLost, step_rk4
+from .evolution import EvolveConfig, PositivityLost, Verdict, evolve
 from .grid import Field, TorusGrid, spectral_derivative
 
 __all__ = [
@@ -97,7 +97,10 @@ def fit_dispersion(
     The analytic rate for amplitude 0 is omega = n k_d / (1 + |k|^2); the
     measured rate is the phase slope of the mode coefficient under the full
     nonlinear flow started from phi = 1 + epsilon cos(k.x), so it carries
-    an O(epsilon^2) correction.  The RK4 steps solve to elliptic_tol 1e-12.
+    an O(epsilon^2) correction.  One ``evolve`` run with no blow-up threshold
+    takes the RK4 steps at elliptic_tol 1e-12 and keeps every state; a run
+    that ends in any other verdict than completed_to_t_end raises
+    RuntimeError.
     """
     if len(mode) != grid.d:
         raise ValueError("mode must have one integer per axis")
@@ -119,22 +122,21 @@ def fit_dispersion(
     period = 2.0 * np.pi / abs(omega_formula)
     dt = period / steps_per_period
     n_steps = int(round(periods * steps_per_period))
-    cfg = EvolveConfig(n_exponent=n_exponent, dt=dt, t_end=n_steps * dt, elliptic_tol=1e-12)
+    cfg = EvolveConfig(
+        n_exponent=n_exponent, dt=dt, t_end=n_steps * dt, blowup_threshold=np.inf,
+        elliptic_tol=1e-12, snapshot_every=1,
+    )
 
     phase = np.zeros(grid.shape)
     for x, kj in zip(grid.coordinates(), k_vec):
         phase = phase + kj * x
-    phi = Field(grid, 1.0 + epsilon * np.cos(phase))
+    result = evolve(Field(grid, 1.0 + epsilon * np.cos(phase)), cfg)
+    rep = result.report
+    if rep.verdict is not Verdict.COMPLETED_TO_T_END:
+        raise RuntimeError(f"evolution ended in {rep.verdict.value} at t = {rep.t_event:.6g}")
     wave = np.exp(-1j * phase)  # the mode's coefficient is mean(phi * wave)
-
-    times = np.empty(n_steps + 1)
-    coeff = np.empty(n_steps + 1, dtype=np.complex128)
-    times[0] = 0.0
-    coeff[0] = np.mean(phi.values * wave)
-    for step in range(1, n_steps + 1):
-        phi = step_rk4(phi, dt, cfg)
-        times[step] = step * dt
-        coeff[step] = np.mean(phi.values * wave)
+    times = np.array([t for t, _ in result.snapshots])
+    coeff = np.array([np.mean(phi.values * wave) for _, phi in result.snapshots])
 
     if np.min(np.abs(coeff)) < 0.25 * epsilon:
         raise RuntimeError("tracked mode lost most of its amplitude")

@@ -6,12 +6,11 @@ for the compaction rate C := phi_t, giving the Banach-space ODE
     phi_t = N(phi) = -L^{-1}_{phi^n}[ d/dx_d(phi^n) ],
 
 which is non-stiff because N gains a derivative, so classical RK4 with a
-fixed step is used.  The four elliptic solves of a fixed step start CG
-from an earlier stage plus that stage's offset, extrapolated from the last
-ORDER steps (Fischer, CMAME 1998), so only iteration counts change.  Every
-step evaluates the dichotomy monitor
-hs_norm(phi - 1, s) + sup|1/phi|; threshold crossings, positivity loss,
-elliptic breakdowns and a stalled step-size controller are reported as
+fixed step is used.  The four elliptic solves of a step start CG from an
+earlier stage plus that stage's offset, extrapolated from the last ORDER
+steps (Fischer, CMAME 1998), so only iteration counts change.  Every step
+evaluates the dichotomy monitor hs_norm(phi - 1, s) + sup|1/phi|; threshold
+crossings, positivity loss and elliptic breakdowns are reported as
 verdicts, never exceptions.
 """
 
@@ -52,13 +51,11 @@ class Verdict(Enum):
     THRESHOLD_EXCEEDED = "threshold_exceeded"
     ELLIPTIC_FAILURE = "elliptic_failure"
     POSITIVITY_LOST = "positivity_lost"
-    STEP_CONTROL_FAILURE = "step_control_failure"
 
 
 @dataclass(frozen=True)
 class EvolveConfig:
-    """RK4 steps of width dt, the last one shortened to end on t_end; with
-    adaptive=True, dt is the first width and step doubling meets step_tol."""
+    """RK4 steps of width dt, the last one shortened to end on t_end."""
 
     n_exponent: float
     dt: float
@@ -67,8 +64,6 @@ class EvolveConfig:
     blowup_threshold: float = 1e6
     elliptic_tol: float = 1e-10
     snapshot_every: int = 0  # 0 keeps only the first and last states
-    adaptive: bool = False
-    step_tol: float = 1e-8
 
     def __post_init__(self) -> None:
         if not 2.0 <= self.n_exponent <= 3.0:
@@ -87,8 +82,6 @@ class EvolveConfig:
             raise ValueError("elliptic_tol must be positive and finite")
         if self.snapshot_every < 0:
             raise ValueError("snapshot_every must be nonnegative")
-        if not self.step_tol > 0:
-            raise ValueError("step_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -153,14 +146,16 @@ def _step_raw(
     vals: np.ndarray,
     dt: float,
     cfg: EvolveConfig,
-    first: tuple[np.ndarray, int],
-    hist: Sequence[Sequence[np.ndarray]] = ((), (), ()),
+    guess: np.ndarray | None,
+    hist: Sequence[Sequence[np.ndarray]] = ((), (), (), ()),
 ) -> tuple[np.ndarray, int, list[np.ndarray]]:
-    """RK4 step from the first stage ``first = (k1, its CG iterations)``;
-    CG for stage s starts from k_{s-1} extrapolated by ``hist[s - 2]``, its
-    past offsets k_s - k_{s-1}.  Returns the state, CG work and stages."""
-    ks, cg = [first[0]], first[1]
-    for c, offsets in zip((0.5, 0.5, 1.0), hist):
+    """One RK4 step.  CG for k1 starts from ``guess`` and CG for stage s from
+    k_{s-1}, each extrapolated by ``hist[s - 1]``, its past offsets (k1 minus
+    the last step's k4, then k_s - k_{s-1}).  Returns the state, CG work and
+    stages."""
+    k1, cg = _rhs_raw(grid, vals, cfg, _extrapolate(guess, hist[0]))
+    ks = [k1]
+    for c, offsets in zip((0.5, 0.5, 1.0), hist[1:]):
         k, i = _rhs_raw(grid, vals + (c * dt) * ks[-1], cfg, _extrapolate(ks[-1], offsets))
         ks.append(k)
         cg += i
@@ -179,8 +174,7 @@ def step_rk4(phi: Field, dt: float, cfg: EvolveConfig, guess: Field | None = Non
     """One classical RK4 step; all four stages share the elliptic tolerance."""
     if not dt > 0:
         raise ValueError("dt must be positive")
-    first = _rhs_raw(phi.grid, phi.values, cfg, None if guess is None else guess.values)
-    out, _, _ = _step_raw(phi.grid, phi.values, dt, cfg, first)
+    out, _, _ = _step_raw(phi.grid, phi.values, dt, cfg, None if guess is None else guess.values)
     return Field(phi.grid, out)
 
 
@@ -209,22 +203,16 @@ def _record(
 
 
 def evolve(phi0: Field, cfg: EvolveConfig) -> EvolveResult:
-    """Integrate to t_end or to the first verdict.
+    """Integrate to t_end or to the first verdict, in fixed RK4 steps.
 
-    Fixed steps end at the times k*dt, and a shorter last step ends on
-    t_end.  A full fixed step starts the CG of stage s from k_{s-1} (k1
-    from the last step's k4) plus the offset k_s - k_{s-1} extrapolated
-    from the last ORDER full steps by weights (1), (2, -1) or (3, -3, 1);
-    the solves still meet elliptic_tol.  The shortened last step and
-    adaptive attempts start from k_{s-1} alone.
-    Adaptive steps compare one step of width h with two of h/2, all
-    from one first stage: 11 elliptic solves per attempt (step doubling,
-    Hairer, Norsett & Wanner, Solving ODEs I, II.4).  Failures are verdicts:
-    threshold, positivity and elliptic failures at the failing step's end
-    time; a stalled controller (next width below 1e-12*dt, or over 60
-    rejections in a row) at the last accepted time.  A row's CG iterations
-    include those of the rejected attempts before it; the last row also
-    takes those of the rejected attempts after it, when the run stops.
+    Steps end at the times k*dt, and a shorter last step ends on t_end, so
+    a run makes at most ceil(t_end/dt) steps of four elliptic solves each.
+    A full step starts the CG of stage s from k_{s-1} (k1 from the last
+    step's k4) plus the offset k_s - k_{s-1} extrapolated from the last
+    ORDER full steps by weights (1), (2, -1) or (3, -3, 1); the solves still
+    meet elliptic_tol.  The shortened last step starts from k_{s-1} alone.
+    Threshold, positivity and elliptic failures are verdicts at the end
+    time of the failing step.
     """
     grid = phi0.grid
     s = monitor_index(cfg, grid)
@@ -235,56 +223,31 @@ def evolve(phi0: Field, cfg: EvolveConfig) -> EvolveResult:
     t_event: float | None = 0.0
     n_full = int(np.floor(cfg.t_end / cfg.dt + 1e-9))
     n_steps = n_full + int(cfg.t_end - n_full * cfg.dt > 1e-12 * cfg.dt)
-    t, dt, guess, accepted, rejected, pending = 0.0, cfg.dt, None, 0, 0, 0
+    step, guess = 0, None
     hist: list[list[np.ndarray]] = [[], [], [], []]  # stage offsets, newest first
-    while verdict is None and (
-        t < cfg.t_end - 1e-12 * cfg.dt if cfg.adaptive else accepted < n_steps
-    ):
-        if cfg.adaptive:
-            if dt < 1e-12 * cfg.dt or rejected > 60:
-                verdict, t_event = Verdict.STEP_CONTROL_FAILURE, t
-                break
-            dt = min(dt, cfg.t_end - t)
-            t_event = t + dt
-        else:
-            dt = cfg.dt if accepted < n_full else cfg.t_end - n_full * cfg.dt
-            t_event = cfg.t_end if accepted + 1 == n_steps else (accepted + 1) * cfg.dt
-        full = not cfg.adaptive and accepted < n_full
-        past = hist if full else ((),) * 4
+    while verdict is None and step < n_steps:
+        step += 1
+        full = step <= n_full
+        dt = cfg.dt if full else cfg.t_end - n_full * cfg.dt
+        t_event = cfg.t_end if step == n_steps else step * cfg.dt
         try:
-            first = _rhs_raw(grid, vals, cfg, _extrapolate(guess, past[0]))
-            new, cg, ks = _step_raw(grid, vals, dt, cfg, first, past[1:])
-            if cfg.adaptive:
-                half, cg_half, ks_half = _step_raw(grid, vals, 0.5 * dt, cfg, first)
-                first_half = _rhs_raw(grid, half, cfg, ks_half[-1])
-                fine, cg_fine, ks = _step_raw(grid, half, 0.5 * dt, cfg, first_half)
+            new, cg, ks = _step_raw(grid, vals, dt, cfg, guess, hist if full else ((),) * 4)
         except PositivityLost:
             verdict = Verdict.POSITIVITY_LOST
             break
         except NotConverged:
             verdict = Verdict.ELLIPTIC_FAILURE
             break
-        if cfg.adaptive:
-            scale = max(float(np.linalg.norm(fine)), 1e-30)
-            err = float(np.linalg.norm(fine - new)) / (15.0 * scale)
-            dt *= min(5.0, max(0.2, 0.9 * (cfg.step_tol / max(err, 1e-30)) ** 0.2))
-            cg += cg_half - first[1] + cg_fine  # k1 is counted once
-            if err > cfg.step_tol:
-                rejected, pending = rejected + 1, pending + cg
-                continue
-            new, cg, rejected, pending = fine, cg + pending, 0, 0
         if full:
             offsets = [None if guess is None else ks[0] - guess]
             offsets += [b - a for a, b in zip(ks, ks[1:])]
             hist = [h if o is None else [o] + h[: ORDER - 1] for o, h in zip(offsets, hist)]
-        t, vals, guess = t_event, new, ks[-1]
-        accepted += 1
-        verdict = _record(rows, t, vals, grid, s, cfg, cg)
-        if verdict is None and cfg.snapshot_every > 0 and accepted % cfg.snapshot_every == 0:
-            snapshots.append((t, Field(grid, vals)))
+        vals, guess = new, ks[-1]
+        verdict = _record(rows, t_event, vals, grid, s, cfg, cg)
+        if verdict is None and cfg.snapshot_every > 0 and step % cfg.snapshot_every == 0:
+            snapshots.append((t_event, Field(grid, vals)))
     if verdict is None:
         verdict, t_event = Verdict.COMPLETED_TO_T_END, None
-    rows[-1] = (*rows[-1][:-1], rows[-1][-1] + pending)  # rejected work after it
 
     if snapshots[-1][0] != rows[-1][0] and np.all(np.isfinite(vals)):
         snapshots.append((rows[-1][0], Field(grid, vals)))

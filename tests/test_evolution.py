@@ -52,8 +52,6 @@ def test_config_validation():
                 dict(s_monitor=np.inf), dict(elliptic_tol=np.inf)):
         with pytest.raises(ValueError):
             _cfg(**bad)
-    with pytest.raises(ValueError):
-        _cfg(step_tol=0.0)
 
 
 def test_monitor_index_defaults_and_override():
@@ -138,11 +136,14 @@ def test_evolve_completes_and_conserves_mass():
     assert len(times) == 1 + 4  # t=0, steps 5/10/15, final
 
 
-def test_evolve_handles_partial_final_step():
+def test_evolve_handles_partial_final_step(monkeypatch):
     g = TorusGrid((32,), (2.0 * np.pi,))
     phi0 = Field.from_function(g, lambda x: 1.0 + 0.1 * np.cos(x))
+    calls = _count_rhs_calls(monkeypatch)
     result = evolve(phi0, _cfg(dt=0.1, t_end=0.55))
     assert result.report.verdict is Verdict.COMPLETED_TO_T_END
+    # bounded work: five full steps and the remainder, four solves each
+    assert calls[0] == 4 * 6
     # times are k*dt, not accumulated sums, and the remainder step ends on t_end
     assert list(result.report.times) == [k * 0.1 for k in range(6)] + [0.55]
     # three full steps; the last time is t_end, not 3*0.1 = 0.30000000000000004
@@ -197,44 +198,16 @@ def test_constant_background_is_steady():
     np.testing.assert_allclose(final.values, 1.0, atol=1e-12)
 
 
-def _count_rhs_calls(monkeypatch, limit: int | None = None) -> list[int]:
-    """Count elliptic solves; past ``limit`` calls raise instead."""
+def _count_rhs_calls(monkeypatch) -> list[int]:
+    """Count elliptic solves."""
     real, calls = evolution._rhs_raw, [0]
 
     def counted(*args):
         calls[0] += 1
-        if limit is not None and calls[0] > limit:
-            raise AssertionError(f"more than {limit} right-hand side evaluations")
         return real(*args)
 
     monkeypatch.setattr(evolution, "_rhs_raw", counted)
     return calls
-
-
-def test_adaptive_matches_fixed_fine_run(monkeypatch):
-    g = TorusGrid((64,), (2.0 * np.pi,))
-    phi0 = Field.from_function(g, lambda x: 1.0 + 0.3 * np.cos(x))
-    fixed = evolve(phi0, _cfg(dt=1e-3, t_end=0.5, elliptic_tol=1e-12))
-    calls = _count_rhs_calls(monkeypatch)
-    adaptive = evolve(
-        phi0,
-        _cfg(
-            dt=1e-2,
-            t_end=0.5,
-            adaptive=True,
-            step_tol=1e-10,
-            elliptic_tol=1e-12,
-        ),
-    )
-    assert adaptive.report.verdict is Verdict.COMPLETED_TO_T_END
-    assert adaptive.report.times[-1] == pytest.approx(0.5, abs=1e-12)
-    gap = np.max(np.abs(adaptive.snapshots[-1][1].values - fixed.snapshots[-1][1].values))
-    assert gap < 1e-7
-    # the controller should beat the fixed grid on step count
-    assert len(adaptive.report.times) < len(fixed.report.times)
-    # 11 accepted steps, none rejected; each shares k1 between the dt and dt/2 steps
-    assert len(adaptive.report.times) == 1 + 11
-    assert calls[0] == 11 * 11
 
 
 def _count_cg_iterations(monkeypatch) -> list[int]:
@@ -248,36 +221,6 @@ def _count_cg_iterations(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(evolution, "_solve_raw", counted)
     return solved
-
-
-def test_adaptive_report_counts_rejected_cg_work(monkeypatch):
-    # a rejected attempt's CG iterations are charged to the next accepted row
-    solved = _count_cg_iterations(monkeypatch)
-    g = TorusGrid((64,), (2.0 * np.pi,))
-    phi0 = Field.from_function(g, lambda x: 1.0 + 0.3 * np.cos(x))
-    calls = _count_rhs_calls(monkeypatch)
-    rep = evolve(phi0, _cfg(dt=0.4, t_end=0.5, adaptive=True, step_tol=1e-11)).report
-    assert rep.verdict is Verdict.COMPLETED_TO_T_END
-    assert calls[0] > 11 * (len(rep.times) - 1)  # some attempts were rejected
-    assert solved[0] == int(rep.cg_iterations.sum())
-
-
-def test_stalled_step_control_is_a_verdict(monkeypatch):
-    # below the rounding level of the error estimate the controller shrinks
-    # dt towards zero; the run must end in a verdict, not crawl
-    solved = _count_cg_iterations(monkeypatch)
-    _count_rhs_calls(monkeypatch, limit=5000)
-    g = TorusGrid((16,), (2.0 * np.pi,))
-    phi0 = Field.from_function(g, lambda x: 1.0 + 0.5 * np.cos(x))
-    cfg = _cfg(dt=1e-3, t_end=1e-3, adaptive=True, step_tol=1e-18)
-    result = evolve(phi0, cfg)
-    rep = result.report
-    assert rep.verdict is Verdict.STEP_CONTROL_FAILURE
-    assert rep.t_event == rep.times[-1]  # the last accepted time
-    assert 0.0 < rep.t_event < cfg.t_end
-    assert result.snapshots[-1][0] == rep.t_event
-    # rejected attempts after the last accepted step are reported too
-    assert solved[0] == int(rep.cg_iterations.sum())
 
 
 def _criterion7_phi0(seed: int) -> Field:
