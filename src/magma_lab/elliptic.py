@@ -6,10 +6,13 @@ its iterate, residual and search direction as rfft coefficients: applying
 L_a costs 2d real transforms per iteration, the constant-coefficient
 preconditioner (I - abar*Lap)^{-1} with abar = mean(a) is the diagonal
 multiply 1/(1 + abar|k|^2), exact for constant a, and inner products weight
-the half spectrum by its Hermitian mirrors.  When the recursive residual
-meets the tolerance, the true residual of the samples is re-checked; if it
-fails, CG restarts from it with a fresh search direction, at most
-MAX_RESTARTS times: a tolerance below the rounding floor then gives up.
+the half spectrum by its Hermitian mirrors; a warm start is coefficients
+too.  When the recursive residual meets the tolerance, the iterate goes to
+samples and back, and the true residual of those samples is re-checked by
+Parseval in 2d + 2 transforms; if it fails, CG restarts from it with a
+fresh search direction, at most MAX_RESTARTS times: a tolerance below the
+rounding floor then gives up.  A cold solve of i iterations makes
+2d(i + 1) + 2 transforms, a warm one 2d more.
 """
 
 from __future__ import annotations
@@ -77,8 +80,8 @@ class EllipticProblem:
             raise ValueError("coefficient and right-hand side live on different grids")
         if float(self.a.values.min()) <= 0.0:
             raise NonPositiveCoefficient("coefficient must be strictly positive")
-        if not self.tol > 0.0:
-            raise ValueError("tolerance must be positive")
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError("tolerance must be positive and finite")
         if self.max_iter is not None and self.max_iter < 1:
             raise ValueError("iteration cap must be at least 1")
 
@@ -111,30 +114,27 @@ def _solve_raw(
     g_hat: np.ndarray,
     tol: float,
     max_iter: int | None,
-    x0: np.ndarray | None = None,
-) -> tuple[np.ndarray, CGInfo]:
-    """Solve L_a u = g from ``g_hat = rfftn(g)``; ``x0`` and the solution are
-    sample arrays, and the residual reported is that of the samples."""
-    axes = tuple(range(grid.d))
+    x0h: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, CGInfo]:
+    """Solve L_a u = g from ``g_hat = rfftn(g)`` and the optional guess
+    ``x0h``, also rfft coefficients.  Returns the samples ``x``, their
+    ``rfftn(x)`` and the CG record; the residual reported is that of ``x``."""
 
     def norm(uh: np.ndarray) -> float:  # the sample 2-norm, by Parseval
         return float(np.sqrt(_inner(grid, uh, uh) / grid.size))
 
     norm_g = norm(g_hat)
     if norm_g == 0.0:
-        return np.zeros(grid.shape), CGInfo(iterations=0, residual=0.0)
+        return np.zeros(grid.shape), np.zeros_like(g_hat), CGInfo(iterations=0, residual=0.0)
 
-    def true_residual(xh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        x = np.fft.irfftn(xh, s=grid.shape, axes=axes)
-        return x, np.fft.irfftn(g_hat, s=grid.shape, axes=axes) - _apply_raw(grid, a, x)
+    def true_residual(xh: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        x = np.fft.irfftn(xh, s=grid.shape, axes=tuple(range(grid.d)))
+        xt = np.fft.rfftn(x)
+        return x, xt, g_hat - (xt - _div_a_grad(grid, a, xt))
 
     precond = 1.0 / (1.0 + float(a.mean()) * grid.rfft_k_squared)
-    if x0 is None:
-        xh = np.zeros(grid.rfft_shape, dtype=np.complex128)
-        rh = g_hat.copy()
-    else:
-        xh = np.fft.rfftn(x0)
-        rh = g_hat - (xh - _div_a_grad(grid, a, xh))
+    xh = np.zeros_like(g_hat) if x0h is None else x0h.copy()
+    rh = g_hat.copy() if x0h is None else g_hat - (xh - _div_a_grad(grid, a, xh))
 
     target = tol * norm_g
     if max_iter is None:
@@ -143,16 +143,15 @@ def _solve_raw(
     while True:
         if res_norm <= target:
             # the recursive residual can drift; re-check against the operator
-            x, r = true_residual(xh)
-            res_norm = float(np.linalg.norm(r))
+            x, xh, rh = true_residual(xh)
+            res_norm = norm(rh)
             if res_norm <= target:
-                return x, CGInfo(iterations=iterations, residual=res_norm / norm_g)
-            restarts += 1
-            if restarts > MAX_RESTARTS:
-                raise NotConverged(iterations, res_norm / norm_g)
+                return x, xh, CGInfo(iterations=iterations, residual=res_norm / norm_g)
             # restart from the true residual: the old direction is not
             # conjugate to it, and keeping it lets the residual diverge
-            rh, p = np.fft.rfftn(r), None
+            restarts, p = restarts + 1, None
+            if restarts > MAX_RESTARTS:
+                raise NotConverged(iterations, res_norm / norm_g)
         if iterations == max_iter:
             raise NotConverged(iterations, res_norm / norm_g)
         iterations += 1
@@ -163,7 +162,7 @@ def _solve_raw(
         Ap = p - _div_a_grad(grid, a, p)
         pAp = _inner(grid, p, Ap)
         if not pAp > 0.0:  # breakdown: the recursive residual underflowed
-            raise NotConverged(iterations, np.linalg.norm(true_residual(xh)[1]) / norm_g)
+            raise NotConverged(iterations, norm(true_residual(xh)[2]) / norm_g)
         alpha = rz / pAp
         xh += alpha * p
         rh -= alpha * Ap
@@ -192,8 +191,7 @@ def solve_L_info(p: EllipticProblem, x0: Field | None = None) -> tuple[Field, CG
             NearDegenerateWarning,
             stacklevel=2,
         )
-    x0_vals = None if x0 is None else x0.values
-    g_hat = np.fft.rfftn(p.g.values)
-    u, info = _solve_raw(p.a.grid, a, g_hat, p.tol, p.max_iter, x0_vals)
+    x0h = None if x0 is None else np.fft.rfftn(x0.values)
+    u, _, info = _solve_raw(p.a.grid, a, np.fft.rfftn(p.g.values), p.tol, p.max_iter, x0h)
     return Field(p.a.grid, u), info
 

@@ -8,7 +8,8 @@ for the compaction rate C := phi_t, giving the Banach-space ODE
 which is non-stiff because N gains a derivative, so classical RK4 with a
 fixed step is used.  The four elliptic solves of a step start CG from an
 earlier stage plus that stage's offset, extrapolated from the last ORDER
-steps (Fischer, CMAME 1998), so only iteration counts change.  Every step
+steps (Fischer, CMAME 1998), so only iteration counts change; guesses and
+offsets are rfft coefficients, as the solver takes them.  Every step
 evaluates the dichotomy monitor hs_norm(phi - 1, s) + sup|1/phi|; threshold
 crossings, positivity loss and elliptic breakdowns are reported as
 verdicts, never exceptions.
@@ -121,14 +122,15 @@ def _rhs_raw(
     grid: TorusGrid,
     vals: np.ndarray,
     cfg: EvolveConfig,
-    guess: np.ndarray | None,
-) -> tuple[np.ndarray, int]:
+    guess_hat: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """N(phi) as samples and rfft coefficients, and its CG iterations."""
     if not vals.min() > 0.0:
         raise PositivityLost(f"min(phi) = {vals.min():.3e}")
     a = np.exp(cfg.n_exponent * np.log(vals))
     g_hat = -grid.rfft_deriv_multipliers[-1] * np.fft.rfftn(a)
-    out, info = _solve_raw(grid, a, g_hat, cfg.elliptic_tol, None, guess)
-    return out, info.iterations
+    out, out_hat, info = _solve_raw(grid, a, g_hat, cfg.elliptic_tol, None, guess_hat)
+    return out, out_hat, info.iterations
 
 
 def _extrapolate(base: np.ndarray | None, offsets: Sequence[np.ndarray]) -> np.ndarray | None:
@@ -146,36 +148,34 @@ def _step_raw(
     vals: np.ndarray,
     dt: float,
     cfg: EvolveConfig,
-    guess: np.ndarray | None,
+    guess_hat: np.ndarray | None,
     hist: Sequence[Sequence[np.ndarray]] = ((), (), (), ()),
 ) -> tuple[np.ndarray, int, list[np.ndarray]]:
-    """One RK4 step.  CG for k1 starts from ``guess`` and CG for stage s from
-    k_{s-1}, each extrapolated by ``hist[s - 1]``, its past offsets (k1 minus
-    the last step's k4, then k_s - k_{s-1}).  Returns the state, CG work and
-    stages."""
-    k1, cg = _rhs_raw(grid, vals, cfg, _extrapolate(guess, hist[0]))
-    ks = [k1]
-    for c, offsets in zip((0.5, 0.5, 1.0), hist[1:]):
-        k, i = _rhs_raw(grid, vals + (c * dt) * ks[-1], cfg, _extrapolate(ks[-1], offsets))
-        ks.append(k)
-        cg += i
-    k1, k2, k3, k4 = ks
-    out = vals + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return out, cg, ks
+    """One RK4 step.  CG for k1 starts from ``guess_hat`` and CG for stage s
+    from k_{s-1}, each extrapolated by ``hist[s - 1]``, its past offsets (k1
+    minus the last step's k4, then k_s - k_{s-1}), all rfft coefficients.
+    Returns the state, CG work and the stages' rfft coefficients."""
+    k, k_hat, cg = _rhs_raw(grid, vals, cfg, _extrapolate(guess_hat, hist[0]))
+    ks_hat, acc = [k_hat], k  # acc sums k1 + 2 k2 + 2 k3 + k4 in that order
+    for c, w, offsets in zip((0.5, 0.5, 1.0), (2.0, 2.0, 1.0), hist[1:]):
+        guess = _extrapolate(ks_hat[-1], offsets)
+        k, k_hat, i = _rhs_raw(grid, vals + (c * dt) * k, cfg, guess)
+        ks_hat.append(k_hat)
+        acc, cg = acc + w * k, cg + i
+    return vals + (dt / 6.0) * acc, cg, ks_hat
 
 
 def rhs(phi: Field, cfg: EvolveConfig) -> Field:
     """Compaction rate C = -L^{-1}_{phi^n}[ d/dx_d(phi^n) ]."""
-    out, _ = _rhs_raw(phi.grid, phi.values, cfg, None)
-    return Field(phi.grid, out)
+    return Field(phi.grid, _rhs_raw(phi.grid, phi.values, cfg, None)[0])
 
 
 def step_rk4(phi: Field, dt: float, cfg: EvolveConfig, guess: Field | None = None) -> Field:
     """One classical RK4 step; all four stages share the elliptic tolerance."""
     if not dt > 0:
         raise ValueError("dt must be positive")
-    out, _, _ = _step_raw(phi.grid, phi.values, dt, cfg, None if guess is None else guess.values)
-    return Field(phi.grid, out)
+    guess_hat = None if guess is None else np.fft.rfftn(guess.values)
+    return Field(phi.grid, _step_raw(phi.grid, phi.values, dt, cfg, guess_hat)[0])
 
 
 def measure_mass(phi: Field) -> float:
@@ -223,15 +223,15 @@ def evolve(phi0: Field, cfg: EvolveConfig) -> EvolveResult:
     t_event: float | None = 0.0
     n_full = int(np.floor(cfg.t_end / cfg.dt + 1e-9))
     n_steps = n_full + int(cfg.t_end - n_full * cfg.dt > 1e-12 * cfg.dt)
-    step, guess = 0, None
-    hist: list[list[np.ndarray]] = [[], [], [], []]  # stage offsets, newest first
+    step, guess_hat = 0, None
+    hist: list[list[np.ndarray]] = [[], [], [], []]  # stage offset coefficients, newest first
     while verdict is None and step < n_steps:
         step += 1
         full = step <= n_full
         dt = cfg.dt if full else cfg.t_end - n_full * cfg.dt
         t_event = cfg.t_end if step == n_steps else step * cfg.dt
         try:
-            new, cg, ks = _step_raw(grid, vals, dt, cfg, guess, hist if full else ((),) * 4)
+            new, cg, ks = _step_raw(grid, vals, dt, cfg, guess_hat, hist if full else ((),) * 4)
         except PositivityLost:
             verdict = Verdict.POSITIVITY_LOST
             break
@@ -239,10 +239,10 @@ def evolve(phi0: Field, cfg: EvolveConfig) -> EvolveResult:
             verdict = Verdict.ELLIPTIC_FAILURE
             break
         if full:
-            offsets = [None if guess is None else ks[0] - guess]
+            offsets = [None if guess_hat is None else ks[0] - guess_hat]
             offsets += [b - a for a, b in zip(ks, ks[1:])]
             hist = [h if o is None else [o] + h[: ORDER - 1] for o, h in zip(offsets, hist)]
-        vals, guess = new, ks[-1]
+        vals, guess_hat = new, ks[-1]
         verdict = _record(rows, t_event, vals, grid, s, cfg, cg)
         if verdict is None and cfg.snapshot_every > 0 and step % cfg.snapshot_every == 0:
             snapshots.append((t_event, Field(grid, vals)))

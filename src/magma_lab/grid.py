@@ -16,6 +16,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -80,7 +81,7 @@ class TorusGrid:
 
     @cached_property
     def size(self) -> int:
-        return int(np.prod(self.n_points))
+        return math.prod(self.n_points)  # exact: np.prod wraps past 2**63
 
     @cached_property
     def spacing(self) -> tuple[float, ...]:
@@ -283,11 +284,12 @@ def read_snapshot(path) -> Field:
     off += 8 * d
     lengths = struct.unpack(f"<{d}d", raw[off : off + 8 * d])
     off += 8 * d
-    grid = TorusGrid(tuple(int(n) for n in n_points), lengths)
-    expected = grid.size * 8
-    if len(raw) - off != expected:
-        raise SnapshotFormatError(
-            f"payload holds {len(raw) - off} bytes, expected {expected}"
-        )
-    values = np.frombuffer(raw, dtype="<f8", offset=off).reshape(grid.shape)
-    return Field(grid, values.astype(np.float64))
+    try:
+        grid = TorusGrid(tuple(int(n) for n in n_points), lengths)
+        expected = grid.size * 8
+        if len(raw) - off != expected:
+            raise SnapshotFormatError(f"payload holds {len(raw) - off} bytes, expected {expected}")
+        values = np.frombuffer(raw, dtype="<f8", offset=off).reshape(grid.shape)
+        return Field(grid, values.astype(np.float64))
+    except ValueError as exc:  # a grid or samples that TorusGrid or Field refuse
+        raise SnapshotFormatError(f"{path}: {exc}") from None

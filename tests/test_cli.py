@@ -283,6 +283,21 @@ def test_missing_snapshot_file_is_io_error(tmp_path):
     assert code == 3
 
 
+def test_refused_snapshot_grid_is_io_error(tmp_path):
+    # an odd point count used to escape as "config error" with exit code 1
+    bad = tmp_path / "bad.bin"
+    write_snapshot(Field.constant(TorusGrid((16,), (2.0 * np.pi,)), 1.0), bad)
+    raw = bytearray(bad.read_bytes())
+    raw[24:32] = (15).to_bytes(8, "little")
+    bad.write_bytes(bytes(raw[:-8]))
+    code, _, err = run_cli([
+        "evolve", "--n-points", "16", "--n", "2", "--dt", "0.1", "--t-end", "0.1",
+        "--init", f"file:{bad}", "-o", str(tmp_path / "x"),
+    ])
+    assert code == 3
+    assert err.startswith("io error:") and "bad.bin" in err
+
+
 def test_sweep_order_and_failure_rows(tmp_path):
     out_dir = tmp_path / "sweep"
     code, out, _ = run_cli([

@@ -19,7 +19,7 @@ from magma_lab import (
     solve_L_info,
     spectral_derivative,
 )
-from magma_lab.elliptic import _apply_raw, _div_a_grad, _inner
+from magma_lab.elliptic import _apply_raw, _div_a_grad, _inner, _solve_raw
 
 
 def test_problem_validation():
@@ -29,8 +29,9 @@ def test_problem_validation():
         EllipticProblem(a=Field.constant(g, 0.0), g=rhs)
     with pytest.raises(NonPositiveCoefficient):
         EllipticProblem(a=Field.from_function(g, lambda x: np.cos(x)), g=rhs)
-    with pytest.raises(ValueError):
-        EllipticProblem(a=Field.constant(g, 1.0), g=rhs, tol=0.0)
+    for tol in (0.0, -1e-10, np.inf, np.nan):  # tol=inf used to "converge" to u = 0
+        with pytest.raises(ValueError, match="tolerance"):
+            EllipticProblem(a=Field.constant(g, 1.0), g=rhs, tol=tol)
     with pytest.raises(ValueError):
         EllipticProblem(a=Field.constant(g, 1.0), g=rhs, max_iter=0)
     other = TorusGrid((32,), (2.0 * np.pi,))
@@ -195,6 +196,51 @@ def test_restart_after_failed_recheck_converges():
     assert info.iterations <= 40
     res = np.linalg.norm((p.g - apply_L(p.a, u)).values)
     assert res <= 1e-12 * np.linalg.norm(p.g.values)
+
+
+def _count_transforms(monkeypatch) -> list[int]:
+    """Count every np.fft.rfftn and np.fft.irfftn call from now on."""
+    calls = [0]
+    for name in ("rfftn", "irfftn"):
+        def counted(*args, _real=getattr(np.fft, name), **kwargs):
+            calls[0] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("shape", [(256,), (64, 64)])
+def test_solve_transform_budget(shape, monkeypatch):
+    # 2d per CG iteration, 2d for a warm start's initial residual, and 2d + 2
+    # for the re-check; the guess and the answer cross no extra transform
+    grid = TorusGrid(shape, (2.0 * np.pi,) * len(shape))
+    p = _graded_problem(grid, 1e-10)
+    g_hat = np.fft.rfftn(p.g.values)
+    x0h = np.fft.rfftn(solve_L(_graded_problem(grid, 1e-4)).values)
+    calls, d = _count_transforms(monkeypatch), grid.d
+    for guess, fixed in ((None, 1), (x0h, 2)):
+        calls[0] = 0
+        *_, info = _solve_raw(grid, p.a.values, g_hat, p.tol, None, guess)
+        assert info.iterations > 0
+        assert calls[0] == 2 * d * (info.iterations + fixed) + 2
+
+
+@pytest.mark.parametrize("shape", [(256,), (64, 64)])
+def test_recheck_returns_checked_samples(shape):
+    # the re-check runs in coefficients; the samples returned must still meet
+    # the tolerance in a residual formed independently from samples
+    grid = TorusGrid(shape, (2.0 * np.pi,) * len(shape))
+    p = _graded_problem(grid, 1e-12)
+    x0h = np.fft.rfftn(solve_L(_graded_problem(grid, 1e-4)).values)
+    kept = x0h.copy()
+    for guess in (None, x0h):
+        x, x_hat, info = _solve_raw(grid, p.a.values, np.fft.rfftn(p.g.values), p.tol, None, guess)
+        assert np.array_equal(x_hat, np.fft.rfftn(x))
+        res = np.linalg.norm((p.g - apply_L(p.a, Field(grid, x))).values)
+        assert res <= p.tol * np.linalg.norm(p.g.values)
+        assert info.residual <= p.tol
+    np.testing.assert_array_equal(x0h, kept)  # the caller's guess is left alone
 
 
 def test_sub_floor_tolerance_gives_up_after_restart_cap():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -21,7 +23,7 @@ from magma_lab import (
     spectral_derivative,
     write_snapshot,
 )
-from magma_lab.grid import SNAPSHOT_MAGIC
+from magma_lab.grid import SNAPSHOT_MAGIC, SNAPSHOT_VERSION
 
 
 def test_grid_validation():
@@ -245,3 +247,53 @@ def test_snapshot_malformations(tmp_path):
     truncated.write_bytes(raw[:-8])
     with pytest.raises(SnapshotFormatError, match="payload"):
         read_snapshot(truncated)
+
+    # 2**32 * 2**32 points: a wrapped point count once matched an empty payload
+    huge = tmp_path / "huge.bin"
+    huge.write_bytes(_snapshot_bytes(SNAPSHOT_VERSION, 2, [2**32, 2**32], [1.0, 1.0], b""))
+    with pytest.raises(SnapshotFormatError, match="payload"):
+        read_snapshot(huge)
+
+    # headers and samples that TorusGrid or Field refuse name the file
+    samples = np.ones(8).tobytes()
+    non_finite = samples[:-8] + np.float64(np.inf).tobytes()
+    for n, length, body in ((7, 1.0, samples[:56]), (0, 1.0, b""),
+                            (8, np.nan, samples), (8, 1.0, non_finite)):
+        bad = tmp_path / "refused.bin"
+        bad.write_bytes(_snapshot_bytes(SNAPSHOT_VERSION, 1, [n], [length], body))
+        with pytest.raises(SnapshotFormatError, match="refused.bin"):
+            read_snapshot(bad)
+
+
+def _snapshot_bytes(version: int, d: int, n_points, lengths, payload: bytes) -> bytes:
+    """The snapshot layout with arbitrary header fields."""
+    head = struct.pack("<8s8xII", SNAPSHOT_MAGIC, version, d)
+    head += struct.pack(f"<{len(n_points)}Q", *n_points)
+    return head + struct.pack(f"<{len(lengths)}d", *lengths) + payload
+
+
+_AXIS = st.tuples(
+    st.one_of(st.sampled_from([4, 6, 8]), st.integers(0, 2**64 - 1)),
+    st.one_of(st.floats(0.5, 10.0), st.floats()),
+)
+
+
+@given(st.lists(_AXIS, min_size=1, max_size=3), st.data())
+def test_snapshot_reader_fuzz(tmp_path_factory, axes, data):
+    n_points, lengths = [n for n, _ in axes], [L for _, L in axes]
+    d = len(axes) if data.draw(st.integers(0, 3)) else data.draw(st.integers(0, 2**32 - 1))
+    size = int(np.prod(n_points, dtype=object))
+    if size <= 1000 and data.draw(st.booleans()):  # a payload of the right length
+        vals = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).normal(size=size)
+        vals[: data.draw(st.integers(0, min(size, 2)))] = data.draw(st.floats())
+        payload = vals.astype("<f8").tobytes()
+    else:
+        payload = data.draw(st.binary(max_size=200))
+    path = tmp_path_factory.getbasetemp() / "fuzz.bin"
+    path.write_bytes(_snapshot_bytes(SNAPSHOT_VERSION, d, n_points, lengths, payload))
+    try:
+        got = read_snapshot(path)
+    except SnapshotFormatError:
+        return
+    assert got.grid.n_points == tuple(n_points)
+    assert np.all(np.isfinite(got.values))
