@@ -168,7 +168,10 @@ def _read_kv_file(path: str) -> dict[str, str]:
         if "=" not in s:
             raise ValueError(f"{path}:{ln}: expected key=value, got {s!r}")
         key, _, value = s.partition("=")
-        out[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key in out:
+            raise ValueError(f"{path}:{ln}: key {key!r} given twice")
+        out[key] = value.strip()
     return out
 
 
@@ -312,12 +315,15 @@ def _load_run_snapshots(run_dir: str) -> list[tuple[float, Field]]:
         raise FileNotFoundError(f"no snapshots found in {run_dir!r}")
     out = []
     for path in paths:
-        fld = read_snapshot(path)
-        with open(path[:-4] + ".json") as fh:
-            sidecar = json.load(fh)
+        fld, sidecar_path = read_snapshot(path), path[:-4] + ".json"
+        with open(sidecar_path) as fh:
+            try:
+                sidecar = json.load(fh)
+            except ValueError as exc:  # not JSON, or not UTF-8
+                raise SnapshotFormatError(f"{sidecar_path}: {exc}") from None
         t = sidecar.get("t") if isinstance(sidecar, dict) else None
-        if not isinstance(t, (int, float)) or not math.isfinite(t):
-            raise SnapshotFormatError(f"{path[:-4]}.json: sidecar lacks a finite time 't'")
+        if type(t) not in (int, float) or not abs(t) <= sys.float_info.max:  # bool is an int
+            raise SnapshotFormatError(f"{sidecar_path}: sidecar lacks a finite time 't'")
         out.append((float(t), fld))
     out.sort(key=lambda pair: pair[0])
     return out

@@ -7,12 +7,12 @@ for the compaction rate C := phi_t, giving the Banach-space ODE
 
 which is non-stiff because N gains a derivative, so classical RK4 with a
 fixed step is used.  The four elliptic solves of a step start CG from an
-earlier stage plus that stage's offset, extrapolated from the last ORDER
-steps (Fischer, CMAME 1998), so only iteration counts change; guesses and
-offsets are rfft coefficients, as the solver takes them.  Every step
-evaluates the dichotomy monitor hs_norm(phi - 1, s) + sup|1/phi|; threshold
-crossings, positivity loss and elliptic breakdowns are reported as
-verdicts, never exceptions.
+earlier stage plus that stage's offset, extrapolated by the backward
+differences of its last ORDER values (Fischer, CMAME 1998), so only
+iteration counts change; guesses are rfft coefficients, as the solver takes
+them.  Every step evaluates the dichotomy monitor hs_norm(phi - 1, s) +
+sup|1/phi|; threshold crossings, positivity loss and elliptic breakdowns
+are reported as verdicts, never exceptions.
 """
 
 from __future__ import annotations
@@ -39,8 +39,7 @@ __all__ = [
     "measure_mass",
 ]
 
-ORDER = 3  # stage guesses extrapolate the offsets of up to 3 past steps
-_WEIGHTS = ((1.0,), (2.0, -1.0), (3.0, -3.0, 1.0))  # newest first, per order
+ORDER = 5  # stage guesses sum up to 5 backward differences of past offsets
 
 
 class PositivityLost(RuntimeError):
@@ -129,17 +128,44 @@ def _rhs_raw(
         raise PositivityLost(f"min(phi) = {vals.min():.3e}")
     a = np.exp(cfg.n_exponent * np.log(vals))
     g_hat = -grid.rfft_deriv_multipliers[-1] * np.fft.rfftn(a)
-    out, out_hat, info = _solve_raw(grid, a, g_hat, cfg.elliptic_tol, None, guess_hat)
+    try:
+        out, out_hat, info = _solve_raw(grid, a, g_hat, cfg.elliptic_tol, None, guess_hat)
+    except NotConverged as exc:
+        if guess_hat is None:
+            raise
+        # near the rounding floor every re-check from this guess can land
+        # just above tol (README); a cold start ends on other roundings
+        out, out_hat, info = _solve_raw(grid, a, g_hat, cfg.elliptic_tol, None, None)
+        return out, out_hat, exc.iterations + info.iterations
     return out, out_hat, info.iterations
 
 
-def _extrapolate(base: np.ndarray | None, offsets: Sequence[np.ndarray]) -> np.ndarray | None:
-    """``base`` plus the next term of ``offsets`` (past offsets, newest
-    first) from the polynomial through them; ``base`` itself without any."""
-    if base is None or not offsets:
+def _push(table: list[np.ndarray], offset: np.ndarray) -> None:
+    """Make ``offset`` the newest value of ``table`` in place: ``table[j]``
+    becomes its j-th backward difference, written over an old array."""
+    diffs = [offset]
+    for d in table[: ORDER - 1]:
+        diffs.append(np.subtract(diffs[-1], d, out=d))
+    table[:] = diffs
+
+
+def _extrapolate(
+    base: np.ndarray | None, table: Sequence[np.ndarray], tol: float
+) -> np.ndarray | None:
+    """``base`` plus the next offset from the Newton backward-difference
+    series (Hairer, Norsett & Wanner, Solving ODEs I, ch. III), exact for
+    offsets on a polynomial of degree below len(table).  Terms are added
+    while their norms fall, up to and including the first one below
+    ``tol * |base|``; ``base`` itself without a table.  A table is read once
+    per step, so norms are taken here rather than cached by _push."""
+    if base is None or not table:
         return base
-    for w, o in zip(_WEIGHTS[len(offsets) - 1], offsets):
-        base = base + w * o
+    floor, last = tol * tol * np.vdot(base, base).real, np.inf
+    for d in table:
+        norm2 = np.vdot(d, d).real
+        if not norm2 < last or last < floor:
+            break
+        base, last = base + d, norm2
     return base
 
 
@@ -149,16 +175,17 @@ def _step_raw(
     dt: float,
     cfg: EvolveConfig,
     guess_hat: np.ndarray | None,
-    hist: Sequence[Sequence[np.ndarray]] = ((), (), (), ()),
+    tables: Sequence[Sequence[np.ndarray]] = ((), (), (), ()),
 ) -> tuple[np.ndarray, int, list[np.ndarray]]:
     """One RK4 step.  CG for k1 starts from ``guess_hat`` and CG for stage s
-    from k_{s-1}, each extrapolated by ``hist[s - 1]``, its past offsets (k1
-    minus the last step's k4, then k_s - k_{s-1}), all rfft coefficients.
+    from k_{s-1}, each extrapolated by ``tables[s - 1]`` of its past offsets
+    (k1 minus the last step's k4, then k_s - k_{s-1}), all rfft coefficients.
     Returns the state, CG work and the stages' rfft coefficients."""
-    k, k_hat, cg = _rhs_raw(grid, vals, cfg, _extrapolate(guess_hat, hist[0]))
+    tol = cfg.elliptic_tol
+    k, k_hat, cg = _rhs_raw(grid, vals, cfg, _extrapolate(guess_hat, tables[0], tol))
     ks_hat, acc = [k_hat], k  # acc sums k1 + 2 k2 + 2 k3 + k4 in that order
-    for c, w, offsets in zip((0.5, 0.5, 1.0), (2.0, 2.0, 1.0), hist[1:]):
-        guess = _extrapolate(ks_hat[-1], offsets)
+    for c, w, table in zip((0.5, 0.5, 1.0), (2.0, 2.0, 1.0), tables[1:]):
+        guess = _extrapolate(ks_hat[-1], table, tol)
         k, k_hat, i = _rhs_raw(grid, vals + (c * dt) * k, cfg, guess)
         ks_hat.append(k_hat)
         acc, cg = acc + w * k, cg + i
@@ -208,9 +235,9 @@ def evolve(phi0: Field, cfg: EvolveConfig) -> EvolveResult:
     Steps end at the times k*dt, and a shorter last step ends on t_end, so
     a run makes at most ceil(t_end/dt) steps of four elliptic solves each.
     A full step starts the CG of stage s from k_{s-1} (k1 from the last
-    step's k4) plus the offset k_s - k_{s-1} extrapolated from the last
-    ORDER full steps by weights (1), (2, -1) or (3, -3, 1); the solves still
-    meet elliptic_tol.  The shortened last step starts from k_{s-1} alone.
+    step's k4) plus the offset k_s - k_{s-1}, extrapolated from the last
+    ORDER full steps by _extrapolate; the solves still meet elliptic_tol.
+    The shortened last step starts from k_{s-1} alone.
     Threshold, positivity and elliptic failures are verdicts at the end
     time of the failing step.
     """
@@ -224,14 +251,14 @@ def evolve(phi0: Field, cfg: EvolveConfig) -> EvolveResult:
     n_full = int(np.floor(cfg.t_end / cfg.dt + 1e-9))
     n_steps = n_full + int(cfg.t_end - n_full * cfg.dt > 1e-12 * cfg.dt)
     step, guess_hat = 0, None
-    hist: list[list[np.ndarray]] = [[], [], [], []]  # stage offset coefficients, newest first
+    tables: list[list[np.ndarray]] = [[], [], [], []]  # backward differences of the stage offsets
     while verdict is None and step < n_steps:
         step += 1
         full = step <= n_full
         dt = cfg.dt if full else cfg.t_end - n_full * cfg.dt
         t_event = cfg.t_end if step == n_steps else step * cfg.dt
         try:
-            new, cg, ks = _step_raw(grid, vals, dt, cfg, guess_hat, hist if full else ((),) * 4)
+            new, cg, ks = _step_raw(grid, vals, dt, cfg, guess_hat, tables if full else ((),) * 4)
         except PositivityLost:
             verdict = Verdict.POSITIVITY_LOST
             break
@@ -239,9 +266,9 @@ def evolve(phi0: Field, cfg: EvolveConfig) -> EvolveResult:
             verdict = Verdict.ELLIPTIC_FAILURE
             break
         if full:
-            offsets = [None if guess_hat is None else ks[0] - guess_hat]
-            offsets += [b - a for a, b in zip(ks, ks[1:])]
-            hist = [h if o is None else [o] + h[: ORDER - 1] for o, h in zip(offsets, hist)]
+            for a, b, table in zip([guess_hat] + ks, ks, tables):
+                if a is not None:  # k1 of the first step has no offset
+                    _push(table, b - a)
         vals, guess_hat = new, ks[-1]
         verdict = _record(rows, t_event, vals, grid, s, cfg, cg)
         if verdict is None and cfg.snapshot_every > 0 and step % cfg.snapshot_every == 0:

@@ -271,14 +271,14 @@ def read_snapshot(path) -> Field:
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 24:
-        raise SnapshotFormatError("snapshot shorter than fixed header")
+        raise SnapshotFormatError(f"{path}: snapshot shorter than fixed header")
     magic, pad, version, d = raw[:8], raw[8:16], *struct.unpack("<II", raw[16:24])
     if magic != SNAPSHOT_MAGIC or pad != b"\x00" * 8:
-        raise SnapshotFormatError("bad magic bytes")
+        raise SnapshotFormatError(f"{path}: bad magic bytes")
     if version != SNAPSHOT_VERSION:
-        raise SnapshotFormatError(f"unsupported snapshot version {version}")
+        raise SnapshotFormatError(f"{path}: unsupported snapshot version {version}")
     if d < 1 or len(raw) < 24 + 16 * d:
-        raise SnapshotFormatError("truncated snapshot header")
+        raise SnapshotFormatError(f"{path}: truncated snapshot header")
     off = 24
     n_points = struct.unpack(f"<{d}Q", raw[off : off + 8 * d])
     off += 8 * d
@@ -288,7 +288,9 @@ def read_snapshot(path) -> Field:
         grid = TorusGrid(tuple(int(n) for n in n_points), lengths)
         expected = grid.size * 8
         if len(raw) - off != expected:
-            raise SnapshotFormatError(f"payload holds {len(raw) - off} bytes, expected {expected}")
+            raise SnapshotFormatError(
+                f"{path}: payload holds {len(raw) - off} bytes, expected {expected}"
+            )
         values = np.frombuffer(raw, dtype="<f8", offset=off).reshape(grid.shape)
         return Field(grid, values.astype(np.float64))
     except ValueError as exc:  # a grid or samples that TorusGrid or Field refuse

@@ -151,6 +151,16 @@ def test_unknown_config_key_rejected(tmp_path):
         assert line.split(" = ")[0] in err
 
 
+def test_repeated_config_key_rejected(tmp_path):
+    # the last value used to win silently
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("d = 3\nn = 2.0\nc = 1.7\nmu = -0.021\nn = 3.0\n")
+    code, _, err = run_cli(["shoot", "--config", str(cfg), "-o", str(tmp_path / "x")])
+    assert code == 1
+    assert f"{cfg}:5" in err and "'n'" in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_config_hash_deterministic(tmp_path):
     args = ["shoot", "--d", "3", "--n", "2.5", "--c", "1.7", "--mu", "-0.021"]
     dirs = [tmp_path / "a", tmp_path / "b", tmp_path / "c"]
@@ -390,6 +400,19 @@ def test_diagnose_energy(evolve_run, tmp_path):
     assert float(info["max_relative_drift"]) < 1e-5
     lines = (out_dir / "energy.csv").read_text().splitlines()
     assert len(lines) == 1 + 11
+
+
+@pytest.mark.parametrize("text", ["{not json", '{"t": true}', "\udcff"])
+def test_malformed_sidecar_is_io_error(evolve_run, tmp_path, text):
+    # broken JSON used to exit 1 as a config error that named no file, and
+    # a boolean t was read as 1.0
+    run = tmp_path / "run"
+    shutil.copytree(evolve_run, run)
+    sidecar = run / "snap_000000.json"
+    sidecar.write_bytes(text.encode("utf-8", "surrogateescape"))
+    code, _, err = run_cli(["diagnose", "energy", "--run", str(run), "--n", "2"])
+    assert code == 3
+    assert err.startswith("io error:") and str(sidecar) in err
 
 
 @pytest.mark.parametrize("command", ["shoot", "sweep", "embed", "track", "energy",

@@ -9,6 +9,7 @@ from magma_lab import (
     ConservedEnergyParams,
     EvolveConfig,
     Field,
+    NotConverged,
     PositivityLost,
     TorusGrid,
     Verdict,
@@ -242,6 +243,25 @@ def test_solve_restarts_after_failed_recheck():
     assert rep.verdict is Verdict.COMPLETED_TO_T_END
 
 
+def test_stuck_guessed_solve_restarts_cold(monkeypatch):
+    # at 1e-12 the solve of criterion-7 seed 101 at t = 2.894 failed all its
+    # re-checks from the extrapolated guess and passed from zero; a failed
+    # solve from a guess is solved again from zero, and both are counted
+    real = evolution._solve_raw
+
+    def stuck(grid, a, g_hat, tol, max_iter, x0h=None):
+        if x0h is not None:
+            raise NotConverged(7, 1.03e-12)
+        return real(grid, a, g_hat, tol, max_iter, x0h)
+
+    monkeypatch.setattr(evolution, "_solve_raw", stuck)
+    phi, cfg = _criterion7_phi0(1), _cfg(elliptic_tol=1e-12)
+    got = evolution._rhs_raw(phi.grid, phi.values, cfg, np.fft.rfftn(phi.values))
+    cold = evolution._rhs_raw(phi.grid, phi.values, cfg, None)
+    np.testing.assert_array_equal(got[0], cold[0])
+    assert got[2] == 7 + cold[2] > 7
+
+
 def test_stage_guesses_cut_cg_work(monkeypatch):
     # extrapolated stage guesses: the parent's stage-to-stage guesses took
     # 22.3 CG iterations per step here
@@ -254,30 +274,73 @@ def test_stage_guesses_cut_cg_work(monkeypatch):
     assert solved[0] == int(rep.cg_iterations.sum())
 
 
+def _bump_2d() -> Field:
+    """A Gaussian bump of height 0.3 on a 64^2 torus of side 30."""
+    g = TorusGrid((64, 64), (30.0, 30.0))
+    return Field.from_function(
+        g, lambda x, y: 1.0 + 0.3 * np.exp(-((x - 15.0) ** 2 + (y - 15.0) ** 2) / 9.0)
+    )
+
+
+def test_stage_guesses_cut_cg_work_2d(monkeypatch):
+    # the fixed order-3 extrapolation this replaced took 19.5 CG iterations
+    # per step here; the backward-difference series takes 12.4
+    solved = _count_cg_iterations(monkeypatch)
+    cfg = _cfg(n_exponent=2.5, dt=0.05, t_end=2.0, elliptic_tol=1e-10)
+    rep = evolve(_bump_2d(), cfg).report
+    assert rep.verdict is Verdict.COMPLETED_TO_T_END
+    assert len(rep.cg_iterations) == 1 + 40
+    assert rep.cg_iterations[6:].mean() <= 14.0  # steps 6-40, full table
+    assert solved[0] == int(rep.cg_iterations.sum())
+
+
+def _table(offsets) -> list:
+    """The backward-difference table of ``offsets``, oldest first."""
+    table: list = []
+    for o in offsets:
+        evolution._push(table, np.array(o, dtype=float))
+    return table
+
+
 def test_extrapolate_reproduces_polynomial_offsets():
-    base = np.array([0.5, -2.0])
-    assert evolution._extrapolate(base, []) is base
-    assert evolution._extrapolate(None, [base]) is None
-    # offsets o_j at steps j = 0..3; the newest-first history of steps
-    # 3-m..2 must give o_3 exactly for a polynomial of degree m - 1
-    for m, poly in ((1, lambda j: 3.0 + 0 * j), (2, lambda j: 1.0 - 2.0 * j),
-                    (3, lambda j: 2.0 + j - 0.5 * j * j)):
-        offs = [np.array([poly(j), 2.0 * poly(j)]) for j in range(3)]
-        got = evolution._extrapolate(base, offs[::-1][:m])
-        np.testing.assert_array_equal(got, base + np.array([poly(3), 2.0 * poly(3)]))
+    base, v = np.array([0.5, -2.0]), np.array([1.0, 2.0])
+    assert evolution._extrapolate(base, [], 1e-10) is base
+    assert evolution._extrapolate(None, _table([base]), 1e-10) is None
+    # offsets o_j = p(j) v at steps j = 0..4 must give o_5 exactly when p
+    # has degree <= 4; the differences of these fall, and vanish above
+    # the degree
+    for p in (lambda j: 3.0 + 0 * j, lambda j: 8.0 - j, lambda j: 40.0 + 6.0 * j + 0.5 * j * j,
+              lambda j: 100.0 + 10.0 * j - j * j + 0.25 * j**3,
+              lambda j: 400.0 + 40.0 * j - 2.0 * j * j + 0.5 * j**3 + 0.125 * j**4):
+        table = _table([p(j) * v for j in range(5)])
+        assert len(table) == evolution.ORDER == 5
+        got = evolution._extrapolate(base, table, 0.0)
+        np.testing.assert_array_equal(got, base + p(5) * v)
+    # newest differences 4, 2, 3, 0.5 (times v): the sum stops before the
+    # first term whose norm does not fall, here the third
+    table = _table([6.5 * v, 3.0 * v, 2.0 * v, 4.0 * v])
+    for d, want in zip(table, (4.0, 2.0, 3.0, 0.5)):
+        np.testing.assert_array_equal(d, want * v)
+    np.testing.assert_array_equal(evolution._extrapolate(base, table, 0.0), base + 6.0 * v)
+    # newest differences 4, 2, 1, 0.5 (norms 8.9, 4.5, 2.2, 1.1 against
+    # |base| = 2.06): the sum stops after the first term below tol |base|
+    table = _table([0.5 * v, 1.0 * v, 2.0 * v, 4.0 * v])
+    for tol, want in ((0.0, 7.5), (1.5, 7.0), (3.0, 6.0), (5.0, 4.0)):
+        np.testing.assert_array_equal(evolution._extrapolate(base, table, tol), base + want * v)
 
 
 def test_stage_guesses_leave_the_answer_alone():
     # step_rk4 carries no history from step to step, so it is the reference
-    phi0 = _criterion7_phi0(1)
-    cfg = _cfg(dt=1e-3, t_end=0.05, elliptic_tol=1e-12)
-    result = evolve(phi0, cfg)
-    assert len(result.report.times) == 1 + 50
-    phi = phi0
-    for _ in range(50):
-        phi = step_rk4(phi, cfg.dt, cfg)
-    gap = np.max(np.abs(result.snapshots[-1][1].values - phi.values))
-    assert gap <= 1e-10
+    for phi0, n, dt, steps, bound in ((_criterion7_phi0(1), 2.0, 1e-3, 50, 1e-10),
+                                      (_bump_2d(), 2.5, 0.05, 20, 1e-12)):
+        cfg = _cfg(n_exponent=n, dt=dt, t_end=steps * dt, elliptic_tol=1e-12)
+        result = evolve(phi0, cfg)
+        assert len(result.report.times) == 1 + steps
+        phi = phi0
+        for _ in range(steps):
+            phi = step_rk4(phi, cfg.dt, cfg)
+        gap = np.max(np.abs(result.snapshots[-1][1].values - phi.values))
+        assert gap <= bound
 
 
 @pytest.mark.slow

@@ -225,34 +225,46 @@ def test_snapshot_malformations(tmp_path):
 
     short = tmp_path / "short.bin"
     short.write_bytes(raw[:10])
-    with pytest.raises(SnapshotFormatError, match="header"):
+    with pytest.raises(SnapshotFormatError, match="header") as exc:
         read_snapshot(short)
+    assert str(short) in str(exc.value)
 
     bad_magic = tmp_path / "magic.bin"
     bad_magic.write_bytes(b"NOTMAGMA" + raw[8:])
-    with pytest.raises(SnapshotFormatError, match="magic"):
+    with pytest.raises(SnapshotFormatError, match="magic") as exc:
         read_snapshot(bad_magic)
+    assert str(bad_magic) in str(exc.value)
 
     bad_pad = tmp_path / "pad.bin"
     bad_pad.write_bytes(SNAPSHOT_MAGIC + b"\x01" * 8 + raw[16:])
-    with pytest.raises(SnapshotFormatError, match="magic"):
+    with pytest.raises(SnapshotFormatError, match="magic") as exc:
         read_snapshot(bad_pad)
+    assert str(bad_pad) in str(exc.value)
 
     bad_version = tmp_path / "ver.bin"
     bad_version.write_bytes(raw[:16] + (99).to_bytes(4, "little") + raw[20:])
-    with pytest.raises(SnapshotFormatError, match="version"):
+    with pytest.raises(SnapshotFormatError, match="version") as exc:
         read_snapshot(bad_version)
+    assert str(bad_version) in str(exc.value)
+
+    cut_header = tmp_path / "cut.bin"
+    cut_header.write_bytes(raw[:30])  # one axis needs 40 header bytes
+    with pytest.raises(SnapshotFormatError, match="truncated snapshot header") as exc:
+        read_snapshot(cut_header)
+    assert str(cut_header) in str(exc.value)
 
     truncated = tmp_path / "trunc.bin"
     truncated.write_bytes(raw[:-8])
-    with pytest.raises(SnapshotFormatError, match="payload"):
+    with pytest.raises(SnapshotFormatError, match="payload") as exc:
         read_snapshot(truncated)
+    assert str(truncated) in str(exc.value)
 
     # 2**32 * 2**32 points: a wrapped point count once matched an empty payload
     huge = tmp_path / "huge.bin"
     huge.write_bytes(_snapshot_bytes(SNAPSHOT_VERSION, 2, [2**32, 2**32], [1.0, 1.0], b""))
-    with pytest.raises(SnapshotFormatError, match="payload"):
+    with pytest.raises(SnapshotFormatError, match="payload") as exc:
         read_snapshot(huge)
+    assert str(huge) in str(exc.value)
 
     # headers and samples that TorusGrid or Field refuse name the file
     samples = np.ones(8).tobytes()
