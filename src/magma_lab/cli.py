@@ -159,7 +159,10 @@ ENERGY_OPTS: dict[str, _Opt] = {
 
 def _read_kv_file(path: str) -> dict[str, str]:
     with open(path) as fh:
-        lines = fh.read().splitlines()
+        try:
+            lines = fh.read().splitlines()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     out: dict[str, str] = {}
     for ln, line in enumerate(lines, start=1):
         s = line.strip()

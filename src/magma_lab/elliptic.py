@@ -5,14 +5,14 @@ it is inverted matrix-free by preconditioned conjugate gradients.  CG keeps
 its iterate, residual and search direction as rfft coefficients: applying
 L_a costs 2d real transforms per iteration, the constant-coefficient
 preconditioner (I - abar*Lap)^{-1} with abar = mean(a) is the diagonal
-multiply 1/(1 + abar|k|^2), exact for constant a, and inner products weight
-the half spectrum by its Hermitian mirrors; a warm start is coefficients
-too.  When the recursive residual meets the tolerance, the iterate goes to
-samples and back, and the true residual of those samples is re-checked by
-Parseval in 2d + 2 transforms; if it fails, CG restarts from it with a
-fresh search direction, at most MAX_RESTARTS times: a tolerance below the
-rounding floor then gives up.  A cold solve of i iterations makes
-2d(i + 1) + 2 transforms, a warm one 2d more.
+multiply 1/(1 + abar|k|^2), exact for constant a, and transforms and inner
+products are ``TorusGrid``'s; a warm start is coefficients too.  When the
+recursive residual meets the tolerance, the iterate goes to samples and
+back, and the true residual of those samples is re-checked by Parseval in
+2d + 2 transforms; if it fails, CG restarts from it with a fresh search
+direction, at most MAX_RESTARTS times: a tolerance below the rounding
+floor then gives up.  A cold solve of i iterations makes 2d(i + 1) + 2
+transforms, a warm one 2d more.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from .grid import Field, TorusGrid
 __all__ = [
     "EllipticProblem",
     "CGInfo",
-    "NotConverged",
     "NonPositiveCoefficient",
+    "NotConverged",
     "NearDegenerateWarning",
     "apply_L",
     "solve_L",
@@ -88,24 +88,10 @@ class EllipticProblem:
 
 def _div_a_grad(grid: TorusGrid, a: np.ndarray, uh: np.ndarray) -> np.ndarray:
     """rfft coefficients of div(a grad u), given those of u: 2d transforms."""
-    axes = tuple(range(grid.d))
-    acc = np.zeros(grid.rfft_shape, dtype=np.complex128)
+    acc = np.zeros_like(uh)
     for ik in grid.rfft_deriv_multipliers:
-        du = np.fft.irfftn(ik * uh, s=grid.shape, axes=axes)
-        acc += ik * np.fft.rfftn(a * du)
+        acc += ik * grid.rfft(a * grid.irfft(ik * uh))
     return acc
-
-
-def _inner(grid: TorusGrid, uh: np.ndarray, vh: np.ndarray) -> float:
-    """Hermitian-weighted inner product of rfft coefficients: ``grid.size``
-    times the sample inner product of the real fields they stand for."""
-    return float(np.vdot(uh, grid.rfft_weights * vh).real)
-
-
-def _apply_raw(grid: TorusGrid, a: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """L_a u on raw sample arrays via real transforms."""
-    acc = _div_a_grad(grid, a, np.fft.rfftn(u))
-    return u - np.fft.irfftn(acc, s=grid.shape, axes=tuple(range(grid.d)))
 
 
 def _solve_raw(
@@ -116,20 +102,20 @@ def _solve_raw(
     max_iter: int | None,
     x0h: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, CGInfo]:
-    """Solve L_a u = g from ``g_hat = rfftn(g)`` and the optional guess
+    """Solve L_a u = g from ``g_hat = grid.rfft(g)`` and the optional guess
     ``x0h``, also rfft coefficients.  Returns the samples ``x``, their
-    ``rfftn(x)`` and the CG record; the residual reported is that of ``x``."""
+    ``grid.rfft(x)`` and the CG record; the residual reported is that of ``x``."""
 
     def norm(uh: np.ndarray) -> float:  # the sample 2-norm, by Parseval
-        return float(np.sqrt(_inner(grid, uh, uh) / grid.size))
+        return float(np.sqrt(grid.inner(uh, uh) / grid.size))
 
     norm_g = norm(g_hat)
     if norm_g == 0.0:
         return np.zeros(grid.shape), np.zeros_like(g_hat), CGInfo(iterations=0, residual=0.0)
 
     def true_residual(xh: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        x = np.fft.irfftn(xh, s=grid.shape, axes=tuple(range(grid.d)))
-        xt = np.fft.rfftn(x)
+        x = grid.irfft(xh)
+        xt = grid.rfft(x)
         return x, xt, g_hat - (xt - _div_a_grad(grid, a, xt))
 
     precond = 1.0 / (1.0 + float(a.mean()) * grid.rfft_k_squared)
@@ -156,11 +142,11 @@ def _solve_raw(
             raise NotConverged(iterations, res_norm / norm_g)
         iterations += 1
         z = precond * rh
-        rz_next = _inner(grid, rh, z)
+        rz_next = grid.inner(rh, z)
         p = z if p is None else z + (rz_next / rz) * p
         rz = rz_next
         Ap = p - _div_a_grad(grid, a, p)
-        pAp = _inner(grid, p, Ap)
+        pAp = grid.inner(p, Ap)
         if not pAp > 0.0:  # breakdown: the recursive residual underflowed
             raise NotConverged(iterations, norm(true_residual(xh)[2]) / norm_g)
         alpha = rz / pAp
@@ -173,7 +159,8 @@ def apply_L(a: Field, u: Field) -> Field:
     """u - div(a grad u) with spectral derivatives."""
     if a.grid != u.grid:
         raise ValueError("coefficient and argument live on different grids")
-    return Field(u.grid, _apply_raw(u.grid, a.values, u.values))
+    grid = u.grid
+    return Field(grid, u.values - grid.irfft(_div_a_grad(grid, a.values, grid.rfft(u.values))))
 
 
 def solve_L(p: EllipticProblem, x0: Field | None = None) -> Field:
@@ -191,7 +178,8 @@ def solve_L_info(p: EllipticProblem, x0: Field | None = None) -> tuple[Field, CG
             NearDegenerateWarning,
             stacklevel=2,
         )
-    x0h = None if x0 is None else np.fft.rfftn(x0.values)
-    u, _, info = _solve_raw(p.a.grid, a, np.fft.rfftn(p.g.values), p.tol, p.max_iter, x0h)
-    return Field(p.a.grid, u), info
+    grid = p.a.grid
+    x0h = None if x0 is None else grid.rfft(x0.values)
+    u, _, info = _solve_raw(grid, a, grid.rfft(p.g.values), p.tol, p.max_iter, x0h)
+    return Field(grid, u), info
 

@@ -9,10 +9,10 @@ which is non-stiff because N gains a derivative, so classical RK4 with a
 fixed step is used.  The four elliptic solves of a step start CG from an
 earlier stage plus that stage's offset, extrapolated by the backward
 differences of its last ORDER values (Fischer, CMAME 1998), so only
-iteration counts change; guesses are rfft coefficients, as the solver takes
-them.  Every step evaluates the dichotomy monitor hs_norm(phi - 1, s) +
-sup|1/phi|; threshold crossings, positivity loss and elliptic breakdowns
-are reported as verdicts, never exceptions.
+iteration counts change; guesses are rfft coefficients (``TorusGrid.rfft``),
+as the solver takes them.  Every step evaluates the dichotomy monitor
+hs_norm(phi - 1, s) + sup|1/phi|; threshold crossings, positivity loss and
+elliptic breakdowns are reported as verdicts, never exceptions.
 """
 
 from __future__ import annotations
@@ -127,7 +127,7 @@ def _rhs_raw(
     if not vals.min() > 0.0:
         raise PositivityLost(f"min(phi) = {vals.min():.3e}")
     a = np.exp(cfg.n_exponent * np.log(vals))
-    g_hat = -grid.rfft_deriv_multipliers[-1] * np.fft.rfftn(a)
+    g_hat = -grid.rfft_deriv_multipliers[-1] * grid.rfft(a)
     try:
         out, out_hat, info = _solve_raw(grid, a, g_hat, cfg.elliptic_tol, None, guess_hat)
     except NotConverged as exc:
@@ -197,12 +197,11 @@ def rhs(phi: Field, cfg: EvolveConfig) -> Field:
     return Field(phi.grid, _rhs_raw(phi.grid, phi.values, cfg, None)[0])
 
 
-def step_rk4(phi: Field, dt: float, cfg: EvolveConfig, guess: Field | None = None) -> Field:
+def step_rk4(phi: Field, dt: float, cfg: EvolveConfig) -> Field:
     """One classical RK4 step; all four stages share the elliptic tolerance."""
     if not dt > 0:
         raise ValueError("dt must be positive")
-    guess_hat = None if guess is None else np.fft.rfftn(guess.values)
-    return Field(phi.grid, _step_raw(phi.grid, phi.values, dt, cfg, guess_hat)[0])
+    return Field(phi.grid, _step_raw(phi.grid, phi.values, dt, cfg, None)[0])
 
 
 def measure_mass(phi: Field) -> float:

@@ -2,16 +2,18 @@
 
 Conventions used throughout the package:
 
-* every transform is a real one (``rfftn``/``irfftn``);
+* every transform is a real one, made by ``TorusGrid.rfft`` and
+  ``TorusGrid.irfft``; no other module calls ``np.fft``, so the rfft
+  layout (its shape, axes and Hermitian weights) is decided here alone;
 * wavenumbers on axis ``j`` are ``2*pi*fftfreq(N_j, L_j/N_j)``; the rfft
   lattice keeps the first ``N/2 + 1`` of them on the last axis;
 * odd-order spectral derivatives zero the Nyquist mode on the axis being
   differentiated, so real fields stay real and the derivative is
   skew-adjoint on the grid;
-* ``hs_norm`` sums the half spectrum, counting each interior last-axis
-  column twice for its conjugate mirror and the mean and Nyquist columns
-  once; ``hs_norm(f, 0)`` equals the L2 norm of ``f`` over the torus,
-  i.e. the Parseval weight carries the domain volume.
+* ``TorusGrid.inner`` and ``hs_norm`` sum the half spectrum, counting each
+  interior last-axis column twice for its conjugate mirror and the mean and
+  Nyquist columns once; ``hs_norm(f, 0)`` equals the L2 norm of ``f`` over
+  the torus, i.e. the Parseval weight carries the domain volume.
 """
 
 from __future__ import annotations
@@ -144,6 +146,19 @@ class TorusGrid:
         w[0] = w[-1] = 1.0
         return self._along(self.d - 1, w)
 
+    def rfft(self, vals: np.ndarray) -> np.ndarray:
+        """rfft coefficients of samples on this grid."""
+        return np.fft.rfftn(vals)
+
+    def irfft(self, coeffs: np.ndarray) -> np.ndarray:
+        """Samples on this grid of rfft coefficients."""
+        return np.fft.irfftn(coeffs, s=self.shape, axes=tuple(range(self.d)))
+
+    def inner(self, uh: np.ndarray, vh: np.ndarray) -> float:
+        """Hermitian-weighted inner product of rfft coefficients: ``size``
+        times the sample inner product of the real fields they stand for."""
+        return float(np.vdot(uh, self.rfft_weights * vh).real)
+
     @cached_property
     def norm_k_squared(self) -> np.ndarray:
         """|k|^2 on the rfft lattice with the Nyquist modes at their true value."""
@@ -232,17 +247,14 @@ def spectral_derivative(f: Field, axis: int) -> Field:
     if not 0 <= axis < f.grid.d:
         raise ValueError(f"axis {axis} out of range for d={f.grid.d}")
     ik = f.grid.rfft_deriv_multipliers[axis]
-    out = np.fft.irfftn(
-        ik * np.fft.rfftn(f.values), s=f.grid.shape, axes=tuple(range(f.grid.d))
-    )
-    return Field(f.grid, out)
+    return Field(f.grid, f.grid.irfft(ik * f.grid.rfft(f.values)))
 
 
 def hs_norm(f: Field, s: float) -> float:
     """Sobolev norm of index ``s``; reduces to the L2 norm at ``s = 0``."""
     if s < 0:
         raise ValueError("norm index must be nonnegative")
-    c = np.fft.rfftn(f.values) / f.grid.size
+    c = f.grid.rfft(f.values) / f.grid.size
     power = f.grid.rfft_weights * (c.real**2 + c.imag**2)
     total = np.sum((1.0 + f.grid.norm_k_squared) ** s * power) * f.grid.volume
     return float(np.sqrt(total))

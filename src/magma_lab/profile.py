@@ -775,36 +775,46 @@ def write_profile_csv(path, sol: ProfileSolution) -> None:
 
 
 def read_profile_csv(path) -> ProfileSolution:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith("# "):
-        raise ValueError(f"{path}: profile archive lacks its metadata line")
-    meta: dict[str, float] = {}
-    for item in lines[0][2:].split(", "):
-        key, _, value = item.partition("=")
-        meta[key.strip()] = float(value)
-    missing = [k for k in ("d", "n", "c", "mu_c", "Q_tau", "k", "M") if k not in meta]
-    if missing:
-        raise ValueError(f"{path}: profile metadata lacks {', '.join(missing)}")
-    if meta["Q_tau"] <= 0.0:  # nan is allowed: a single shot has no limit
-        raise ValueError(f"{path}: profile metadata Q_tau must be positive")
-    if len(lines) < 2 or lines[1] != "r,Q,Q_r,Q_rr":
-        raise ValueError(f"{path}: profile archive lacks the column header")
-    rows = [line.split(",") for line in lines[2:] if line]
-    if not rows:
-        raise ValueError(f"{path}: profile archive holds no sample rows")
-    for i, row in enumerate(rows, start=1):
-        if len(row) != 4:
-            raise ValueError(f"{path}: sample row {i} holds {len(row)} values, not 4")
-    data = np.array([[float(v) for v in row] for row in rows], dtype=np.float64)
-    params = ProfileParams(d=meta["d"], n=meta["n"], c=meta["c"], mu=meta["mu_c"])
-    samples = ShotSamples(r=data[:, 0], Q=data[:, 1], Q_r=data[:, 2], Q_rr=data[:, 3])
-    decay = None
-    if math.isfinite(meta["k"]):
-        decay = DecayFit(
-            M=meta["M"], k=meta["k"], L=_decay_rate(params, meta["Q_tau"]),
-            r_window=(float("nan"), float("nan")), n_samples=0,
-        )
+    """Read a profile archive; bad content raises ValueError naming ``path``."""
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        if not lines or not lines[0].startswith("# "):
+            raise ValueError("profile archive lacks its metadata line")
+        meta: dict[str, float] = {}
+        for item in lines[0][2:].split(", "):
+            key, _, value = (part.strip() for part in item.partition("="))
+            if key in meta:
+                raise ValueError(f"profile metadata gives {key!r} twice")
+            meta[key] = float(value)
+        missing = [k for k in ("d", "n", "c", "mu_c", "Q_tau", "k", "M") if k not in meta]
+        if missing:
+            raise ValueError(f"profile metadata lacks {', '.join(missing)}")
+        if meta["Q_tau"] <= 0.0:  # nan is allowed: a single shot has no limit
+            raise ValueError("profile metadata Q_tau must be positive")
+        if len(lines) < 2 or lines[1] != "r,Q,Q_r,Q_rr":
+            raise ValueError("profile archive lacks the column header")
+        rows = [line.split(",") for line in lines[2:] if line]
+        if not rows:
+            raise ValueError("profile archive holds no sample rows")
+        for i, row in enumerate(rows, start=1):
+            if len(row) != 4:
+                raise ValueError(f"sample row {i} holds {len(row)} values, not 4")
+            try:
+                rows[i - 1] = [float(v) for v in row]
+            except ValueError as exc:
+                raise ValueError(f"sample row {i}: {exc}") from None
+        data = np.array(rows, dtype=np.float64)
+        params = ProfileParams(d=meta["d"], n=meta["n"], c=meta["c"], mu=meta["mu_c"])
+        samples = ShotSamples(r=data[:, 0], Q=data[:, 1], Q_r=data[:, 2], Q_rr=data[:, 3])
+        decay = None
+        if math.isfinite(meta["k"]):
+            decay = DecayFit(
+                M=meta["M"], k=meta["k"], L=_decay_rate(params, meta["Q_tau"]),
+                r_window=(float("nan"), float("nan")), n_samples=0,
+            )
+    except (ValueError, ArithmeticError) as exc:  # UnicodeDecodeError is a ValueError
+        raise ValueError(f"{path}: {exc}") from None
     return ProfileSolution(
         params=params, samples=samples, Q_tau=meta["Q_tau"], decay=decay,
     )

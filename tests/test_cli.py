@@ -454,12 +454,14 @@ _ROWS = "r,Q,Q_r,Q_rr\n0.0,1.0,0.0,-0.05\n1.0,0.98,-0.04,-0.03\n"
         ("profile", _META + "\nr,Q,Q_r,Q_rr\n0.0,1.0,0.0\n"),
         ("profile", _META + "\nr,Q,Q_r,Q_rr\n"),
         ("profile", _META.replace("Q_tau=0.7", "Q_tau=0.0") + "\n" + _ROWS),
+        ("profile", _META.replace("Q_tau=0.7", "Q_tau=1e-300").replace("k=nan", "k=1")
+         + "\n" + _ROWS),
         ("sidecar", '{"step": 0}\n'),
         ("sidecar", '{"t": null}\n'),
         ("sidecar", '{"t": NaN}\n'),
         ("sidecar", "[0.0]\n"),
     ],
-    ids=["meta-only", "no-k", "no-c", "short-row", "no-rows", "zero-Q_tau",
+    ids=["meta-only", "no-k", "no-c", "short-row", "no-rows", "zero-Q_tau", "tiny-Q_tau",
          "no-t", "null-t", "nan-t", "list"],
 )
 def test_malformed_archive_is_exit_code_not_traceback(tmp_path, kind, text):
@@ -477,6 +479,25 @@ def test_malformed_archive_is_exit_code_not_traceback(tmp_path, kind, text):
         code, _, err = run_cli(argv)
         assert code in (1, 3)
         assert "Traceback" not in err
+
+
+def test_undecodable_input_names_the_file(tmp_path):
+    # a byte that is not UTF-8 used to give "config error: 'utf-8' codec
+    # can't decode byte 0xff ..." without naming the file
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"d = 3\n\xff\xfe = 2\n")
+    csv = tmp_path / "profile.csv"
+    csv.write_bytes((_META + "\n" + _ROWS).encode() + b"\xff\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    for path, argv in [
+        (cfg, ["shoot", "--config", str(cfg)]),
+        (csv, ["embed", "--profile", str(csv), "--n-points", "16", "-o", str(tmp_path / "out")]),
+    ]:
+        proc = subprocess.run([sys.executable, "-m", "magma_lab.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1
+        assert f"config error: {path}: 'utf-8' codec" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 def test_diagnose_dispersion(tmp_path):

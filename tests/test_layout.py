@@ -1,0 +1,52 @@
+"""Package layout guards: the public names, and the one home of the transforms."""
+
+from __future__ import annotations
+
+import re
+import sys
+from pathlib import Path
+
+import magma_lab
+
+PUBLIC_API = [
+    "__version__",
+    # grid
+    "TorusGrid", "Field", "FieldStats", "SnapshotFormatError",
+    "spectral_derivative", "hs_norm", "field_stats", "write_snapshot",
+    "read_snapshot",
+    # elliptic
+    "EllipticProblem", "CGInfo", "NonPositiveCoefficient", "NotConverged",
+    "NearDegenerateWarning", "apply_L", "solve_L", "solve_L_info",
+    # evolution
+    "EvolveConfig", "Verdict", "BlowupReport", "EvolveResult",
+    "PositivityLost", "monitor_index", "rhs", "step_rk4", "evolve",
+    "measure_mass",
+    # profile
+    "ProfileParams", "ProfileError", "Indeterminate", "BracketInvalid",
+    "OrderingViolated", "TailTooShort", "DomainTooSmall", "StructureReport",
+    "ShotClass", "ShotOutcome", "ShotSamples", "ProfileSolution", "DecayFit",
+    "Rescaling", "RescaledProfile", "F1", "F2", "F3", "structure_fn",
+    "mu_curve", "q_star", "structure_report", "integrate_shot", "find_mu_c",
+    "decay_check", "rescale", "embed_on_torus", "ode_residual",
+    "qr2_identity_gap", "write_profile_csv", "read_profile_csv",
+    # diagnostics
+    "ConservedEnergyParams", "conserved_energy", "energy_series",
+    "DispersionFit", "fit_dispersion", "NoPeak", "PeakTrack", "track_peak",
+]
+
+
+def test_public_api_is_pinned():
+    assert magma_lab.__all__ == PUBLIC_API
+    for name in PUBLIC_API[1:]:
+        obj = getattr(magma_lab, name)
+        assert obj.__module__.startswith("magma_lab."), name
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
+
+
+def test_only_grid_touches_the_transforms():
+    # the rfft layout (transforms, their shape and axes) has one home
+    files = sorted(Path(magma_lab.__file__).parent.glob("*.py"))
+    assert "grid.py" in [f.name for f in files]
+    pattern = re.compile(r"\b(?:np|numpy)\.fft\b|\brfft_shape\b")
+    offenders = [f.name for f in files if f.name != "grid.py" and pattern.search(f.read_text())]
+    assert offenders == []

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -443,3 +443,58 @@ def test_profile_csv_rejects_malformed(tmp_path, critical3):
     no_header.write_text("\n".join([lines[0]] + lines[2:]) + "\n")
     with pytest.raises(ValueError, match="header"):
         read_profile_csv(no_header)
+
+
+_ARCHIVE = (
+    "# d=3.0, n=2.5, c=1.7, mu_c=-0.021, Q_tau=0.66, Q_star=0.29, k=0.5, M=0.12\n"
+    "r,Q,Q_r,Q_rr\n0.0,1.0,0.0,-0.021\n0.01,0.999998,-0.00021,-0.021\n"
+)
+
+
+def test_profile_csv_errors_name_the_file(tmp_path):
+    # "d=2.0, d=3.0" used to read as d=3.0, and a bad cell or a byte that is
+    # not UTF-8 used to raise a message without the file (or the row)
+    path = tmp_path / "profile.csv"
+    for raw, match in [
+        (_ARCHIVE.replace("d=3.0", "d=2.0, d=3.0").encode(), "'d' twice"),
+        (_ARCHIVE.replace("0.999998", "abc").encode(), "sample row 2: could not convert"),
+        (_ARCHIVE.encode() + b"\xff\n", "utf-8"),
+    ]:
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match=match) as err:
+            read_profile_csv(path)
+        assert str(path) in str(err.value)
+
+
+def _edited(edits: list[tuple[int, int, str]]) -> bytes:
+    text = _ARCHIVE
+    for at, width, new in edits:
+        at = at % (len(text) + 1)
+        text = text[:at] + new + text[at + width:]
+    return text.encode()
+
+
+_PIECES = st.one_of(
+    st.text(st.sampled_from("0123456789.,=-+e# \nnaifdckMQ_u"), max_size=6),
+    st.text(max_size=4),
+    st.sampled_from(["nan", "inf", "-inf", "1e-300", "1e308", "-0.0", "d=2.0, "]),
+)
+
+
+@given(st.one_of(
+    st.binary(max_size=200),
+    st.lists(st.tuples(st.integers(0, len(_ARCHIVE)), st.integers(0, 8), _PIECES),
+             min_size=1, max_size=4).map(_edited),
+))
+@example(_ARCHIVE.replace("c=1.7", "c=.7").encode())  # ValueError without the path
+@example(_ARCHIVE.replace("Q_tau=0.66", "Q_tau=1e-300").encode())  # OverflowError
+def test_profile_csv_reader_fuzz(tmp_path_factory, raw):
+    # any bytes: an archive comes back, or a ValueError that names the file
+    path = tmp_path_factory.getbasetemp() / "fuzz.csv"
+    path.write_bytes(raw)
+    try:
+        got = read_profile_csv(path)
+    except ValueError as exc:
+        assert str(path) in str(exc)
+        return
+    assert isinstance(got, ProfileSolution)
