@@ -22,6 +22,13 @@ in mu as g_i(Q) + h_i(Q) mu:
 
 g2 and g3 are evaluated here in closed form (verified against adaptive
 quadrature of the defining integrals in the test suite).
+
+Two integrators run shots, both DOP853 at RTOL, ATOL with SciPy's first
+step, error norm and step-size control.  Classification shots, every
+bisection shot of find_mu_c among them, run _Shot, a stepper on Python
+floats; a shot that keeps samples (the final shot of find_mu_c, ``shoot
+--mu``) runs solve_ivp for its dense output.  Both call one right-hand
+side, _qrrr.
 """
 
 from __future__ import annotations
@@ -33,8 +40,10 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, solve_ivp
+from scipy.integrate._ivp import dop853_coefficients
+from scipy.integrate._ivp.rk import Dop853DenseOutput
 from scipy.interpolate import CubicSpline, PchipInterpolator, make_interp_spline
-from scipy.optimize import bisect
+from scipy.optimize import bisect, brentq
 
 from .grid import Field, TorusGrid
 
@@ -360,6 +369,70 @@ SUBCASE_TOL = 1e-9
 FLAT_TOL = 1e-9  # |Q_r| and |Q_rr| bound of a flat endpoint
 RTOL, ATOL = 1e-10, 1e-12  # DOP853 tolerances of every shot
 DR_SAMPLE = 0.01  # radial spacing of stored samples
+WIDEN = 32.0  # find_mu_c doubles an indeterminate shot's radius up to WIDEN * r_max
+
+
+def _qrrr(p: ProfileParams):
+    """Q_rrr(r, Q, Q_r, Q_rr) on Python floats (NumPy's libm pow at a third of the cost)."""
+    n, noc, dm1 = p.n, p.n / p.c, p.d - 1.0
+
+    def qrrr(r, Q, Qr, Qrr):
+        qinv = 1.0 / Q
+        return (Qr * Q**-n - noc * Qr * qinv - n * Qr * Qrr * qinv
+                - dm1 * (Qrr / r - Qr / (r * r)))
+
+    return qrrr
+
+
+def _series_start(mu: float) -> tuple[float, float, float]:
+    return (1.0 + 0.5 * mu * R0**2, mu * R0, mu)
+
+
+def _tail(r_max: float) -> list[float]:
+    """The nine radii on which the flat test reads the curvature."""
+    return np.linspace(r_max / 10.0, r_max, 9).tolist()
+
+
+def _event_outcome(rf: float, rt: float, y_turn, qs: float) -> ShotOutcome:
+    """Classify a shot stopped at the floor (radius rf) or a turn (rt, state y_turn)."""
+    if abs(rf - rt) < 1e-12:
+        return ShotOutcome(ShotClass.TURNED, tau=float(rt), subcase="at_floor")
+    if rf < rt:
+        return ShotOutcome(ShotClass.CROSSED, r_star=float(rf))
+    Qt, _, Qrrt = y_turn
+    if Qt - qs <= SUBCASE_TOL:
+        sub = "at_floor"
+    elif abs(Qrrt) <= SUBCASE_TOL:
+        sub = "degenerate"
+    elif Qrrt > 0.0:
+        sub = "convex"
+    else:
+        raise Indeterminate("negative curvature at a turning event")
+    return ShotOutcome(ShotClass.TURNED, tau=float(rt), subcase=sub)
+
+
+def _flat_outcome(r_max: float, at, y_end, qs: float, shot=None) -> ShotOutcome:
+    """Classify a shot that reached r_max with no event; at(r) is its state at a probe radius."""
+    Qe, Qre, Qrre = y_end
+    Qrr_tail = [abs(at(r)[2]) for r in _tail(r_max)]
+    settled = (abs(Qre) <= FLAT_TOL and Qe > qs
+               and abs(Qrre) <= FLAT_TOL
+               and max(Qrr_tail) <= Qrr_tail[0] + 10 * FLAT_TOL)
+    if not settled:
+        raise _Unsettled(
+            f"no event fired by r_max={r_max} and the endpoint is not flat "
+            f"(Q_r={Qre:.3e}); enlarge r_max", shot,
+        )
+    q_tau = _aitken_limit(float(at(r_max / 4.0)[0]), float(at(r_max / 2.0)[0]), float(Qe))
+    return ShotOutcome(ShotClass.FLAT, Q_tau=float(q_tau))
+
+
+class _Unsettled(Indeterminate):
+    """No event by r_max and no flat endpoint; ``shot`` (if any) can be continued."""
+
+    def __init__(self, message: str, shot: _Shot | None):
+        super().__init__(message)
+        self.shot = shot
 
 
 def integrate_shot(
@@ -373,26 +446,26 @@ def integrate_shot(
     Q = 1 + mu r0^2/2 and is integrated by DOP853 at RTOL, ATOL.  Terminal
     events: Q falling to Q_star, and Q_r rising to zero.  Reaching r_max
     with |Q_r| <= FLAT_TOL and settled curvature counts as flat; anything
-    else raises Indeterminate.  Samples are kept every DR_SAMPLE; only a
-    shot that keeps them carries dense output, and a classification shot
-    reads the eleven radii of the flat test (tail, Aitken points) via t_eval.
+    else raises Indeterminate.
+
+    A classification shot (keep_samples=False) runs a DOP853 stepper on
+    Python floats that builds the 7th-order interpolant only on steps that
+    fire an event or pass a radius the flat test reads (nine tail radii,
+    r_max/4, r_max/2).  A shot that keeps samples runs solve_ivp with dense
+    output and stores samples every DR_SAMPLE.
     """
     mu = _require_mu(p)
-    d, n, c = p.d, p.n, p.c
-    qs = q_star(n)
+    qs = q_star(p.n)
     if not R0 < r_max < math.inf:
         raise ValueError(f"r_max must be finite and exceed R0 = {R0}, got {r_max}")
+    if not keep_samples:
+        return _Shot(p, r_max).classify(r_max), None
 
-    dm1 = d - 1.0
-    noc = n / c
+    qrrr = _qrrr(p)
 
-    def odes(r, y):  # Python floats: the same libm pow at under a third of the cost
-        r = float(r)
+    def odes(r, y):
         Q, Qr, Qrr = y.tolist()
-        qinv = 1.0 / Q
-        Qrrr = (Qr * Q**-n - noc * Qr * qinv - n * Qr * Qrr * qinv
-                - dm1 * (Qrr / r - Qr / (r * r)))
-        return (Qr, Qrr, Qrrr)
+        return (Qr, Qrr, qrrr(float(r), Q, Qr, Qrr))
 
     def ev_floor(r, y):
         return y[0] - qs
@@ -406,56 +479,22 @@ def integrate_shot(
     ev_turn.terminal = True
     ev_turn.direction = 1.0
 
-    tail = np.linspace(r_max / 10.0, r_max, 9)
-    probes = np.sort(np.concatenate((tail, [r_max / 4.0, r_max / 2.0])))
-    y0 = (1.0 + 0.5 * mu * R0**2, mu * R0, mu)
     sol = solve_ivp(
-        odes, (R0, r_max), y0, method="DOP853", rtol=RTOL, atol=ATOL,
-        events=(ev_floor, ev_turn), dense_output=keep_samples,
-        t_eval=None if keep_samples else probes,
+        odes, (R0, r_max), _series_start(mu), method="DOP853", rtol=RTOL, atol=ATOL,
+        events=(ev_floor, ev_turn), dense_output=True,
     )
     if sol.status < 0:
         raise Indeterminate(f"integrator failed: {sol.message}")
 
-    r_floor = sol.t_events[0]
-    r_turn = sol.t_events[1]
+    r_floor, r_turn = sol.t_events
     if len(r_floor) or len(r_turn):
-        rf = r_floor[0] if len(r_floor) else np.inf
-        rt = r_turn[0] if len(r_turn) else np.inf
-        if abs(rf - rt) < 1e-12:
-            outcome = ShotOutcome(ShotClass.TURNED, tau=float(rt), subcase="at_floor")
-        elif rf < rt:
-            outcome = ShotOutcome(ShotClass.CROSSED, r_star=float(rf))
-        else:
-            Qt, _, Qrrt = sol.y_events[1][0]
-            if Qt - qs <= SUBCASE_TOL:
-                sub = "at_floor"
-            elif abs(Qrrt) <= SUBCASE_TOL:
-                sub = "degenerate"
-            elif Qrrt > 0.0:
-                sub = "convex"
-            else:
-                raise Indeterminate("negative curvature at a turning event")
-            outcome = ShotOutcome(ShotClass.TURNED, tau=float(rt), subcase=sub)
-    else:
-        Qe, Qre, Qrre = sol.y[:, -1]
-        at = sol.sol if keep_samples else lambda r: sol.y[:, np.searchsorted(probes, r)]
-        Qrr_tail = at(tail)[2]
-        settled = (abs(Qre) <= FLAT_TOL and Qe > qs
-                   and abs(Qrre) <= FLAT_TOL
-                   and np.max(np.abs(Qrr_tail)) <= abs(Qrr_tail[0]) + 10 * FLAT_TOL)
-        if not settled:
-            raise Indeterminate(
-                f"no event fired by r_max={r_max} and the endpoint is not flat "
-                f"(Q_r={Qre:.3e}); enlarge r_max"
-            )
-        q_tau = _aitken_limit(
-            float(at(r_max / 4.0)[0]), float(at(r_max / 2.0)[0]), float(Qe)
+        outcome = _event_outcome(
+            r_floor[0] if len(r_floor) else np.inf,
+            r_turn[0] if len(r_turn) else np.inf,
+            sol.y_events[1][0] if len(r_turn) else None, qs,
         )
-        outcome = ShotOutcome(ShotClass.FLAT, Q_tau=float(q_tau))
-
-    if not keep_samples:
-        return outcome, None
+    else:
+        outcome = _flat_outcome(r_max, sol.sol, sol.y[:, -1], qs)
 
     r_end = float(sol.t[-1])
     interior = np.arange(DR_SAMPLE, r_end, DR_SAMPLE)
@@ -470,6 +509,158 @@ def integrate_shot(
         Q_rr=np.concatenate(([mu], block[2], [y_end[2]])),
     )
     return outcome, samples
+
+
+# DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, ch. II) with SciPy's
+# tableau, read once into (j, a_j) pairs with the zero entries skipped.  Stage
+# _END (weights b_j) is the step's end, stages _END+1.. feed the interpolant,
+# and _E pairs the weights (e5_j, e3_j) of the two error estimates.
+def _nonzero(*rows) -> tuple:
+    return tuple((j, *map(float, a)) for j, a in enumerate(zip(*rows)) if any(a))
+
+
+_END = dop853_coefficients.N_STAGES
+_A = [_nonzero(row[:s]) for s, row in enumerate(dop853_coefficients.A)]
+_C = dop853_coefficients.C.tolist()
+_E = _nonzero(dop853_coefficients.E5, dop853_coefficients.E3)
+_EVENT_TOL = 4 * np.finfo(float).eps  # solve_ivp's xtol and rtol of an event root
+
+
+class _Shot:
+    """A classification shot: DOP853 steps of (Q, Q_r, Q_rr) on Python floats.
+
+    Steps are sized by SciPy's first-step guess, error norm and controller;
+    stage s of the last attempt is kept as its derivative triple (U[s],
+    V[s], W[s]) = (Q_r, Q_rr, Q_rrr).  The shot reads the probe radii of
+    the flat test at r_max and at each doubling up to WIDEN * r_max as its
+    steps pass them, so it can be continued to a larger radius.  ``nfev``
+    counts right-hand-side calls and ``rejected`` rejected step attempts.
+    """
+
+    def __init__(self, p: ProfileParams, r_max: float):
+        self.qrrr, self.qs, self.r_cap = _qrrr(p), q_star(p.n), WIDEN * r_max
+        self.rtol, self.atol = RTOL, ATOL
+        self.r, self.y = R0, _series_start(_require_mu(p))
+        self.w = self.qrrr(R0, *self.y)
+        self.U, self.V, self.W = ([0.0] * len(_A) for _ in range(3))
+        self.nfev, self.rejected = 1, 0
+        self.h = self._first_step(r_max - R0)
+        radii, r = set(), r_max
+        while r <= self.r_cap:
+            radii.update(_tail(r) + [r / 4.0, r / 2.0])
+            r *= 2.0
+        self.pending = sorted(radii, reverse=True)
+        self.seen: dict[float, np.ndarray] = {}
+
+    def _first_step(self, interval: float) -> float:
+        """SciPy's select_initial_step, on arrays as there: solve_ivp's first step."""
+        y0, f0 = np.array(self.y), np.array((self.y[1], self.y[2], self.w))
+        scale = self.atol + np.abs(y0) * self.rtol
+        d0, d1 = (np.linalg.norm(v / scale) / 3**0.5 for v in (y0, f0))
+        h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, interval)
+        y1 = (y0 + h0 * f0).tolist()
+        f1 = np.array((y1[1], y1[2], self.qrrr(self.r + h0, *y1)))
+        self.nfev += 1
+        d2 = np.linalg.norm((f1 - f0) / scale) / 3**0.5 / h0
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            return float(min(100.0 * h0, max(1e-6, h0 * 1e-3), interval))
+        return float(min(100.0 * h0, (0.01 / max(d1, d2)) ** 0.125, interval))
+
+    def _stages(self, stages, r: float, Q: float, Qr: float, Qrr: float, h: float) -> float:
+        """Evaluate the given stages of a step of h from r; returns Q at the last."""
+        qrrr, U, V, W = self.qrrr, self.U, self.V, self.W
+        for s in stages:
+            su = sv = sw = 0.0
+            for j, a in _A[s]:
+                su += a * U[j]
+                sv += a * V[j]
+                sw += a * W[j]
+            q = Q + h * su
+            U[s] = qr = Qr + h * sv
+            V[s] = qrr = Qrr + h * sw
+            W[s] = qrrr(r + _C[s] * h, q, qr, qrr)
+        self.nfev += len(stages)
+        return q
+
+    def step(self, r_bound: float) -> None:
+        """Take one accepted step, ending at r_bound at the latest."""
+        r, y, U, V, W = self.r, self.y, self.U, self.V, self.W
+        U[0], V[0], W[0] = y[1], y[2], self.w
+        min_step = 10.0 * (math.nextafter(r, math.inf) - r)
+        h = max(self.h, min_step)
+        rejected = False
+        while True:
+            if h < min_step:
+                raise Indeterminate(f"integrator failed: step below {min_step:.3e} at r={r}")
+            r_new = min(r + h, r_bound)
+            h = r_new - r
+            y_new = (self._stages(range(1, _END + 1), r, *y, h), U[_END], V[_END])
+            sq, sr, srr = (self.atol + max(abs(a), abs(b)) * self.rtol for a, b in zip(y, y_new))
+            e5q = e5r = e5rr = e3q = e3r = e3rr = 0.0
+            for j, e5, e3 in _E:
+                e5q += e5 * U[j]
+                e5r += e5 * V[j]
+                e5rr += e5 * W[j]
+                e3q += e3 * U[j]
+                e3r += e3 * V[j]
+                e3rr += e3 * W[j]
+            n5 = (e5q / sq) ** 2 + (e5r / sr) ** 2 + (e5rr / srr) ** 2
+            n3 = (e3q / sq) ** 2 + (e3r / sr) ** 2 + (e3rr / srr) ** 2
+            err = 0.0 if n5 == 0.0 and n3 == 0.0 else h * n5 / math.sqrt((n5 + 0.01 * n3) * 3.0)
+            if err < 1.0:
+                break
+            h *= max(0.2, 0.9 * err ** -0.125)
+            rejected = True
+            self.rejected += 1
+        factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.125)
+        self.r_old, self.y_old, self.h_old = r, y, h
+        self.r, self.y, self.w = r_new, y_new, W[_END]
+        self.h = h * (min(1.0, factor) if rejected else factor)
+
+    def dense(self) -> Dop853DenseOutput:
+        """SciPy's 7th-order interpolant of the last step, r -> [Q, Q_r, Q_rr]."""
+        r, h, y_old = self.r_old, self.h_old, self.y_old
+        self._stages(range(_END + 1, len(_A)), r, *y_old, h)
+        K = np.array((self.U, self.V, self.W)).T
+        dy = np.subtract(self.y, y_old)
+        F = np.vstack((dy, h * K[0] - dy, 2.0 * dy - h * (K[_END] + K[0]),
+                       h * (dop853_coefficients.D @ K)))
+        return Dop853DenseOutput(r, self.r, np.array(y_old), F)
+
+    def classify(self, r_end: float) -> ShotOutcome:
+        """Integrate on to r_end and classify the shot there."""
+        qs, pending = self.qs, self.pending
+        while self.r < r_end:
+            q_old, qr_old, _ = self.y
+            self.step(r_end)
+            Q, Qr, _ = self.y
+            floor = q_old >= qs >= Q  # the events as solve_ivp detects them
+            turn = qr_old <= 0.0 <= Qr
+            if not (floor or turn or (pending and pending[-1] <= self.r)):
+                continue
+            at = self.dense()
+            if floor or turn:
+                def root(g):
+                    return brentq(g, self.r_old, self.r, xtol=_EVENT_TOL, rtol=_EVENT_TOL)
+
+                rf = root(lambda r: at(r)[0] - qs) if floor else math.inf
+                rt = root(lambda r: at(r)[1]) if turn else math.inf
+                return _event_outcome(rf, rt, at(rt) if turn else None, qs)
+            while pending and pending[-1] <= self.r:
+                x = pending.pop()
+                self.seen[x] = at(x)
+        return _flat_outcome(r_end, self.seen.__getitem__, self.y, qs, shot=self)
+
+    def widen(self) -> ShotOutcome:
+        """Continue an unsettled shot, doubling its radius up to r_cap."""
+        r = self.r
+        while True:
+            r = min(2.0 * r, self.r_cap)
+            try:
+                return self.classify(r)
+            except _Unsettled:
+                if r >= self.r_cap:
+                    raise
 
 
 def _aitken_limit(a1: float, a2: float, a3: float) -> float:
@@ -491,33 +682,30 @@ def find_mu_c(
     the mu_2 minimum (non-crossing shots); both classifications are
     verified up front and maintained by bisection, so the returned value
     is the upper endpoint: crossing occurs within bisect_tol below it.
-    Shots use integrate_shot's RTOL, FLAT_TOL and DR_SAMPLE; the final
-    shot at mu_c integrates to 2*r_max and keeps its samples.
+    Shots use integrate_shot's RTOL, FLAT_TOL and DR_SAMPLE.
 
-    An indeterminate shot (still descending at r_max) doubles its radius
-    up to 32*r_max before giving up.  This is sound: the classifying
-    events are terminal, so a decision reached at one radius is reached
-    identically at any larger radius.
+    Every bisection shot is a classification shot (integrate_shot with
+    keep_samples=False).  One that is still descending at r_max continues
+    from its last state and step, doubling its radius up to WIDEN * r_max
+    before giving up.  This is sound: the classifying events are terminal,
+    so a decision reached at one radius is reached identically at any
+    larger radius.  The final shot at mu_c runs solve_ivp on 2*r_max
+    (restarted at each doubling) and keeps its samples; it must again not
+    cross the floor, which cross-checks the two integrators.
     """
     if not math.isfinite(bisect_tol):
         raise ValueError("bisect_tol must be finite")
     report = structure_report(p)
     lo = report.mu3_min * (1.0 + 1e-3)
     hi = report.mu2_min
-    cap = 32.0 * r_max
-
-    def shoot(mu: float, r_first: float, keep: bool):
-        r = r_first
-        while True:
-            try:
-                return integrate_shot(replace(p, mu=mu), r_max=r, keep_samples=keep)
-            except Indeterminate:
-                if r >= cap:
-                    raise
-                r = min(2.0 * r, cap)
+    cap = WIDEN * r_max
 
     def classify(mu: float) -> ShotClass:
-        return shoot(mu, r_max, keep=False)[0].classification
+        try:
+            outcome, _ = integrate_shot(replace(p, mu=mu), r_max=r_max, keep_samples=False)
+        except _Unsettled as exc:
+            outcome = exc.shot.widen()
+        return outcome.classification
 
     if classify(lo) is not ShotClass.CROSSED:
         raise BracketInvalid(f"shot at lo={lo} did not cross the floor")
@@ -534,10 +722,19 @@ def find_mu_c(
             hi = mid
     mu_c = hi
 
-    outcome, samples = shoot(mu_c, 2.0 * r_max, keep=True)
+    r = 2.0 * r_max
+    while True:
+        try:
+            outcome, samples = integrate_shot(replace(p, mu=mu_c), r_max=r)
+            break
+        except Indeterminate:
+            if r >= cap:
+                raise
+            r = min(2.0 * r, cap)
     if outcome.classification is ShotClass.CROSSED:
         raise Indeterminate(
-            "critical shot crossed the floor on re-integration; increase r_max"
+            "critical shot crossed the floor under solve_ivp but not under the "
+            "classification stepper; increase r_max"
         )
     if float(samples.Q_r.max()) > 1e-12:
         raise ProfileError("critical shot is not monotone nonincreasing")
@@ -795,8 +992,8 @@ def read_profile_csv(path) -> ProfileSolution:
         if len(lines) < 2 or lines[1] != "r,Q,Q_r,Q_rr":
             raise ValueError("profile archive lacks the column header")
         rows = [line.split(",") for line in lines[2:] if line]
-        if not rows:
-            raise ValueError("profile archive holds no sample rows")
+        if len(rows) < 2:  # interpolating the profile needs two radii
+            raise ValueError(f"profile archive holds {len(rows)} sample rows, fewer than 2")
         for i, row in enumerate(rows, start=1):
             if len(row) != 4:
                 raise ValueError(f"sample row {i} holds {len(row)} values, not 4")
@@ -805,6 +1002,9 @@ def read_profile_csv(path) -> ProfileSolution:
             except ValueError as exc:
                 raise ValueError(f"sample row {i}: {exc}") from None
         data = np.array(rows, dtype=np.float64)
+        rising = np.diff(data[:, 0]) > 0.0
+        if not rising.all():
+            raise ValueError(f"sample row {int(np.argmin(rising)) + 2}: r does not increase")
         params = ProfileParams(d=meta["d"], n=meta["n"], c=meta["c"], mu=meta["mu_c"])
         samples = ShotSamples(r=data[:, 0], Q=data[:, 1], Q_r=data[:, 2], Q_rr=data[:, 3])
         decay = None

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
+from scipy.integrate import DOP853, quad
+from scipy.integrate._ivp import dop853_coefficients
 
 import magma_lab.profile
 from magma_lab import (
@@ -39,6 +40,7 @@ from magma_lab import (
     structure_report,
     write_profile_csv,
 )
+from magma_lab.profile import ATOL, R0, RTOL, _Shot
 
 EXAMPLE = ProfileParams(d=3.0, n=2.5, c=1.7)
 
@@ -194,6 +196,17 @@ def test_integrate_shot_turning():
     assert abs(samples.Q_r[-1]) <= 1e-9
 
 
+def _assert_alike(got, want, rel):
+    """Same class and subcase; r_star, tau and Q_tau within rel."""
+    assert got.classification is want.classification
+    assert got.subcase == want.subcase
+    for field in ("r_star", "tau", "Q_tau"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert (a is None) == (b is None)
+        if b is not None:
+            assert a == pytest.approx(b, rel=rel)
+
+
 @pytest.mark.parametrize(
     "p, r_max, cls",
     [
@@ -203,13 +216,13 @@ def test_integrate_shot_turning():
     ],
 )
 def test_classification_shot_matches_sample_shot(p, r_max, cls):
-    # a classification shot reads its probe radii from t_eval, a sample
-    # shot from dense output; both must classify alike, bit for bit
+    # a classification shot runs the float DOP853 stepper, a sample shot
+    # solve_ivp; they take the same steps but round differently
     out_cls, none_samples = integrate_shot(p, r_max=r_max, keep_samples=False)
     out_keep, _ = integrate_shot(p, r_max=r_max, keep_samples=True)
     assert none_samples is None
     assert out_cls.classification is cls
-    assert out_cls == out_keep
+    _assert_alike(out_cls, out_keep, rel=1e-9)
     if cls is ShotClass.FLAT:
         assert out_cls.Q_tau == pytest.approx(0.80754, abs=1e-5)
 
@@ -224,9 +237,8 @@ def test_only_the_final_shot_builds_dense_output(monkeypatch):
 
     monkeypatch.setattr(magma_lab.profile, "solve_ivp", recording)
     find_mu_c(EXAMPLE, bisect_tol=1e-8)
-    assert len(sols) > 2
-    assert all(s.sol is None for s in sols[:-1])
-    assert sols[-1].sol is not None
+    assert len(sols) == 1
+    assert sols[0].sol is not None
 
 
 # Shots within 1e-10 of mu_c (found at bisect_tol 1e-12) on both sides in
@@ -249,11 +261,86 @@ _NEAR_CRITICAL = [
 
 @pytest.mark.parametrize("params, r_max, cls, subcase, radius", _NEAR_CRITICAL)
 def test_near_critical_classification_table(params, r_max, cls, subcase, radius):
-    out, _ = integrate_shot(ProfileParams(*params), r_max=r_max, keep_samples=False)
-    assert out.classification is ShotClass[cls]
-    assert out.subcase == subcase
-    got = out.r_star if cls == "CROSSED" else out.tau
-    assert got == pytest.approx(radius, rel=1e-8)
+    # The pinned radii are solve_ivp's (a shot that keeps samples).  The
+    # stepper of a classification shot rounds differently, and this close to
+    # mu_c that moves the radius far more than rounding: solve_ivp itself
+    # with RTOL scaled by 1 + 1e-12 moves it by up to 2.5e-6 relative.
+    p = ProfileParams(*params)
+    for keep, rel in ((True, 1e-8), (False, 1e-5)):
+        out, _ = integrate_shot(p, r_max=r_max, keep_samples=keep)
+        assert out.classification is ShotClass[cls]
+        assert out.subcase == subcase
+        got = out.r_star if cls == "CROSSED" else out.tau
+        assert got == pytest.approx(radius, rel=rel)
+
+
+def _restarted(p, r_max):
+    """Classify as perfbench's shoot_grid check does: restart at each doubling."""
+    while True:
+        try:
+            return integrate_shot(p, r_max=r_max, keep_samples=False)[0]
+        except Indeterminate:
+            r_max *= 2.0
+
+
+@pytest.mark.parametrize("params", [
+    (7.0, 2.8, 2.0, -0.005645811857816623),
+    (7.0, 2.8, 2.0, -0.005645811797816623),
+    (7.0, 2.8, 2.0, -0.0056458117378166235),
+])
+def test_continued_shot_classifies_like_a_restarted_shot(params):
+    # find_mu_c continues an unsettled shot from its last state and step
+    p = ProfileParams(*params)
+    with pytest.raises(Indeterminate) as err:
+        integrate_shot(p, r_max=200.0, keep_samples=False)
+    _assert_alike(err.value.shot.widen(), _restarted(p, 200.0), rel=1e-5)
+
+
+def test_continued_shot_reads_the_probes_of_the_larger_radius():
+    # the flat test at 2r reads 2r/10, r/2 and r, which the shot passed
+    # before it stopped at r
+    p = ProfileParams(d=3.0, n=2.5, c=1.9, mu=-0.009785371279291785)
+    continued, restarted = _Shot(p, 7.5), _Shot(p, 15.0)
+    for shot, radii in ((continued, (7.5, 15.0)), (restarted, (15.0,))):
+        for r in radii:
+            with pytest.raises(Indeterminate):
+                shot.classify(r)
+    probes = magma_lab.profile._tail(15.0) + [15.0 / 4.0, 15.0 / 2.0]
+    for r in probes:
+        np.testing.assert_allclose(continued.seen[r], restarted.seen[r], rtol=1e-9, atol=1e-15)
+
+
+def test_stepper_takes_scipys_steps():
+    # Same first step, error norm and step controller as SciPy's DOP853: the
+    # same steps are accepted and rejected.  Near r = 0 the error estimate is
+    # mostly rounding in (d-1)(Q_rr/r - Q_r/r^2), so the two step sizes there
+    # differ by up to 2%.
+    p = replace(EXAMPLE, mu=-0.021)
+    qrrr = magma_lab.profile._qrrr(p)
+    ours = _Shot(p, 200.0)
+    ref = DOP853(lambda r, y: (y[1], y[2], qrrr(r, *y)), R0, ours.y, 200.0, rtol=RTOL, atol=ATOL)
+    for k in range(80):
+        ours.step(200.0)
+        ref.step()
+        assert ours.nfev == ref.nfev
+        if k == 0:  # SciPy's guess at R0 is too long for the singular start
+            assert ours.rejected == 8
+    assert ours.r == pytest.approx(ref.t, rel=1e-3)
+
+
+def test_dop853_tableau_from_scipy():
+    # the stepper reads SciPy's private tableau; pin what it relies on
+    t = dop853_coefficients
+    assert (t.N_STAGES, t.N_STAGES_EXTENDED, t.INTERPOLATOR_POWER) == (12, 16, 7)
+    assert t.A.shape == (16, 16) and t.C.shape == (16,) and t.B.shape == (12,)
+    assert t.E3.shape == t.E5.shape == (13,) and t.D.shape == (4, 16)
+    assert np.all(np.triu(t.A) == 0.0)
+    for s in range(16):
+        assert t.C[s] == pytest.approx(t.A[s, :s].sum(), abs=1e-14)
+    assert np.array_equal(t.A[12, :12], t.B)  # stage 12 is the step's end
+    assert t.B.sum() == pytest.approx(1.0, abs=1e-14)
+    assert t.E5.sum() == pytest.approx(0.0, abs=1e-14)
+    assert t.E3.sum() == pytest.approx(0.0, abs=1e-14)
 
 
 def test_integrate_shot_requires_mu_and_sane_radius():
@@ -453,12 +540,16 @@ _ARCHIVE = (
 
 def test_profile_csv_errors_name_the_file(tmp_path):
     # "d=2.0, d=3.0" used to read as d=3.0, and a bad cell or a byte that is
-    # not UTF-8 used to raise a message without the file (or the row)
+    # not UTF-8 used to raise a message without the file (or the row); a
+    # single sample row or radii that do not increase were read, and
+    # embedding then failed in PCHIP without naming the file
     path = tmp_path / "profile.csv"
     for raw, match in [
         (_ARCHIVE.replace("d=3.0", "d=2.0, d=3.0").encode(), "'d' twice"),
         (_ARCHIVE.replace("0.999998", "abc").encode(), "sample row 2: could not convert"),
         (_ARCHIVE.encode() + b"\xff\n", "utf-8"),
+        (_ARCHIVE.replace("0.01,", "0.0,").encode(), "sample row 2: r does not increase"),
+        (_ARCHIVE.rsplit("0.01,", 1)[0].encode(), "1 sample rows, fewer than 2"),
     ]:
         path.write_bytes(raw)
         with pytest.raises(ValueError, match=match) as err:
@@ -488,8 +579,11 @@ _PIECES = st.one_of(
 ))
 @example(_ARCHIVE.replace("c=1.7", "c=.7").encode())  # ValueError without the path
 @example(_ARCHIVE.replace("Q_tau=0.66", "Q_tau=1e-300").encode())  # OverflowError
+@example(_ARCHIVE.replace("0.01,", "0.0,").encode())  # r not increasing: PCHIP's error
+@example(_ARCHIVE.rsplit("0.01,", 1)[0].encode())  # one sample row: PCHIP's error
 def test_profile_csv_reader_fuzz(tmp_path_factory, raw):
-    # any bytes: an archive comes back, or a ValueError that names the file
+    # any bytes: an archive that can be interpolated comes back, or a
+    # ValueError that names the file
     path = tmp_path_factory.getbasetemp() / "fuzz.csv"
     path.write_bytes(raw)
     try:
@@ -498,3 +592,4 @@ def test_profile_csv_reader_fuzz(tmp_path_factory, raw):
         assert str(path) in str(exc)
         return
     assert isinstance(got, ProfileSolution)
+    assert len(got.samples.r) >= 2 and np.all(np.diff(got.samples.r) > 0.0)
