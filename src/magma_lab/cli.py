@@ -279,10 +279,11 @@ def _initial_field(spec: str, grid: TorusGrid) -> Field:
             kvec = tuple(int(v) for v in mode["k"].split(":"))
             if len(kvec) != grid.d:
                 raise ValueError("mode k needs one integer per axis")
-            arg = np.zeros(grid.shape)
-            for x, kj in zip(grid.coordinates(), grid.mode_wavevector(kvec)):
-                arg = arg + kj * x
-            vals = vals + amp * np.cos(arg + phase)
+            with np.errstate(over="ignore", invalid="ignore"):  # Field refuses inf and nan
+                arg = np.zeros(grid.shape)
+                for x, kj in zip(grid.coordinates(), grid.mode_wavevector(kvec)):
+                    arg = arg + kj * x
+                vals = vals + amp * np.cos(arg + phase)
         return Field(grid, vals)
     if kind == "file":
         fld = read_snapshot(rest)
@@ -322,7 +323,7 @@ def _load_run_snapshots(run_dir: str) -> list[tuple[float, Field]]:
         with open(sidecar_path) as fh:
             try:
                 sidecar = json.load(fh)
-            except ValueError as exc:  # not JSON, or not UTF-8
+            except (ValueError, RecursionError) as exc:  # not JSON or UTF-8, or too deep
                 raise SnapshotFormatError(f"{sidecar_path}: {exc}") from None
         t = sidecar.get("t") if isinstance(sidecar, dict) else None
         if type(t) not in (int, float) or not abs(t) <= sys.float_info.max:  # bool is an int

@@ -17,6 +17,7 @@ elliptic breakdowns are reported as verdicts, never exceptions.
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -40,6 +41,15 @@ __all__ = [
 ]
 
 ORDER = 5  # stage guesses sum up to 5 backward differences of past offsets
+# at most one (weakref to a run's final Field, (n, dt, tol), its k4, its
+# tables): what evolve continues when that Field comes back as phi0
+_carried: list[tuple] = []
+
+
+def _forget(ref: weakref.ref) -> None:
+    """Weakref callback: a Field died; drop its entry if the slot still holds it."""
+    if _carried and _carried[0][0] is ref:
+        _carried.clear()
 
 
 class PositivityLost(RuntimeError):
@@ -237,10 +247,18 @@ def evolve(phi0: Field, cfg: EvolveConfig) -> EvolveResult:
     step's k4) plus the offset k_s - k_{s-1}, extrapolated from the last
     ORDER full steps by _extrapolate; the solves still meet elliptic_tol.
     The shortened last step starts from k_{s-1} alone.
+    A run that completes on a full step keeps its k4 and tables until its
+    final Field dies; a call whose phi0 is that very Field, with the same
+    n_exponent, dt and elliptic_tol, continues them, so a chain of calls
+    is bit for bit one long call.  Any other phi0 starts cold.
     Threshold, positivity and elliptic failures are verdicts at the end
     time of the failing step.
     """
-    grid = phi0.grid
+    grid, key = phi0.grid, (cfg.n_exponent, cfg.dt, cfg.elliptic_tol)  # phi0 fixes the grid
+    # k4 and the backward differences of the stage offsets, moved out of the slot
+    ref, old_key, guess_hat, tables = _carried.pop() if _carried else (None,) * 4
+    if ref is None or ref() is not phi0 or old_key != key:
+        guess_hat, tables = None, [[], [], [], []]
     s = monitor_index(cfg, grid)
     rows: list[tuple[float, float, float, float, int]] = []
     snapshots: list[tuple[float, Field]] = [(0.0, phi0)]
@@ -249,8 +267,7 @@ def evolve(phi0: Field, cfg: EvolveConfig) -> EvolveResult:
     t_event: float | None = 0.0
     n_full = int(np.floor(cfg.t_end / cfg.dt + 1e-9))
     n_steps = n_full + int(cfg.t_end - n_full * cfg.dt > 1e-12 * cfg.dt)
-    step, guess_hat = 0, None
-    tables: list[list[np.ndarray]] = [[], [], [], []]  # backward differences of the stage offsets
+    step = 0
     while verdict is None and step < n_steps:
         step += 1
         full = step <= n_full
@@ -277,6 +294,8 @@ def evolve(phi0: Field, cfg: EvolveConfig) -> EvolveResult:
 
     if snapshots[-1][0] != rows[-1][0] and np.all(np.isfinite(vals)):
         snapshots.append((rows[-1][0], Field(grid, vals)))
+    if verdict is Verdict.COMPLETED_TO_T_END and n_steps == n_full > 0:
+        _carried.append((weakref.ref(snapshots[-1][1], _forget), key, guess_hat, tables))
     times, monitor, mass, min_phi, cg = (np.array(col) for col in zip(*rows))
     report = BlowupReport(
         verdict=verdict, t_event=t_event, final_monitor=monitor[-1], s_monitor=s,

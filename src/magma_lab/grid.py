@@ -169,7 +169,10 @@ class TorusGrid:
         return out
 
     def mode_wavevector(self, mode: Sequence[int]) -> np.ndarray:
-        return np.array([2.0 * np.pi * m / L for m, L in zip(mode, self.lengths)])
+        try:
+            return np.array([2.0 * np.pi * m / L for m, L in zip(mode, self.lengths)])
+        except OverflowError:  # an integer beyond the float range
+            raise ValueError("mode numbers must fit a float") from None
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:

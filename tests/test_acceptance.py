@@ -234,8 +234,8 @@ def test_criterion_07_conservation():
     assert time.perf_counter() - t0 < 120.0
 
 
-def _transit_case(sol, n_side: int, widths: float, steps: int, snap_every: int):
-    """Embed the critical profile and time a quarter-domain transit."""
+def _transit_setup(sol, n_side: int, widths: float, steps: int, snap_every: int):
+    """Embed the critical profile; the quarter-domain transit's config."""
     p = sol.params
     q0 = 1.0 / sol.Q_tau
     scaled = rescale(sol, q0)
@@ -250,10 +250,13 @@ def _transit_case(sol, n_side: int, widths: float, steps: int, snap_every: int):
     cfg = EvolveConfig(
         n_exponent=p.n, dt=T / steps, t_end=T, snapshot_every=snap_every
     )
-    result = evolve(phi0, cfg)
-    assert result.report.verdict is Verdict.COMPLETED_TO_T_END
+    return phi0, cfg, c_bar, side
 
-    track = track_peak(result.snapshots)
+
+def _transit_checks(phi0, snapshots, c_bar):
+    """Speed error, shape deviation and tracked offset of a transit."""
+    grid = phi0.grid
+    track = track_peak(snapshots)
     delta = track.positions[-1] - track.positions[0]
 
     # compare against the initial profile translated by the tracked offset
@@ -261,12 +264,20 @@ def _transit_case(sol, n_side: int, widths: float, steps: int, snap_every: int):
     shifted = np.fft.ifft(
         np.fft.fft(phi0.values, axis=-1) * np.exp(-1j * k_last * delta), axis=-1
     ).real
-    phiT = result.snapshots[-1][1].values
+    phiT = snapshots[-1][1].values
     shape_dev = np.sqrt(np.sum((phiT - shifted) ** 2)) / np.sqrt(
         np.sum((phi0.values - 1.0) ** 2)
     )
     speed_err = abs(track.speed - c_bar) / c_bar
-    return speed_err, shape_dev, delta, side
+    return speed_err, shape_dev, delta
+
+
+def _transit_case(sol, n_side: int, widths: float, steps: int, snap_every: int):
+    """Embed the critical profile and time a quarter-domain transit."""
+    phi0, cfg, c_bar, side = _transit_setup(sol, n_side, widths, steps, snap_every)
+    result = evolve(phi0, cfg)
+    assert result.report.verdict is Verdict.COMPLETED_TO_T_END
+    return (*_transit_checks(phi0, result.snapshots, c_bar), side)
 
 
 @pytest.mark.criterion(8, "embedded solitary wave transits at speed c_bar")
@@ -280,6 +291,31 @@ def test_criterion_08_transit_2d(planar_critical):
     assert shape_dev <= 0.01
     assert delta == pytest.approx(0.25 * side, rel=0.05)
     assert time.perf_counter() - t0 < 300.0
+
+
+@pytest.mark.slow
+def test_transit_2d_as_chained_calls(planar_critical):
+    # the benchmark's shape of criterion 8: sixteen evolve calls of 20 steps,
+    # each from the Field the last one returned, are one 320-step call
+    _, sol = planar_critical
+    phi0, cfg, c_bar, side = _transit_setup(sol, n_side=128, widths=44.0, steps=320,
+                                            snap_every=40)
+    one = evolve(phi0, cfg)
+    segment = replace(cfg, t_end=20 * cfg.dt)
+    phi, snapshots = phi0, [(0.0, phi0)]
+    for k in range(1, 17):
+        result = evolve(phi, segment)
+        assert result.report.verdict is Verdict.COMPLETED_TO_T_END
+        phi = result.snapshots[-1][1]
+        if k % 2 == 0:
+            snapshots.append((k * segment.t_end, phi))
+    assert len(snapshots) == len(one.snapshots) == 9
+    for (_, chained), (_, single) in zip(snapshots, one.snapshots):
+        assert np.array_equal(chained.values, single.values)
+    speed_err, shape_dev, delta = _transit_checks(phi0, snapshots, c_bar)
+    assert speed_err <= 0.02
+    assert shape_dev <= 0.01
+    assert delta == pytest.approx(0.25 * side, rel=0.05)
 
 
 @pytest.mark.slow

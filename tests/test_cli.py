@@ -8,14 +8,24 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from magma_lab import Field, TorusGrid, read_profile_csv, read_snapshot, write_snapshot
-from magma_lab.cli import _config_hash, main
+from magma_lab import (
+    Field,
+    SnapshotFormatError,
+    TorusGrid,
+    read_profile_csv,
+    read_snapshot,
+    write_snapshot,
+)
+from magma_lab.cli import _config_hash, _initial_field, _load_run_snapshots, _read_kv_file, main
 
 
 def run_cli(argv: list[str]) -> tuple[int, str, str]:
@@ -402,10 +412,12 @@ def test_diagnose_energy(evolve_run, tmp_path):
     assert len(lines) == 1 + 11
 
 
-@pytest.mark.parametrize("text", ["{not json", '{"t": true}', "\udcff"])
+@pytest.mark.parametrize("text", ["{not json", '{"t": true}', "\udcff",
+                                  pytest.param("[" * 100_000, id="deep")])
 def test_malformed_sidecar_is_io_error(evolve_run, tmp_path, text):
-    # broken JSON used to exit 1 as a config error that named no file, and
-    # a boolean t was read as 1.0
+    # broken JSON used to exit 1 as a config error that named no file, a
+    # boolean t was read as 1.0, and JSON nested past the recursion limit
+    # exited 2 as a "numerical failure: RecursionError"
     run = tmp_path / "run"
     shutil.copytree(evolve_run, run)
     sidecar = run / "snap_000000.json"
@@ -516,10 +528,12 @@ def test_diagnose_dispersion(tmp_path):
 
 @pytest.mark.parametrize(
     "flag, value, name",
-    [("--steps-per-period", "0", "steps_per_period"), ("--periods", "nan", "periods")],
+    [("--steps-per-period", "0", "steps_per_period"), ("--periods", "nan", "periods"),
+     pytest.param("--mode", "9" * 400, "mode numbers", id="mode-overflow")],
 )
 def test_dispersion_rejects_degenerate_sampling(tmp_path, flag, value, name):
-    # a separate interpreter, so a NumPy RuntimeWarning would reach stderr
+    # a separate interpreter, so a NumPy RuntimeWarning would reach stderr;
+    # a mode beyond the float range used to end in an OverflowError traceback
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run(
         [sys.executable, "-m", "magma_lab.cli", "diagnose", "dispersion",
@@ -531,6 +545,103 @@ def test_dispersion_rejects_degenerate_sampling(tmp_path, flag, value, name):
     assert name in proc.stderr
     assert "RuntimeWarning" not in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+_INIT_PIECES = st.one_of(
+    st.sampled_from(["constant:", "modes:", "file:", "profile:", "base=", "amp=", "k=",
+                     "phase=", ":", ";", ",", "=", "1", "-2", "0.25", "1:2", "nan", "inf",
+                     "1e308", "1e400", "9" * 400, "-0"]),
+    st.text(max_size=4),
+)
+
+
+@given(st.one_of(st.text(max_size=30), st.lists(_INIT_PIECES, max_size=12).map("".join)))
+@example("modes:base=1;amp=0.1,k=" + "9" * 400)  # OverflowError from the wavevector
+@example("modes:base=1;amp=1e308,k=1;amp=1e308,k=1")  # RuntimeWarning: overflow
+@example("modes:base=1;amp=0.1,k=1,phase=inf")  # RuntimeWarning: invalid value
+def test_init_grammar_fuzz(tmp_path_factory, spec):
+    # any spec: a Field on the grid, or ValueError; a file or profile path
+    # that is not there is an OSError.  At the CLI both are an exit code,
+    # and a spec that passes leaves the error to the next check (dt = 0)
+    kind, _, rest = spec.partition(":")
+    if kind in ("file", "profile"):  # keep the reads inside a scratch directory
+        spec = f"{kind}:{tmp_path_factory.getbasetemp()}/absent/{rest}"
+    grid = TorusGrid((8,), (2.0 * np.pi,))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the error is the one line on stderr
+            got = _initial_field(spec, grid)
+    except ValueError:
+        want = 1
+    except OSError:
+        assert kind in ("file", "profile")
+        want = 3
+    else:
+        assert isinstance(got, Field) and got.grid == grid
+        want = 1
+    code, _, err = run_cli(["evolve", "--n-points", "8", "--n", "2", "--dt", "0", "--t-end", "1",
+                            f"--init={spec}", "-o", str(tmp_path_factory.getbasetemp() / "x")])
+    assert code == want
+    if want == 1:
+        assert err.startswith("config error:")
+
+
+_KV_PIECES = st.one_of(
+    st.sampled_from(["d", "n-points", "r_max", "=", " = ", "#", "\n", "\r\n", " ", "1",
+                     "nan", "==", "\x00", "\x0c", "\u2028"]),
+    st.text(max_size=4),
+)
+
+
+@given(st.one_of(st.binary(max_size=120),
+                 st.lists(_KV_PIECES, max_size=16).map(lambda ps: "".join(ps).encode())))
+@example(b"d = 3\n\xff\xfe = 2\n")
+@example(b"d = 3\nd=4\n")
+@example(b"justakey\n")
+def test_config_reader_fuzz(tmp_path_factory, raw):
+    # any bytes: key = value pairs (keys with '_' for '-'), or a ValueError
+    # that names the file
+    path = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+    path.write_bytes(raw)
+    try:
+        got = _read_kv_file(str(path))
+    except ValueError as exc:
+        assert str(path) in str(exc)
+        return
+    for key, value in got.items():
+        assert "-" not in key and key == key.strip() and value == value.strip()
+
+
+def _json_values():
+    scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3))
+    return st.recursive(scalars, lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.sampled_from(["t", "step", "x"]), inner,
+                                                     max_size=3)), max_leaves=8)
+
+
+@given(st.one_of(
+    st.binary(max_size=80),
+    _json_values().map(lambda v: json.dumps(v).encode()),
+    st.fixed_dictionaries({"t": _json_values()}).map(lambda v: json.dumps(v).encode()),
+))
+@example(b"[" * 100_000)  # RecursionError from the JSON decoder
+@example(b'{"t": 1' + b"0" * 400 + b"}")
+@example(b'{"t": Infinity}')
+def test_sidecar_reader_fuzz(tmp_path_factory, raw):
+    # any sidecar bytes: the snapshot comes back at a finite time, or a
+    # SnapshotFormatError that names the sidecar
+    run = tmp_path_factory.getbasetemp() / "sidecar-fuzz"
+    run.mkdir(exist_ok=True)
+    snap = Field.constant(TorusGrid.cubic(1, 8), 1.0)
+    write_snapshot(snap, run / "snap_000000.bin")
+    sidecar = run / "snap_000000.json"
+    sidecar.write_bytes(raw)
+    try:
+        [(t, got)] = _load_run_snapshots(str(run))
+    except SnapshotFormatError as exc:
+        assert str(sidecar) in str(exc)
+        return
+    assert np.isfinite(t) and np.array_equal(got.values, snap.values)
 
 
 def test_console_script_installed():

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -292,6 +296,72 @@ def test_stage_guesses_cut_cg_work_2d(monkeypatch):
     assert len(rep.cg_iterations) == 1 + 40
     assert rep.cg_iterations[6:].mean() <= 14.0  # steps 6-40, full table
     assert solved[0] == int(rep.cg_iterations.sum())
+
+
+def test_chained_evolve_continues_the_run():
+    # each call used to start its stage-guess tables empty: 44, 35, 27, ...
+    # CG iterations at the head of every segment
+    cfg = _cfg(n_exponent=2.5, dt=0.05, t_end=2.0, elliptic_tol=1e-10)
+    one = evolve(_bump_2d(), cfg)
+    phi, cg = _bump_2d(), []
+    for _ in range(4):  # each call from the Field the last one returned
+        result = evolve(phi, replace(cfg, t_end=10 * cfg.dt))
+        cg += list(result.report.cg_iterations[1:])
+        phi = result.snapshots[-1][1]
+    assert np.array_equal(phi.values, one.snapshots[-1][1].values)
+    assert cg == list(one.report.cg_iterations[1:])
+
+
+def test_chained_evolve_starts_cold_unless_it_continues():
+    cfg = _cfg(n_exponent=2.5, dt=0.05, t_end=0.5, elliptic_tol=1e-10)
+
+    def end(c: EvolveConfig) -> Field:
+        return evolve(_bump_2d(), c).snapshots[-1][1]
+
+    def rebuilt() -> Field:
+        phi = end(cfg)  # stays alive, so its run can still be continued
+        return Field(phi.grid, phi.values)
+
+    def after_verdict() -> Field:
+        result = evolve(_bump_2d(), replace(cfg, blowup_threshold=3.289))
+        assert result.report.verdict is Verdict.THRESHOLD_EXCEEDED
+        assert result.report.t_event > 0.0
+        return result.snapshots[-1][1]
+
+    phi = end(cfg)
+    warm = evolve(phi, cfg)
+    cold = evolve(Field(phi.grid, phi.values), cfg)  # a new Field never continues
+    assert warm.report.cg_iterations[1] < cold.report.cg_iterations[1]
+    for label, start, c in [
+        ("rebuilt field", rebuilt, cfg),
+        ("other dt", lambda: end(cfg), replace(cfg, dt=0.025)),
+        ("other n", lambda: end(cfg), replace(cfg, n_exponent=2.0)),
+        ("other tol", lambda: end(cfg), replace(cfg, elliptic_tol=1e-11)),
+        ("shortened last step", lambda: end(replace(cfg, t_end=0.52)), cfg),
+        ("verdict", after_verdict, cfg),
+    ]:
+        phi = start()
+        got = evolve(phi, c)
+        cold = evolve(Field(phi.grid, phi.values), c)
+        assert np.array_equal(got.snapshots[-1][1].values, cold.snapshots[-1][1].values), label
+        assert np.array_equal(got.report.cg_iterations, cold.report.cg_iterations), label
+
+
+def test_carried_tables_are_moved_and_die_with_the_field():
+    cfg = _cfg(n_exponent=2.5, dt=0.05, t_end=0.5, elliptic_tol=1e-10)
+    result = evolve(_bump_2d(), cfg)
+    tables = evolution._carried[0][3]
+    result = evolve(result.snapshots[-1][1], cfg)
+    assert evolution._carried[0][3] is tables  # continued in place, not copied
+    carried = weakref.ref(tables[0][0])
+    del tables
+    evolve(_bump_2d(), replace(cfg, blowup_threshold=1e-3))  # a verdict at t = 0
+    assert not evolution._carried and carried() is None  # emptied on every call
+    result = evolve(_bump_2d(), cfg)
+    carried = weakref.ref(evolution._carried[0][3][0][0])
+    del result
+    gc.collect()
+    assert carried() is None and not evolution._carried
 
 
 def _table(offsets) -> list:
