@@ -26,7 +26,6 @@ import os
 import sys
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
-from multiprocessing import Pool
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -36,14 +35,14 @@ from .diagnostics import ConservedEnergyParams, energy_series, fit_dispersion, t
 from .evolution import (
     EvolveConfig,
     _default_monitor_index,
-    _monitor_value,
+    _monitor_row,
     evolve,
-    measure_mass,
 )
 from .grid import (
     Field,
     SnapshotFormatError,
     TorusGrid,
+    _hs_weight,
     field_stats,
     read_snapshot,
     write_snapshot,
@@ -157,13 +156,14 @@ ENERGY_OPTS: dict[str, _Opt] = {
 
 # -- config assembly ---------------------------------------------------------
 
-def _read_kv_file(path: str) -> dict[str, str]:
+def _read_kv_file(path: str) -> dict[str, tuple[str, int]]:
+    """key -> (value, line number) of a ``key = value`` file."""
     with open(path) as fh:
         try:
             lines = fh.read().splitlines()
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: {exc}") from None
-    out: dict[str, str] = {}
+    out: dict[str, tuple[str, int]] = {}
     for ln, line in enumerate(lines, start=1):
         s = line.strip()
         if not s or s.startswith("#"):
@@ -174,20 +174,23 @@ def _read_kv_file(path: str) -> dict[str, str]:
         key = key.strip().replace("-", "_")
         if key in out:
             raise ValueError(f"{path}:{ln}: key {key!r} given twice")
-        out[key] = value.strip()
+        out[key] = (value.strip(), ln)
     return out
 
 
 def _merge_config(table: dict[str, _Opt], ns: argparse.Namespace) -> dict:
-    file_vals = _read_kv_file(ns.config) if getattr(ns, "config", None) else {}
-    unknown = sorted(set(file_vals) - set(table))
+    path = getattr(ns, "config", None)
+    file_vals = _read_kv_file(path) if path else {}
+    unknown = [f"{path}:{ln}: unknown config key {key!r}"
+               for key, (_, ln) in file_vals.items() if key not in table]
     if unknown:
-        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        raise ValueError("; ".join(unknown))
     merged: dict = {}
     for dest, opt in table.items():
-        raw = getattr(ns, dest, None)
-        if raw is None:
-            raw = file_vals.get(dest)
+        raw, where = getattr(ns, dest, None), ""
+        if raw is None and dest in file_vals:
+            raw, ln = file_vals[dest]
+            where = f"{path}:{ln}: "
         if raw is None:
             if opt.required:
                 raise ValueError(f"missing required option '{dest}'")
@@ -196,7 +199,7 @@ def _merge_config(table: dict[str, _Opt], ns: argparse.Namespace) -> dict:
             try:
                 merged[dest] = opt.convert(raw)
             except (TypeError, ValueError) as exc:
-                raise ValueError(f"bad value for '{dest}': {raw!r} ({exc})") from exc
+                raise ValueError(f"{where}bad value for '{dest}': {raw!r} ({exc})") from exc
     return merged
 
 
@@ -439,6 +442,8 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
     if ns.jobs == 1:
         rows = [_sweep_task(item) for item in items]
     else:
+        from multiprocessing import Pool
+
         with Pool(processes=ns.jobs) as pool:
             rows = pool.map(_sweep_task, items)
 
@@ -456,13 +461,14 @@ def _cmd_embed(ns: argparse.Namespace) -> int:
     center = None if cfg["center"] is None else tuple(cfg["center"])
     fld = embed_on_torus(_read_profile(cfg["profile"]), grid, center)
 
-    monitor = _monitor_value(fld, _default_monitor_index(grid))
+    weight = _hs_weight(grid, _default_monitor_index(grid))
+    monitor, mass, _ = _monitor_row(grid, fld.values, weight)
     _write_run(ns.out, "embed", cfg, _snapshot_pair(0, 0.0, fld, monitor, _config_hash(cfg)))
 
     stats = field_stats(fld)
     print(f"peak = {_fmt(stats.max)}")
     print(f"min = {_fmt(stats.min)}")
-    print(f"mass = {_fmt(measure_mass(fld))}")
+    print(f"mass = {_fmt(mass)}")
     return 0
 
 

@@ -25,7 +25,7 @@ from enum import Enum
 import numpy as np
 
 from .elliptic import NotConverged, _solve_raw
-from .grid import Field, TorusGrid, field_stats, hs_norm
+from .grid import Field, TorusGrid, _hs_norm_raw, _hs_weight
 
 __all__ = [
     "EvolveConfig",
@@ -123,8 +123,14 @@ def _default_monitor_index(grid: TorusGrid) -> float:
     return grid.d / 2 + grid.d // 2 + 3
 
 
-def _monitor_value(phi: Field, s: float) -> float:
-    return hs_norm(phi - 1.0, s) + field_stats(phi).inv_sup
+def _monitor_row(
+    grid: TorusGrid, vals: np.ndarray, weight: np.ndarray
+) -> tuple[float, float, float]:
+    """The monitor hs_norm(phi - 1, s) + sup|1/phi|, measure_mass and min of
+    finite samples ``vals``, given the ``_hs_weight`` of s."""
+    dev, lo = vals - 1.0, float(vals.min())
+    monitor = _hs_norm_raw(grid, dev, weight) + (np.inf if lo <= 0.0 else 1.0 / lo)
+    return monitor, float(dev.sum()) * grid.cell_volume, lo
 
 
 def _rhs_raw(
@@ -220,14 +226,13 @@ def measure_mass(phi: Field) -> float:
 
 
 def _record(
-    rows: list[tuple], t: float, vals: np.ndarray, grid: TorusGrid, s: float,
+    rows: list[tuple], t: float, vals: np.ndarray, grid: TorusGrid, weight: np.ndarray,
     cfg: EvolveConfig, cg: int,
 ) -> Verdict | None:
     """Append (t, monitor, mass, min_phi, cg) of a state and return its
     verdict, if any; a non-finite state records monitor +inf."""
     if np.all(np.isfinite(vals)):
-        phi = Field(grid, vals)
-        rows.append((t, _monitor_value(phi, s), measure_mass(phi), float(vals.min()), cg))
+        rows.append((t, *_monitor_row(grid, vals, weight), cg))
     else:
         rows.append((t, np.inf, np.nan, -np.inf, cg))
     _, mon, _, lo, _ = rows[-1]
@@ -260,10 +265,11 @@ def evolve(phi0: Field, cfg: EvolveConfig) -> EvolveResult:
     if ref is None or ref() is not phi0 or old_key != key:
         guess_hat, tables = None, [[], [], [], []]
     s = monitor_index(cfg, grid)
+    weight = _hs_weight(grid, s)
     rows: list[tuple[float, float, float, float, int]] = []
     snapshots: list[tuple[float, Field]] = [(0.0, phi0)]
     vals = phi0.values
-    verdict = _record(rows, 0.0, vals, grid, s, cfg, 0)
+    verdict = _record(rows, 0.0, vals, grid, weight, cfg, 0)
     t_event: float | None = 0.0
     n_full = int(np.floor(cfg.t_end / cfg.dt + 1e-9))
     n_steps = n_full + int(cfg.t_end - n_full * cfg.dt > 1e-12 * cfg.dt)
@@ -286,7 +292,7 @@ def evolve(phi0: Field, cfg: EvolveConfig) -> EvolveResult:
                 if a is not None:  # k1 of the first step has no offset
                     _push(table, b - a)
         vals, guess_hat = new, ks[-1]
-        verdict = _record(rows, t_event, vals, grid, s, cfg, cg)
+        verdict = _record(rows, t_event, vals, grid, weight, cfg, cg)
         if verdict is None and cfg.snapshot_every > 0 and step % cfg.snapshot_every == 0:
             snapshots.append((t_event, Field(grid, vals)))
     if verdict is None:

@@ -257,10 +257,19 @@ def hs_norm(f: Field, s: float) -> float:
     """Sobolev norm of index ``s``; reduces to the L2 norm at ``s = 0``."""
     if s < 0:
         raise ValueError("norm index must be nonnegative")
-    c = f.grid.rfft(f.values) / f.grid.size
-    power = f.grid.rfft_weights * (c.real**2 + c.imag**2)
-    total = np.sum((1.0 + f.grid.norm_k_squared) ** s * power) * f.grid.volume
-    return float(np.sqrt(total))
+    return _hs_norm_raw(f.grid, f.values, _hs_weight(f.grid, s))
+
+
+def _hs_weight(grid: TorusGrid, s: float) -> np.ndarray:
+    """The weight (1 + |k|^2)^s of the H^s norm on the rfft lattice."""
+    return (1.0 + grid.norm_k_squared) ** s
+
+
+def _hs_norm_raw(grid: TorusGrid, vals: np.ndarray, weight: np.ndarray) -> float:
+    """hs_norm of samples ``vals``, given its ``_hs_weight``."""
+    c = grid.rfft(vals) / grid.size
+    power = grid.rfft_weights * (c.real**2 + c.imag**2)
+    return float(np.sqrt(np.sum(weight * power) * grid.volume))
 
 
 def field_stats(f: Field) -> FieldStats:

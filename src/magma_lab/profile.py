@@ -29,6 +29,10 @@ bisection shot of find_mu_c among them, run _Shot, a stepper on Python
 floats; a shot that keeps samples (the final shot of find_mu_c, ``shoot
 --mu``) runs solve_ivp for its dense output.  Both call one right-hand
 side, _qrrr.
+
+SciPy is imported on the first call that needs it (a shot, q_star, a
+spline), not with the module, so ``magma-lab diagnose`` and ``evolve``
+(unless it embeds a profile) never load it.
 """
 
 from __future__ import annotations
@@ -36,14 +40,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, solve_ivp
-from scipy.integrate._ivp import dop853_coefficients
-from scipy.integrate._ivp.rk import Dop853DenseOutput
-from scipy.interpolate import CubicSpline, PchipInterpolator, make_interp_spline
-from scipy.optimize import bisect, brentq
 
 from .grid import Field, TorusGrid
 
@@ -209,6 +208,8 @@ def q_star(n: float) -> float:
     """Unique root of h3 in (0, 1); independent of d."""
     if not n > 0:
         raise ValueError("exponent n must be positive")
+    from scipy.optimize import bisect
+
     f = lambda q: _h3(q, n, 1.0)
     lo, hi = 1e-3, 1.0 - 1e-9
     if not (f(lo) < 0.0 < f(hi)):
@@ -427,6 +428,13 @@ def _flat_outcome(r_max: float, at, y_end, qs: float, shot=None) -> ShotOutcome:
     return ShotOutcome(ShotClass.FLAT, Q_tau=float(q_tau))
 
 
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on the first call."""
+    from scipy.integrate import solve_ivp
+
+    return solve_ivp(*args, **kwargs)
+
+
 class _Unsettled(Indeterminate):
     """No event by r_max and no flat endpoint; ``shot`` (if any) can be continued."""
 
@@ -512,17 +520,28 @@ def integrate_shot(
 
 
 # DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, ch. II) with SciPy's
-# tableau, read once into (j, a_j) pairs with the zero entries skipped.  Stage
-# _END (weights b_j) is the step's end, stages _END+1.. feed the interpolant,
-# and _E pairs the weights (e5_j, e3_j) of the two error estimates.
+# tableau, read by the first _Shot into (j, a_j) pairs with the zero entries
+# skipped.  Stage _END (weights b_j) is the step's end, stages _END+1.. feed
+# the interpolant, and _E pairs the weights (e5_j, e3_j) of the two error
+# estimates.  _load_dop853 binds these names, _C, _D (the interpolant's
+# weights), Dop853DenseOutput and brentq once per process.
 def _nonzero(*rows) -> tuple:
     return tuple((j, *map(float, a)) for j, a in enumerate(zip(*rows)) if any(a))
 
 
-_END = dop853_coefficients.N_STAGES
-_A = [_nonzero(row[:s]) for s, row in enumerate(dop853_coefficients.A)]
-_C = dop853_coefficients.C.tolist()
-_E = _nonzero(dop853_coefficients.E5, dop853_coefficients.E3)
+@cache
+def _load_dop853() -> None:
+    """Bind the tableau, SciPy's interpolant and brentq; the first _Shot calls it."""
+    global _END, _A, _C, _E, _D, Dop853DenseOutput, brentq
+    from scipy.integrate._ivp import dop853_coefficients as t
+    from scipy.integrate._ivp.rk import Dop853DenseOutput
+    from scipy.optimize import brentq
+
+    _END, _C, _D = t.N_STAGES, t.C.tolist(), t.D
+    _A = [_nonzero(row[:s]) for s, row in enumerate(t.A)]
+    _E = _nonzero(t.E5, t.E3)
+
+
 _EVENT_TOL = 4 * np.finfo(float).eps  # solve_ivp's xtol and rtol of an event root
 
 
@@ -538,6 +557,7 @@ class _Shot:
     """
 
     def __init__(self, p: ProfileParams, r_max: float):
+        _load_dop853()
         self.qrrr, self.qs, self.r_cap = _qrrr(p), q_star(p.n), WIDEN * r_max
         self.rtol, self.atol = RTOL, ATOL
         self.r, self.y = R0, _series_start(_require_mu(p))
@@ -624,7 +644,7 @@ class _Shot:
         K = np.array((self.U, self.V, self.W)).T
         dy = np.subtract(self.y, y_old)
         F = np.vstack((dy, h * K[0] - dy, 2.0 * dy - h * (K[_END] + K[0]),
-                       h * (dop853_coefficients.D @ K)))
+                       h * (_D @ K)))
         return Dop853DenseOutput(r, self.r, np.array(y_old), F)
 
     def classify(self, r_end: float) -> ShotOutcome:
@@ -742,6 +762,8 @@ def find_mu_c(
     if outcome.classification is ShotClass.FLAT:
         q_tau = float(outcome.Q_tau)
     else:
+        from scipy.interpolate import CubicSpline
+
         spline = CubicSpline(samples.r, samples.Q)
         r_end = samples.r[-1]
         q_tau = _aitken_limit(
@@ -870,6 +892,8 @@ def embed_on_torus(
     R_bar = r_scale * r_last
     r_half = min(grid.lengths) / 2.0
 
+    from scipy.interpolate import PchipInterpolator
+
     interp = PchipInterpolator(sol.samples.r, sol.samples.Q, extrapolate=False)
 
     if r_half <= R_bar:
@@ -919,6 +943,8 @@ def ode_residual(samples: ShotSamples, p: ProfileParams) -> np.ndarray:
     interpolating quintic splines, independent of the expanded form used
     during integration.
     """
+    from scipy.interpolate import make_interp_spline
+
     r, Q, Qr, Qrr = samples.r, samples.Q, samples.Q_r, samples.Q_rr
     w1 = Q**p.n
     w2 = w1 * Qrr
@@ -934,6 +960,8 @@ def qr2_identity_gap(samples: ShotSamples, p: ProfileParams) -> float:
     0.5 Q^n Q_r^2 must equal F2(Q, mu) minus the quadrature of
     [ (n/2) int Q_r^2/q^2 dq + (d-1) Q_r/r ] Q^n dQ along the trajectory.
     """
+    from scipy.integrate import cumulative_trapezoid
+
     mu = _require_mu(p)
     r, Q, Qr = samples.r, samples.Q, samples.Q_r
     inner = cumulative_trapezoid(Qr**3 / Q**2, r, initial=0.0)

@@ -161,6 +161,25 @@ def test_unknown_config_key_rejected(tmp_path):
         assert line.split(" = ")[0] in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("d = 3\nn = 2.5\nc = 1.7\nbogus = 1\n", ":4: unknown config key 'bogus'"),
+    ("d = 3\nn = 2.5\nc = abc\n", ":3: bad value for 'c': 'abc'"),
+    ("d = 3\n\n# mu below\nn = 2.5\nc = 1.7\nmu = x\n", ":6: bad value for 'mu': 'x'"),
+])
+def test_config_file_errors_name_the_line(tmp_path, text, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "magma_lab.cli", "shoot", "--config", str(cfg)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert f"{cfg}{message}" in proc.stderr and "Traceback" not in proc.stderr
+    code, _, err = run_cli(["shoot", "--config", str(cfg), "--c", "1.7", "--mu", "-0.021"])
+    if "bogus" not in text:  # a flag overrides the bad file value
+        assert code == 0 and err == ""
+
+
 def test_repeated_config_key_rejected(tmp_path):
     # the last value used to win silently
     cfg = tmp_path / "run.cfg"
@@ -608,8 +627,11 @@ def test_config_reader_fuzz(tmp_path_factory, raw):
     except ValueError as exc:
         assert str(path) in str(exc)
         return
-    for key, value in got.items():
+    lines = path.read_text().splitlines()
+    for key, (value, line) in got.items():
         assert "-" not in key and key == key.strip() and value == value.strip()
+        left, _, right = lines[line - 1].partition("=")  # the line named holds the pair
+        assert left.strip().replace("-", "_") == key and right.strip() == value
 
 
 def _json_values():
@@ -642,6 +664,37 @@ def test_sidecar_reader_fuzz(tmp_path_factory, raw):
         assert str(sidecar) in str(exc)
         return
     assert np.isfinite(t) and np.array_equal(got.values, snap.values)
+
+
+_IMPORTS_PROBE = """
+import contextlib, io, json, sys
+import magma_lab.cli as cli
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "multiprocessing"))
+
+run = sys.argv[1]
+with contextlib.redirect_stdout(io.StringIO()):
+    after_import = loaded()
+    assert cli.main(["evolve", "--n-points", "16", "--n", "2", "--dt", "0.05", "--t-end", "0.15",
+                     "--init", "modes:base=1;amp=0.1,k=1", "--snapshot-every", "1",
+                     "-o", run]) == 0
+    assert cli.main(["diagnose", "energy", "--run", run, "--n", "2"]) == 0
+    after_torus = loaded()
+    assert cli.main(["shoot", "--d", "3", "--n", "2.5", "--c", "1.7", "--mu", "-0.021"]) == 0
+print(json.dumps([after_import, after_torus, loaded()]))
+"""
+
+
+def test_torus_commands_load_no_scipy(tmp_path):
+    # SciPy and multiprocessing load with the shooting code, not with the
+    # command line: evolve and diagnose run without them
+    proc = subprocess.run([sys.executable, "-c", _IMPORTS_PROBE, str(tmp_path / "run")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    after_import, after_torus, after_shoot = json.loads(proc.stdout)
+    assert after_import == after_torus == []
+    assert "scipy.integrate" in after_shoot
 
 
 def test_console_script_installed():

@@ -21,6 +21,8 @@ from magma_lab import (
     energy_series,
     evolution,
     evolve,
+    field_stats,
+    hs_norm,
     measure_mass,
     monitor_index,
     rhs,
@@ -296,6 +298,22 @@ def test_stage_guesses_cut_cg_work_2d(monkeypatch):
     assert len(rep.cg_iterations) == 1 + 40
     assert rep.cg_iterations[6:].mean() <= 14.0  # steps 6-40, full table
     assert solved[0] == int(rep.cg_iterations.sum())
+
+
+@pytest.mark.parametrize("phi0", [_criterion7_phi0(1), _bump_2d()], ids=["1d", "2d"])
+def test_logged_monitor_matches_the_public_pieces(phi0):
+    # evolve computes each row from the samples with the H^s weight of the
+    # run; the logged columns equal the public functions bit for bit
+    cfg = _cfg(n_exponent=2.5, dt=0.02, t_end=0.1, snapshot_every=1)
+    result = evolve(phi0, cfg)
+    rep, s = result.report, monitor_index(cfg, phi0.grid)
+    assert len(result.snapshots) == len(rep.times) == 6
+    for i, (t, fld) in enumerate(result.snapshots):
+        stats = field_stats(fld)
+        assert t == rep.times[i]
+        assert rep.monitor[i] == hs_norm(fld - 1.0, s) + stats.inv_sup
+        assert rep.mass[i] == measure_mass(fld)
+        assert rep.min_phi[i] == stats.min
 
 
 def test_chained_evolve_continues_the_run():

@@ -341,6 +341,21 @@ def test_dop853_tableau_from_scipy():
     assert t.B.sum() == pytest.approx(1.0, abs=1e-14)
     assert t.E5.sum() == pytest.approx(0.0, abs=1e-14)
     assert t.E3.sum() == pytest.approx(0.0, abs=1e-14)
+    # the first _Shot binds the stepper's (j, a_j) tables; they rebuild the
+    # tableau exactly and hold no zero weight
+    _Shot(replace(EXAMPLE, mu=-0.021), 200.0)
+    prof = magma_lab.profile
+    A, E = np.zeros_like(t.A), np.zeros((2, 13))
+    for s, row in enumerate(prof._A):
+        for j, a in row:
+            assert j < s and a != 0.0
+            A[s, j] = a
+    for j, e5, e3 in prof._E:
+        assert (e5, e3) != (0.0, 0.0)
+        E[:, j] = e5, e3
+    assert len(prof._A) == 16 and prof._END == t.N_STAGES and prof._D is t.D
+    assert np.array_equal(A, t.A) and prof._C == t.C.tolist()
+    assert np.array_equal(E, np.vstack((t.E5, t.E3)))
 
 
 def test_integrate_shot_requires_mu_and_sane_radius():
