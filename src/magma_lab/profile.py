@@ -23,12 +23,11 @@ in mu as g_i(Q) + h_i(Q) mu:
 g2 and g3 are evaluated here in closed form (verified against adaptive
 quadrature of the defining integrals in the test suite).
 
-Two integrators run shots, both DOP853 at RTOL, ATOL with SciPy's first
-step, error norm and step-size control.  Classification shots, every
-bisection shot of find_mu_c among them, run _Shot, a stepper on Python
-floats; a shot that keeps samples (the final shot of find_mu_c, ``shoot
---mu``) runs solve_ivp for its dense output.  Both call one right-hand
-side, _qrrr.
+Every shot runs _Shot, a DOP853 stepper on Python floats at RTOL, ATOL
+with SciPy's first step, error norm and step-size control, on one
+right-hand side, _qrrr.  A shot that keeps samples (the final shot of
+find_mu_c, ``shoot --mu``) keeps the 7th-order interpolant of every step
+and reads its samples off them.
 
 SciPy is imported on the first call that needs it (a shot, q_star, a
 spline), not with the module, so ``magma-lab diagnose`` and ``evolve``
@@ -86,7 +85,15 @@ class ProfileError(RuntimeError):
 
 
 class Indeterminate(ProfileError):
-    """A shot satisfied no classification tolerance; enlarge r_max."""
+    """A shot satisfied no classification tolerance; enlarge r_max.
+
+    ``shot`` is the shot when it reached r_max unsettled and can be
+    continued (find_mu_c does so), else None.
+    """
+
+    def __init__(self, message: str, shot: _Shot | None = None):
+        super().__init__(message)
+        self.shot = shot
 
 
 class BracketInvalid(ProfileError):
@@ -412,35 +419,12 @@ def _event_outcome(rf: float, rt: float, y_turn, qs: float) -> ShotOutcome:
     return ShotOutcome(ShotClass.TURNED, tau=float(rt), subcase=sub)
 
 
-def _flat_outcome(r_max: float, at, y_end, qs: float, shot=None) -> ShotOutcome:
-    """Classify a shot that reached r_max with no event; at(r) is its state at a probe radius."""
-    Qe, Qre, Qrre = y_end
-    Qrr_tail = [abs(at(r)[2]) for r in _tail(r_max)]
-    settled = (abs(Qre) <= FLAT_TOL and Qe > qs
-               and abs(Qrre) <= FLAT_TOL
-               and max(Qrr_tail) <= Qrr_tail[0] + 10 * FLAT_TOL)
-    if not settled:
-        raise _Unsettled(
-            f"no event fired by r_max={r_max} and the endpoint is not flat "
-            f"(Q_r={Qre:.3e}); enlarge r_max", shot,
-        )
-    q_tau = _aitken_limit(float(at(r_max / 4.0)[0]), float(at(r_max / 2.0)[0]), float(Qe))
-    return ShotOutcome(ShotClass.FLAT, Q_tau=float(q_tau))
-
-
+# perfbench/tracing.py wraps this attribute to count a shot's RHS calls, but
+# nothing here calls it; it goes when perfbench reads _Shot.nfev (ROADMAP).
 def solve_ivp(*args, **kwargs):
-    """scipy.integrate.solve_ivp, imported on the first call."""
     from scipy.integrate import solve_ivp
 
     return solve_ivp(*args, **kwargs)
-
-
-class _Unsettled(Indeterminate):
-    """No event by r_max and no flat endpoint; ``shot`` (if any) can be continued."""
-
-    def __init__(self, message: str, shot: _Shot | None):
-        super().__init__(message)
-        self.shot = shot
 
 
 def integrate_shot(
@@ -456,67 +440,17 @@ def integrate_shot(
     with |Q_r| <= FLAT_TOL and settled curvature counts as flat; anything
     else raises Indeterminate.
 
-    A classification shot (keep_samples=False) runs a DOP853 stepper on
-    Python floats that builds the 7th-order interpolant only on steps that
-    fire an event or pass a radius the flat test reads (nine tail radii,
-    r_max/4, r_max/2).  A shot that keeps samples runs solve_ivp with dense
-    output and stores samples every DR_SAMPLE.
+    The shot runs _Shot.  A classification shot (keep_samples=False)
+    builds the 7th-order interpolant only on steps that fire an event or
+    pass a radius the flat test reads (nine tail radii, r_max/4, r_max/2).
+    A shot that keeps samples builds it on every step and reads samples
+    every DR_SAMPLE from it, ending at the event or at r_max.
     """
-    mu = _require_mu(p)
-    qs = q_star(p.n)
     if not R0 < r_max < math.inf:
         raise ValueError(f"r_max must be finite and exceed R0 = {R0}, got {r_max}")
-    if not keep_samples:
-        return _Shot(p, r_max).classify(r_max), None
-
-    qrrr = _qrrr(p)
-
-    def odes(r, y):
-        Q, Qr, Qrr = y.tolist()
-        return (Qr, Qrr, qrrr(float(r), Q, Qr, Qrr))
-
-    def ev_floor(r, y):
-        return y[0] - qs
-
-    ev_floor.terminal = True
-    ev_floor.direction = -1.0
-
-    def ev_turn(r, y):
-        return y[1]
-
-    ev_turn.terminal = True
-    ev_turn.direction = 1.0
-
-    sol = solve_ivp(
-        odes, (R0, r_max), _series_start(mu), method="DOP853", rtol=RTOL, atol=ATOL,
-        events=(ev_floor, ev_turn), dense_output=True,
-    )
-    if sol.status < 0:
-        raise Indeterminate(f"integrator failed: {sol.message}")
-
-    r_floor, r_turn = sol.t_events
-    if len(r_floor) or len(r_turn):
-        outcome = _event_outcome(
-            r_floor[0] if len(r_floor) else np.inf,
-            r_turn[0] if len(r_turn) else np.inf,
-            sol.y_events[1][0] if len(r_turn) else None, qs,
-        )
-    else:
-        outcome = _flat_outcome(r_max, sol.sol, sol.y[:, -1], qs)
-
-    r_end = float(sol.t[-1])
-    interior = np.arange(DR_SAMPLE, r_end, DR_SAMPLE)
-    if len(interior) and r_end - interior[-1] < 1e-9:
-        interior = interior[:-1]
-    block = sol.sol(interior) if len(interior) else np.zeros((3, 0))
-    y_end = sol.y[:, -1]
-    samples = ShotSamples(
-        r=np.concatenate(([0.0], interior, [r_end])),
-        Q=np.concatenate(([1.0], block[0], [y_end[0]])),
-        Q_r=np.concatenate(([0.0], block[1], [y_end[1]])),
-        Q_rr=np.concatenate(([mu], block[2], [y_end[2]])),
-    )
-    return outcome, samples
+    shot = _Shot(p, r_max, keep_samples)
+    outcome = shot.classify(r_max)
+    return outcome, shot.samples()
 
 
 # DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, ch. II) with SciPy's
@@ -524,15 +458,16 @@ def integrate_shot(
 # skipped.  Stage _END (weights b_j) is the step's end, stages _END+1.. feed
 # the interpolant, and _E pairs the weights (e5_j, e3_j) of the two error
 # estimates.  _load_dop853 binds these names, _C, _D (the interpolant's
-# weights), Dop853DenseOutput and brentq once per process.
+# weights), Dop853DenseOutput, OdeSolution and brentq once per process.
 def _nonzero(*rows) -> tuple:
     return tuple((j, *map(float, a)) for j, a in enumerate(zip(*rows)) if any(a))
 
 
 @cache
 def _load_dop853() -> None:
-    """Bind the tableau, SciPy's interpolant and brentq; the first _Shot calls it."""
-    global _END, _A, _C, _E, _D, Dop853DenseOutput, brentq
+    """Bind the tableau, SciPy's interpolants and brentq; the first _Shot calls it."""
+    global _END, _A, _C, _E, _D, Dop853DenseOutput, OdeSolution, brentq
+    from scipy.integrate import OdeSolution
     from scipy.integrate._ivp import dop853_coefficients as t
     from scipy.integrate._ivp.rk import Dop853DenseOutput
     from scipy.optimize import brentq
@@ -546,31 +481,35 @@ _EVENT_TOL = 4 * np.finfo(float).eps  # solve_ivp's xtol and rtol of an event ro
 
 
 class _Shot:
-    """A classification shot: DOP853 steps of (Q, Q_r, Q_rr) on Python floats.
+    """A shot: DOP853 steps of (Q, Q_r, Q_rr) on Python floats.
 
     Steps are sized by SciPy's first-step guess, error norm and controller;
     stage s of the last attempt is kept as its derivative triple (U[s],
     V[s], W[s]) = (Q_r, Q_rr, Q_rrr).  The shot reads the probe radii of
     the flat test at r_max and at each doubling up to WIDEN * r_max as its
-    steps pass them, so it can be continued to a larger radius.  ``nfev``
-    counts right-hand-side calls and ``rejected`` rejected step attempts.
+    steps pass them, so it can be continued to a larger radius.  A shot
+    that keeps samples keeps every step's interpolant in ``steps`` (None
+    otherwise).  It stops at its first event, with r and y the event's.
+    ``nfev`` counts right-hand-side calls and ``rejected`` rejected step
+    attempts.
     """
 
-    def __init__(self, p: ProfileParams, r_max: float):
+    def __init__(self, p: ProfileParams, r_max: float, keep_samples: bool = False):
         _load_dop853()
-        self.qrrr, self.qs, self.r_cap = _qrrr(p), q_star(p.n), WIDEN * r_max
+        self.qrrr, self.qs, self.mu = _qrrr(p), q_star(p.n), _require_mu(p)
         self.rtol, self.atol = RTOL, ATOL
-        self.r, self.y = R0, _series_start(_require_mu(p))
+        self.r, self.y = R0, _series_start(self.mu)
         self.w = self.qrrr(R0, *self.y)
         self.U, self.V, self.W = ([0.0] * len(_A) for _ in range(3))
         self.nfev, self.rejected = 1, 0
         self.h = self._first_step(r_max - R0)
         radii, r = set(), r_max
-        while r <= self.r_cap:
+        while r <= WIDEN * r_max:
             radii.update(_tail(r) + [r / 4.0, r / 2.0])
             r *= 2.0
         self.pending = sorted(radii, reverse=True)
         self.seen: dict[float, np.ndarray] = {}
+        self.steps: list[Dop853DenseOutput] | None = [] if keep_samples else None
 
     def _first_step(self, interval: float) -> float:
         """SciPy's select_initial_step, on arrays as there: solve_ivp's first step."""
@@ -649,38 +588,69 @@ class _Shot:
 
     def classify(self, r_end: float) -> ShotOutcome:
         """Integrate on to r_end and classify the shot there."""
-        qs, pending = self.qs, self.pending
+        qs, pending, steps = self.qs, self.pending, self.steps
         while self.r < r_end:
             q_old, qr_old, _ = self.y
             self.step(r_end)
             Q, Qr, _ = self.y
             floor = q_old >= qs >= Q  # the events as solve_ivp detects them
             turn = qr_old <= 0.0 <= Qr
-            if not (floor or turn or (pending and pending[-1] <= self.r)):
+            if not (floor or turn or steps is not None or (pending and pending[-1] <= self.r)):
                 continue
             at = self.dense()
+            if steps is not None:
+                steps.append(at)
             if floor or turn:
                 def root(g):
                     return brentq(g, self.r_old, self.r, xtol=_EVENT_TOL, rtol=_EVENT_TOL)
 
                 rf = root(lambda r: at(r)[0] - qs) if floor else math.inf
                 rt = root(lambda r: at(r)[1]) if turn else math.inf
+                self.r = min(rf, rt)
+                self.y = tuple(at(self.r))
                 return _event_outcome(rf, rt, at(rt) if turn else None, qs)
             while pending and pending[-1] <= self.r:
                 x = pending.pop()
                 self.seen[x] = at(x)
-        return _flat_outcome(r_end, self.seen.__getitem__, self.y, qs, shot=self)
+        return self._flat(r_end)
 
-    def widen(self) -> ShotOutcome:
+    def _flat(self, r_end: float) -> ShotOutcome:
+        """Classify a shot that reached r_end with no event, from its probes."""
+        seen, (Qe, Qre, Qrre) = self.seen, self.y
+        Qrr_tail = [abs(seen[r][2]) for r in _tail(r_end)]
+        settled = (abs(Qre) <= FLAT_TOL and Qe > self.qs
+                   and abs(Qrre) <= FLAT_TOL
+                   and max(Qrr_tail) <= Qrr_tail[0] + 10 * FLAT_TOL)
+        if not settled:
+            raise Indeterminate(
+                f"no event fired by r_max={r_end} and the endpoint is not flat "
+                f"(Q_r={Qre:.3e}); enlarge r_max", self,
+            )
+        q_tau = _aitken_limit(float(seen[r_end / 4.0][0]), float(seen[r_end / 2.0][0]), float(Qe))
+        return ShotOutcome(ShotClass.FLAT, Q_tau=float(q_tau))
+
+    def widen(self, r_cap: float) -> ShotOutcome:
         """Continue an unsettled shot, doubling its radius up to r_cap."""
         r = self.r
         while True:
-            r = min(2.0 * r, self.r_cap)
+            r = min(2.0 * r, r_cap)
             try:
                 return self.classify(r)
-            except _Unsettled:
-                if r >= self.r_cap:
+            except Indeterminate as exc:
+                if exc.shot is None or r >= r_cap:
                     raise
+
+    def samples(self) -> ShotSamples | None:
+        """Samples at 0, every DR_SAMPLE and r, read off the kept interpolants."""
+        if self.steps is None:
+            return None
+        interior = np.arange(DR_SAMPLE, self.r, DR_SAMPLE)
+        if len(interior) and self.r - interior[-1] < 1e-9:
+            interior = interior[:-1]
+        sol = OdeSolution([R0] + [at.t for at in self.steps], self.steps)
+        block = sol(interior) if len(interior) else np.zeros((3, 0))
+        r = np.concatenate(([0.0], interior, [self.r]))
+        return ShotSamples(r, *np.column_stack(((1.0, 0.0, self.mu), block, self.y)))
 
 
 def _aitken_limit(a1: float, a2: float, a3: float) -> float:
@@ -705,13 +675,14 @@ def find_mu_c(
     Shots use integrate_shot's RTOL, FLAT_TOL and DR_SAMPLE.
 
     Every bisection shot is a classification shot (integrate_shot with
-    keep_samples=False).  One that is still descending at r_max continues
-    from its last state and step, doubling its radius up to WIDEN * r_max
-    before giving up.  This is sound: the classifying events are terminal,
-    so a decision reached at one radius is reached identically at any
-    larger radius.  The final shot at mu_c runs solve_ivp on 2*r_max
-    (restarted at each doubling) and keeps its samples; it must again not
-    cross the floor, which cross-checks the two integrators.
+    keep_samples=False) on r_max; the final shot at mu_c runs on 2*r_max
+    and keeps its samples.  A shot that is still descending at its radius
+    continues from its last state and step, doubling its radius up to
+    WIDEN * r_max before giving up.  This is sound: the classifying events
+    are terminal, so a decision reached at one radius is reached
+    identically at any larger radius.  The final shot must again not cross
+    the floor: a flat endpoint at r_max is no proof that the shot stays
+    above it further out.
     """
     if not math.isfinite(bisect_tol):
         raise ValueError("bisect_tol must be finite")
@@ -720,12 +691,16 @@ def find_mu_c(
     hi = report.mu2_min
     cap = WIDEN * r_max
 
-    def classify(mu: float) -> ShotClass:
+    def shoot(mu: float, r: float, keep_samples: bool):
         try:
-            outcome, _ = integrate_shot(replace(p, mu=mu), r_max=r_max, keep_samples=False)
-        except _Unsettled as exc:
-            outcome = exc.shot.widen()
-        return outcome.classification
+            return integrate_shot(replace(p, mu=mu), r_max=r, keep_samples=keep_samples)
+        except Indeterminate as exc:
+            if exc.shot is None:
+                raise
+            return exc.shot.widen(cap), exc.shot.samples()
+
+    def classify(mu: float) -> ShotClass:
+        return shoot(mu, r_max, False)[0].classification
 
     if classify(lo) is not ShotClass.CROSSED:
         raise BracketInvalid(f"shot at lo={lo} did not cross the floor")
@@ -742,19 +717,10 @@ def find_mu_c(
             hi = mid
     mu_c = hi
 
-    r = 2.0 * r_max
-    while True:
-        try:
-            outcome, samples = integrate_shot(replace(p, mu=mu_c), r_max=r)
-            break
-        except Indeterminate:
-            if r >= cap:
-                raise
-            r = min(2.0 * r, cap)
+    outcome, samples = shoot(mu_c, 2.0 * r_max, True)
     if outcome.classification is ShotClass.CROSSED:
         raise Indeterminate(
-            "critical shot crossed the floor under solve_ivp but not under the "
-            "classification stepper; increase r_max"
+            f"critical shot crossed the floor at r={outcome.r_star}; increase r_max"
         )
     if float(samples.Q_r.max()) > 1e-12:
         raise ProfileError("critical shot is not monotone nonincreasing")

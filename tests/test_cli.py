@@ -363,6 +363,23 @@ def test_sweep_order_and_failure_rows(tmp_path):
             assert "," not in row[7]
 
 
+def test_unsettled_shot_names_the_public_error(tmp_path):
+    # a shot still descending at r_max used to be reported under the
+    # library's private subclass name, `_Unsettled`
+    code, _, err = run_cli([
+        "shoot", "--d", "7", "--n", "2.8", "--c", "2.0", "--mu", "-0.005645811857816623",
+    ])
+    assert code == 2
+    assert err.startswith("numerical failure: Indeterminate: no event fired by r_max=200.0")
+    out_dir = tmp_path / "sweep"
+    code, _, _ = run_cli([
+        "sweep", "--d", "7", "--n", "2.8", "--c", "2.0", "--r-max", "0.5", "-o", str(out_dir),
+    ])
+    assert code == 0
+    row = (out_dir / "sweep.csv").read_text().splitlines()[1].split(",")
+    assert row[7].startswith("Indeterminate: no event fired by r_max=16.0")
+
+
 def test_embed_cli(critical_run, tmp_path):
     run_dir, _ = critical_run
     out_dir = tmp_path / "embedded"

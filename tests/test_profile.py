@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import DOP853, quad
+from scipy.integrate import DOP853, quad, solve_ivp
 from scipy.integrate._ivp import dop853_coefficients
 
+import magma_lab.cli
 import magma_lab.profile
 from magma_lab import (
     DecayFit,
@@ -23,6 +24,7 @@ from magma_lab import (
     ProfileParams,
     ProfileSolution,
     ShotClass,
+    ShotOutcome,
     ShotSamples,
     TailTooShort,
     TorusGrid,
@@ -40,7 +42,7 @@ from magma_lab import (
     structure_report,
     write_profile_csv,
 )
-from magma_lab.profile import ATOL, R0, RTOL, _Shot
+from magma_lab.profile import ATOL, R0, RTOL, WIDEN, _Shot
 
 EXAMPLE = ProfileParams(d=3.0, n=2.5, c=1.7)
 
@@ -207,6 +209,46 @@ def _assert_alike(got, want, rel):
             assert a == pytest.approx(b, rel=rel)
 
 
+def _scipy_shot(p, r_max):
+    """The oracle: the same shot by solve_ivp's DOP853, with the two terminal events.
+
+    Returns the outcome (classified by the library's rules) and solve_ivp's
+    dense output.
+    """
+    prof = magma_lab.profile
+    qrrr, qs = prof._qrrr(p), q_star(p.n)
+
+    def odes(r, y):
+        Q, Qr, Qrr = y.tolist()
+        return (Qr, Qrr, qrrr(float(r), Q, Qr, Qrr))
+
+    def floor(r, y):
+        return y[0] - qs
+
+    def turn(r, y):
+        return y[1]
+
+    floor.terminal = turn.terminal = True
+    floor.direction, turn.direction = -1.0, 1.0
+    sol = solve_ivp(odes, (R0, r_max), prof._series_start(p.mu), method="DOP853",
+                    rtol=RTOL, atol=ATOL, events=(floor, turn), dense_output=True)
+    assert sol.status >= 0, sol.message
+    (rf, rt), y_turn = sol.t_events, sol.y_events[1]
+    if len(rf) or len(rt):
+        out = prof._event_outcome(rf[0] if len(rf) else np.inf, rt[0] if len(rt) else np.inf,
+                                  y_turn[0] if len(rt) else None, qs)
+    else:
+        q_tau = prof._aitken_limit(sol.sol(r_max / 4.0)[0], sol.sol(r_max / 2.0)[0], sol.y[0, -1])
+        out = ShotOutcome(ShotClass.FLAT, Q_tau=float(q_tau))
+    return out, sol.sol
+
+
+def _assert_samples_match(samples, sol):
+    """Samples agree with the oracle's dense output on the same radii."""
+    got = np.array([samples.Q, samples.Q_r, samples.Q_rr])
+    np.testing.assert_allclose(got, sol(samples.r), rtol=0.0, atol=1e-9)
+
+
 @pytest.mark.parametrize(
     "p, r_max, cls",
     [
@@ -216,29 +258,42 @@ def _assert_alike(got, want, rel):
     ],
 )
 def test_classification_shot_matches_sample_shot(p, r_max, cls):
-    # a classification shot runs the float DOP853 stepper, a sample shot
-    # solve_ivp; they take the same steps but round differently
+    # both modes take the same steps with the same arithmetic; solve_ivp
+    # takes those steps too but rounds differently
     out_cls, none_samples = integrate_shot(p, r_max=r_max, keep_samples=False)
-    out_keep, _ = integrate_shot(p, r_max=r_max, keep_samples=True)
+    out_keep, samples = integrate_shot(p, r_max=r_max, keep_samples=True)
     assert none_samples is None
+    assert out_cls == out_keep
     assert out_cls.classification is cls
-    _assert_alike(out_cls, out_keep, rel=1e-9)
+    want, sol = _scipy_shot(p, r_max)
+    _assert_alike(out_cls, want, rel=1e-9)
+    _assert_samples_match(samples, sol)
     if cls is ShotClass.FLAT:
         assert out_cls.Q_tau == pytest.approx(0.80754, abs=1e-5)
 
 
-def test_only_the_final_shot_builds_dense_output(monkeypatch):
-    sols = []
-    solve_ivp = magma_lab.profile.solve_ivp
+def test_only_the_final_shot_builds_dense_output(monkeypatch, tmp_path):
+    # nothing in the library calls profile.solve_ivp (perfbench's tracing
+    # wraps it), and a search keeps the samples of exactly one shot
+    def refuse(*args, **kwargs):
+        raise AssertionError("profile.solve_ivp was called")
 
-    def recording(*args, **kwargs):
-        sols.append(solve_ivp(*args, **kwargs))
-        return sols[-1]
+    kept = []
+    shoot = magma_lab.profile.integrate_shot
 
-    monkeypatch.setattr(magma_lab.profile, "solve_ivp", recording)
+    def recording(p, r_max=200.0, keep_samples=True):
+        kept.append(keep_samples)
+        return shoot(p, r_max=r_max, keep_samples=keep_samples)
+
+    monkeypatch.setattr(magma_lab.profile, "solve_ivp", refuse)
+    monkeypatch.setattr(magma_lab.profile, "integrate_shot", recording)
     find_mu_c(EXAMPLE, bisect_tol=1e-8)
-    assert len(sols) == 1
-    assert sols[0].sol is not None
+    assert kept.count(True) == 1 and kept[-1] is True
+    run, argv = str(tmp_path / "critical"), ["shoot", "--d", "3", "--n", "2.5", "--c", "1.7"]
+    assert magma_lab.cli.main(argv + ["--mu", "-0.021"]) == 0
+    assert magma_lab.cli.main(argv + ["--bisect-tol", "1e-8", "-o", run]) == 0
+    assert magma_lab.cli.main(["embed", "--profile", run, "--n-points", "16,16,16",
+                               "--lengths", "240", "-o", str(tmp_path / "embedded")]) == 0
 
 
 # Shots within 1e-10 of mu_c (found at bisect_tol 1e-12) on both sides in
@@ -261,17 +316,21 @@ _NEAR_CRITICAL = [
 
 @pytest.mark.parametrize("params, r_max, cls, subcase, radius", _NEAR_CRITICAL)
 def test_near_critical_classification_table(params, r_max, cls, subcase, radius):
-    # The pinned radii are solve_ivp's (a shot that keeps samples).  The
-    # stepper of a classification shot rounds differently, and this close to
-    # mu_c that moves the radius far more than rounding: solve_ivp itself
-    # with RTOL scaled by 1 + 1e-12 moves it by up to 2.5e-6 relative.
+    # The pinned radii are solve_ivp's.  The library's stepper takes the
+    # same steps but rounds differently, and this close to mu_c that moves
+    # the radius far more than rounding: solve_ivp itself with RTOL scaled
+    # by 1 + 1e-12 moves it by up to 2.5e-6 relative.
     p = ProfileParams(*params)
-    for keep, rel in ((True, 1e-8), (False, 1e-5)):
+    want, _ = _scipy_shot(p, r_max)
+    assert want.classification is ShotClass[cls]
+    assert want.subcase == subcase
+    assert (want.r_star if cls == "CROSSED" else want.tau) == pytest.approx(radius, rel=1e-8)
+    for keep in (True, False):
         out, _ = integrate_shot(p, r_max=r_max, keep_samples=keep)
         assert out.classification is ShotClass[cls]
         assert out.subcase == subcase
         got = out.r_star if cls == "CROSSED" else out.tau
-        assert got == pytest.approx(radius, rel=rel)
+        assert got == pytest.approx(radius, rel=1e-5)
 
 
 def _restarted(p, r_max):
@@ -293,7 +352,30 @@ def test_continued_shot_classifies_like_a_restarted_shot(params):
     p = ProfileParams(*params)
     with pytest.raises(Indeterminate) as err:
         integrate_shot(p, r_max=200.0, keep_samples=False)
-    _assert_alike(err.value.shot.widen(), _restarted(p, 200.0), rel=1e-5)
+    _assert_alike(err.value.shot.widen(WIDEN * 200.0), _restarted(p, 200.0), rel=1e-5)
+
+
+def test_final_shot_continues_past_twice_r_max():
+    # a seed-3 shoot_grid cell whose final shot is unsettled at 2*r_max = 400
+    # and continues to its turn near 490.8; the samples change no bit of mu_c
+    p, tol, r_max = ProfileParams(d=7.0, n=2.418502466919782, c=2.3501003871534207), 1e-8, 200.0
+
+    def crosses(mu):
+        try:
+            out, _ = integrate_shot(replace(p, mu=mu), r_max=r_max, keep_samples=False)
+        except Indeterminate as exc:
+            out = exc.shot.widen(WIDEN * r_max)
+        return out.classification is ShotClass.CROSSED
+
+    rep = structure_report(p)
+    lo, hi = rep.mu3_min * (1.0 + 1e-3), rep.mu2_min
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if crosses(mid) else (lo, mid)
+    mu_c, sol = find_mu_c(p, bisect_tol=tol, r_max=r_max)
+    assert mu_c == hi
+    assert sol.samples.r[-1] == pytest.approx(490.8, abs=0.1)
+    _assert_samples_match(sol.samples, _scipy_shot(sol.params, 4.0 * r_max)[1])
 
 
 def test_continued_shot_reads_the_probes_of_the_larger_radius():
