@@ -2,9 +2,10 @@
 
 The script reproduces the full solitary-wave workflow at one parameter
 point: locate the minima of the three structure-function curves, verify
-the two bracketing shot classifications, bisect for the critical
-curvature mu_c, fit the exponential tail, and report the rescaling that
-normalizes the far field to 1.
+the two bracketing shot classifications, search the bracket for the
+critical curvature mu_c (a safeguarded bisection that probes where the
+radii of crossing shots predict it), fit the exponential tail, and
+report the rescaling that normalizes the far field to 1.
 
 Run:
     python3 scripts/example_regime.py

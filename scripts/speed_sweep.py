@@ -1,6 +1,6 @@
 """Critical curvature and tail limit as functions of the wave speed c.
 
-For fixed (d, n) the script sweeps c across [1.55, n), bisects the
+For fixed (d, n) the script sweeps c across [1.55, n), searches for the
 critical curvature at each point, and records the limit Q_tau, the
 rescaled speed c_bar = Q_tau^{1-n} c and the fitted tail rate k.  Near
 the corner c -> n the linearized tail rate vanishes, so the fitted k

@@ -23,6 +23,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
@@ -101,7 +102,7 @@ SHOOT_OPTS: dict[str, _Opt] = {
     "n": _Opt(float, required=True, help="nonlinearity exponent in [2, 3]"),
     "c": _Opt(float, required=True, help="wave speed in [1.55, n)"),
     "mu": _Opt(float, help="fire one shot at this curvature instead of searching"),
-    "bisect_tol": _Opt(float, 1e-12, help="bisection width for the critical curvature"),
+    "bisect_tol": _Opt(float, 1e-12, help="bracket width for the critical curvature"),
     "r_max": _Opt(float, 200.0, help="integration radius for classification"),
 }
 
@@ -122,7 +123,7 @@ SWEEP_OPTS: dict[str, _Opt] = {
     "d": _Opt(_c_floats, required=True, help="dimensions, e.g. 1,2,3 or 1:7:4"),
     "n": _Opt(_c_floats, required=True, help="exponents, e.g. 2,2.5,3"),
     "c": _Opt(_c_floats, required=True, help="wave speeds, e.g. 1.55:1.7:5"),
-    "bisect_tol": _Opt(float, 1e-8, help="bisection width per grid point"),
+    "bisect_tol": _Opt(float, 1e-8, help="bracket width per grid point"),
     "r_max": _Opt(float, 200.0, help="integration radius for classification"),
 }
 
@@ -186,11 +187,13 @@ def _merge_config(table: dict[str, _Opt], ns: argparse.Namespace) -> dict:
     if unknown:
         raise ValueError("; ".join(unknown))
     merged: dict = {}
+    origins: dict[str, str] = {}
     for dest, opt in table.items():
         raw, where = getattr(ns, dest, None), ""
         if raw is None and dest in file_vals:
             raw, ln = file_vals[dest]
             where = f"{path}:{ln}: "
+        origins[dest] = where
         if raw is None:
             if opt.required:
                 raise ValueError(f"missing required option '{dest}'")
@@ -200,7 +203,21 @@ def _merge_config(table: dict[str, _Opt], ns: argparse.Namespace) -> dict:
                 merged[dest] = opt.convert(raw)
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{where}bad value for '{dest}': {raw!r} ({exc})") from exc
+    ns.origins = origins
     return merged
+
+
+# words by which library errors name an option, where they differ from its name
+_OPTION_OF = {"n_exponent": "n", "blowup_threshold": "threshold", "points": "n_points"}
+
+
+def _locate(message: str, origins: dict[str, str]) -> str:
+    """Prefix an error with the config-file line of the first option it names, if any."""
+    for word in re.findall(r"\w+", message):
+        where = origins.get(_OPTION_OF.get(word, word))
+        if where is not None:
+            return where + message
+    return message
 
 
 def _config_hash(config: dict) -> str:
@@ -581,9 +598,9 @@ def _build_parser() -> _Parser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
+    ns = argparse.Namespace(origins={})  # _merge_config fills origins
     try:
-        ns = parser.parse_args(argv)
-        return ns.handler(ns)
+        return parser.parse_args(argv, ns).handler(ns)
     except SystemExit as exc:  # --help / --version
         code = exc.code
         return code if isinstance(code, int) else 0
@@ -591,7 +608,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        print(f"config error: {_locate(str(exc), ns.origins)}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

@@ -11,7 +11,7 @@ shots fall into exactly one of three classes: the solution crosses the
 floor Q_* while strictly decreasing, hits a finite turning point, or
 decays monotonically to a positive limit Q_tau.  The critical curvature
 mu_c sits on the boundary between the first class and the rest and is
-located by bisection.
+located by a bisection that probes where crossing radii predict it.
 
 The analysis rests on three structure functions F_i(Q, mu), each affine
 in mu as g_i(Q) + h_i(Q) mu:
@@ -97,7 +97,7 @@ class Indeterminate(ProfileError):
 
 
 class BracketInvalid(ProfileError):
-    """A bisection endpoint failed the classification that brackets mu_c."""
+    """A bracket endpoint failed the classification that brackets mu_c."""
 
 
 class OrderingViolated(ProfileError):
@@ -465,7 +465,7 @@ def _nonzero(*rows) -> tuple:
 
 @cache
 def _load_dop853() -> None:
-    """Bind the tableau, SciPy's interpolants and brentq; the first _Shot calls it."""
+    """Bind the tableau, SciPy's interpolants and brentq; the first _Shot or search calls it."""
     global _END, _A, _C, _E, _D, Dop853DenseOutput, OdeSolution, brentq
     from scipy.integrate import OdeSolution
     from scipy.integrate._ivp import dop853_coefficients as t
@@ -661,20 +661,94 @@ def _aitken_limit(a1: float, a2: float, a3: float) -> float:
     return a3 - (a3 - a2) ** 2 / den
 
 
+# Near mu_c a crossing shot follows the critical profile and leaves it at a
+# radius r_star for which ln(mu_c - mu) is linear in x(r_star): x(r) = r for
+# d <= 4, x(r) = ln r for d = 7.  A model is the pair (x(r), ln r of x).
+_MODELS = ((lambda r: r, math.log), (math.log, lambda x: x))
+FIT_BACKOFF = 0.05  # a predicted probe sits this share of the predicted distance below mu_c
+FIT_FAILS = 2  # predicted probes in a row that fail to halve the bracket force a bisection
+
+
+def _fit(shots, x, hi: float) -> tuple[float, float] | None:
+    """Fit ln(mu_c - mu) = a + b x(r), mu_c in (newest mu, hi), to three crossing
+    shots (mu, r) in rising mu; returns mu_c minus the newest mu, and b."""
+    (m1, r1), (m2, r2), (m3, r3) = shots
+    x1, x2, x3 = x(r1), x(r2), x(r3)
+    if not (m1 < m2 < m3 < hi and x1 < x2 < x3):
+        return None
+
+    def gap(s):  # slope of chord 1-2 minus that of chord 2-3 when mu_c = m3 + e^s
+        L2 = math.log(m3 - m2 + math.exp(s))
+        return (math.log(m3 - m1 + math.exp(s)) - L2) / (x1 - x2) - (L2 - s) / (x2 - x3)
+
+    s_hi = math.log(hi - m3)
+    if not gap(s_hi) < 0.0 < gap(s_hi - 50.0):
+        return None
+    s = brentq(gap, s_hi - 50.0, s_hi)
+    return math.exp(s), (math.log(m3 - m2 + math.exp(s)) - s) / (x2 - x3)
+
+
+def _predict(crossings, hi: float) -> float | None:
+    """Distance from the newest crossing shot to mu_c, fitted to the last three
+    by the model whose fit to the three before best predicted the newest radius."""
+    def miss(model):
+        x, ln_r = model
+        *before, (mu, r) = crossings[-4:]
+        (m3, r3), fit = before[-1], _fit(before, x, hi)
+        # b is 0 only when m3 - m2 is below the rounding of mu_c - m2
+        if fit is None or not (m3 + fit[0] > mu and fit[1] < 0.0):
+            return math.inf
+        delta, b = fit
+        return abs(ln_r(x(r3) + math.log((m3 + delta - mu) / delta) / b) - math.log(r))
+
+    models = _MODELS if len(crossings) < 4 else sorted(_MODELS, key=miss)
+    fit = _fit(crossings[-3:], models[0][0], hi)
+    return None if fit is None else fit[0]
+
+
+def _search(classify, lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """Shrink (lo, hi], lo crossing and hi not, to width tol; classify(mu) -> (crossed, r_star).
+
+    A probe sits FIT_BACKOFF of _predict's distance below its mu_c and at least tol above lo,
+    or bisects without a prediction and after FIT_FAILS probes in a row failed to halve."""
+    _load_dop853()
+    crossed, r = classify(lo)
+    if not crossed:
+        raise BracketInvalid(f"shot at lo={lo} did not cross the floor")
+    if classify(hi)[0]:
+        raise BracketInvalid(f"shot at hi={hi} crossed the floor")
+    crossings, fails = [(lo, r)], 0
+    while hi - lo > tol:
+        width = hi - lo
+        delta = _predict(crossings, hi) if fails < FIT_FAILS and len(crossings) > 2 else None
+        probe = None if delta is None else lo + max(tol, (1.0 - FIT_BACKOFF) * delta)
+        guessed = probe is not None and lo < probe < hi
+        mu = probe if guessed else 0.5 * (lo + hi)
+        if not lo < mu < hi:
+            break
+        crossed, r = classify(mu)
+        if crossed:
+            lo, crossings = mu, crossings[-3:] + [(mu, r)]
+        else:
+            hi = mu
+        fails = fails + 1 if guessed and hi - lo > 0.5 * width else 0
+    return lo, hi
+
+
 def find_mu_c(
     p: ProfileParams,
     bisect_tol: float = 1e-12,
     r_max: float = 200.0,
 ) -> tuple[float, ProfileSolution]:
-    """Bisect for the critical curvature and return the profile at mu_c.
+    """Search for the critical curvature and return the profile at mu_c.
 
     The bracket starts just below the mu_3 minimum (crossing shots) and at
     the mu_2 minimum (non-crossing shots); both classifications are
-    verified up front and maintained by bisection, so the returned value
-    is the upper endpoint: crossing occurs within bisect_tol below it.
-    Shots use integrate_shot's RTOL, FLAT_TOL and DR_SAMPLE.
+    verified up front and kept by _search, so the returned value is the
+    upper endpoint: crossing occurs within bisect_tol below it.  Shots use
+    integrate_shot's RTOL, FLAT_TOL and DR_SAMPLE.
 
-    Every bisection shot is a classification shot (integrate_shot with
+    Every search shot is a classification shot (integrate_shot with
     keep_samples=False) on r_max; the final shot at mu_c runs on 2*r_max
     and keeps its samples.  A shot that is still descending at its radius
     continues from its last state and step, doubling its radius up to
@@ -687,8 +761,6 @@ def find_mu_c(
     if not math.isfinite(bisect_tol):
         raise ValueError("bisect_tol must be finite")
     report = structure_report(p)
-    lo = report.mu3_min * (1.0 + 1e-3)
-    hi = report.mu2_min
     cap = WIDEN * r_max
 
     def shoot(mu: float, r: float, keep_samples: bool):
@@ -699,24 +771,11 @@ def find_mu_c(
                 raise
             return exc.shot.widen(cap), exc.shot.samples()
 
-    def classify(mu: float) -> ShotClass:
-        return shoot(mu, r_max, False)[0].classification
+    def classify(mu: float) -> tuple[bool, float | None]:
+        out = shoot(mu, r_max, False)[0]
+        return out.classification is ShotClass.CROSSED, out.r_star
 
-    if classify(lo) is not ShotClass.CROSSED:
-        raise BracketInvalid(f"shot at lo={lo} did not cross the floor")
-    if classify(hi) is ShotClass.CROSSED:
-        raise BracketInvalid(f"shot at hi={hi} crossed the floor")
-
-    while hi - lo > bisect_tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if classify(mid) is ShotClass.CROSSED:
-            lo = mid
-        else:
-            hi = mid
-    mu_c = hi
-
+    _, mu_c = _search(classify, report.mu3_min * (1.0 + 1e-3), report.mu2_min, bisect_tol)
     outcome, samples = shoot(mu_c, 2.0 * r_max, True)
     if outcome.classification is ShotClass.CROSSED:
         raise Indeterminate(

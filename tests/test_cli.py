@@ -180,6 +180,34 @@ def test_config_file_errors_name_the_line(tmp_path, text, message):
         assert code == 0 and err == ""
 
 
+@pytest.mark.parametrize("command, text, message", [
+    ("evolve", "n_points = 16\nn = 2\ndt = -1\nt_end = 0.1\n", ":3: dt must be positive"),
+    ("shoot", "d = 3\nn = 5\nc = 1.7\n", ":2: exponent n must lie in [2, 3]"),
+    ("shoot", "d = 3\nn = 2.5\nc = 9\n", ":3: wave speed c must lie in [1.55, n)"),
+])
+def test_config_file_range_errors_name_the_line(tmp_path, command, text, message):
+    # a value that parses but fails a later range check used to be reported
+    # without its file and line
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "magma_lab.cli", command, "--config", str(cfg),
+         "-o", str(tmp_path / "x")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert f"config error: {cfg}{message}" in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp_path / "x").exists()
+
+
+def test_range_errors_of_flags_name_no_file(tmp_path):
+    # a bad value given as a flag overrides the file's, which is then not named
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("d = 3\nn = 2.5\nc = 1.7\n")
+    code, _, err = run_cli(["shoot", "--config", str(cfg), "--n", "5"])
+    assert code == 1 and err == "config error: exponent n must lie in [2, 3]\n"
+
+
 def test_repeated_config_key_rejected(tmp_path):
     # the last value used to win silently
     cfg = tmp_path / "run.cfg"

@@ -355,27 +355,124 @@ def test_continued_shot_classifies_like_a_restarted_shot(params):
     _assert_alike(err.value.shot.widen(WIDEN * 200.0), _restarted(p, 200.0), rel=1e-5)
 
 
-def test_final_shot_continues_past_twice_r_max():
-    # a seed-3 shoot_grid cell whose final shot is unsettled at 2*r_max = 400
-    # and continues to its turn near 490.8; the samples change no bit of mu_c
-    p, tol, r_max = ProfileParams(d=7.0, n=2.418502466919782, c=2.3501003871534207), 1e-8, 200.0
+def _crosses(p, mu, r_max=200.0):
+    """Classify as find_mu_c does: an unsettled shot continues up to WIDEN * r_max."""
+    shoot = magma_lab.profile.integrate_shot  # as find_mu_c calls it, so it can be counted
+    try:
+        out, _ = shoot(replace(p, mu=mu), r_max=r_max, keep_samples=False)
+    except Indeterminate as exc:
+        out = exc.shot.widen(WIDEN * r_max)
+    return out.classification is ShotClass.CROSSED
 
-    def crosses(mu):
-        try:
-            out, _ = integrate_shot(replace(p, mu=mu), r_max=r_max, keep_samples=False)
-        except Indeterminate as exc:
-            out = exc.shot.widen(WIDEN * r_max)
-        return out.classification is ShotClass.CROSSED
 
+def _bisect(p, tol):
+    """The upper end of a plain bisection of find_mu_c's starting bracket."""
     rep = structure_report(p)
     lo, hi = rep.mu3_min * (1.0 + 1e-3), rep.mu2_min
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if crosses(mid) else (lo, mid)
+        lo, hi = (mid, hi) if _crosses(p, mid) else (lo, mid)
+    return hi
+
+
+def test_final_shot_continues_past_twice_r_max():
+    # a seed-3 shoot_grid cell whose final shot is unsettled at 2*r_max = 400
+    # and continues to its turn near 490.8
+    p, tol, r_max = ProfileParams(d=7.0, n=2.418502466919782, c=2.3501003871534207), 1e-8, 200.0
     mu_c, sol = find_mu_c(p, bisect_tol=tol, r_max=r_max)
-    assert mu_c == hi
+    assert abs(mu_c - _bisect(p, tol)) <= tol
+    assert _crosses(p, mu_c - 2.0 * tol) and not _crosses(p, mu_c)
+    assert sol.samples.r[-1] > 2.0 * r_max
     assert sol.samples.r[-1] == pytest.approx(490.8, abs=0.1)
     _assert_samples_match(sol.samples, _scipy_shot(sol.params, 4.0 * r_max)[1])
+
+
+# the first cell of each dimension in seed 3's shoot_grid block: (d, n, c)
+_GRID_CELLS = [
+    (1.0, 2.804140867529559, 2.2568632005420746),
+    (2.0, 2.5467804791848088, 2.459240503933069),
+    (3.0, 2.326613686487805, 2.183112924969959),
+    (4.0, 2.856182551398692, 2.2831595613642985),
+    (7.0, 2.150654061556261, 1.7510869871888626),
+]
+
+
+@pytest.mark.parametrize("params", _GRID_CELLS, ids=lambda c: f"d{c[0]:g}")
+def test_search_against_bisection_on_grid_cells(monkeypatch, params):
+    p, tol = ProfileParams(*params), 1e-8
+    shots = []
+    shoot = magma_lab.profile.integrate_shot
+
+    def counting(*args, **kwargs):
+        shots.append(None)
+        return shoot(*args, **kwargs)
+
+    monkeypatch.setattr(magma_lab.profile, "integrate_shot", counting)
+    mu_c, _ = find_mu_c(p, bisect_tol=tol)
+    searched = len(shots) - 1  # the final shot keeps its samples
+    del shots[:]
+    want = _bisect(p, tol)
+    bisected = len(shots) + 2  # find_mu_c also checks both ends of the bracket
+    assert abs(mu_c - want) <= tol
+    assert _crosses(p, mu_c - 2.0 * tol) and not _crosses(p, mu_c)
+    if p.d <= 4.0:
+        assert searched < bisected
+
+
+# Synthetic oracles for the search alone: classify(mu) -> (crossed, r_star).
+_MU_C, _LO, _HI = -0.0207675059544, -0.05, -0.004
+_BISECTIONS = 2 + int(np.ceil(np.log2((_HI - _LO) / 1e-12)))  # with the two end checks
+
+
+def _run_search(radius, crossed=lambda mu: mu < _MU_C, tol=1e-12):
+    calls = []
+
+    def classify(mu):
+        calls.append(mu)
+        hit = crossed(mu)
+        return hit, radius(mu) if hit else None
+
+    lo, hi = magma_lab.profile._search(classify, _LO, _HI, tol)
+    assert crossed(lo) and not crossed(hi)
+    assert 0.0 < hi - lo <= tol
+    return lo, hi, len(calls)
+
+
+@pytest.mark.parametrize("radius", [
+    lambda mu: 3.0 - np.log(_MU_C - mu) / 0.4,  # ln(mu_c - mu) linear in r
+    lambda mu: np.exp(2.0 - np.log(_MU_C - mu) / 3.0),  # ... and in ln r
+], ids=["exponential", "power"])
+def test_search_converges_fast_on_exact_departure(radius):
+    lo, hi, shots = _run_search(radius)
+    assert lo < _MU_C <= hi
+    assert shots <= _BISECTIONS // 2
+
+
+def test_search_keeps_the_bisection_bound_on_adversarial_radii():
+    bound = 3 * (_BISECTIONS - 2) + 2
+    rngs = [np.random.default_rng(seed) for seed in range(5)]
+    for radius in [lambda mu, rng=rng: rng.uniform(1.0, 100.0) for rng in rngs] + [lambda mu: 50.0]:
+        assert _run_search(radius)[2] <= bound
+    # radii that grow geometrically with every crossing shot make each fit
+    # put mu_c just above lo; unguarded, the search creeps up by tol a shot
+    for base in (2.0, 3.0):
+        growing = iter(base**k for k in range(1000))
+        assert _BISECTIONS < _run_search(lambda mu: next(growing))[2] <= bound
+
+
+def test_search_bracket_holds_when_classification_is_not_monotone():
+    # within 1e-10 of mu_c the class flips with the last bits of mu, as a
+    # classification at the rounding floor does; each shot still moves the
+    # end of its own class, so lo crosses and hi does not
+    def crossed(mu):
+        if abs(mu - _MU_C) < 1e-10:
+            return bool(int(np.float64(mu).view(np.int64)) >> 3 & 1)
+        return mu < _MU_C
+
+    for radius in (lambda mu: 3.0 - np.log(abs(_MU_C - mu)) / 0.4, lambda mu: 50.0):
+        for tol in (1e-12, 1e-14):
+            lo, hi, _ = _run_search(radius, crossed, tol)
+            assert abs(hi - _MU_C) < 1e-10
 
 
 def test_continued_shot_reads_the_probes_of_the_larger_radius():
