@@ -7,9 +7,12 @@ shots), ``embed`` (periodize an archived profile), and ``diagnose``
 
 Every physical or numerical option can come from a ``key=value`` config
 file (``--config``); explicit flags override file values, which override
-built-in defaults.  One helper, ``_write_run``, makes every run directory:
-it writes the artifacts in order, then ``manifest.json`` with the merged,
-typed configuration, its hash and the list of artifacts produced.
+built-in defaults; a bad value from the file, the ``init`` spec included,
+is reported with its ``path:line``.  ``main`` runs every subcommand of the
+``_COMMANDS`` table the same way: merge the config, run the handler, let
+``_write_run`` write the artifacts in order and then ``manifest.json``
+(merged config, its hash, the artifact list) into ``--out``, and last print
+the report as ``key = value`` lines, numbers as Python ``repr`` floats.
 
 Exit codes: 0 success (including every evolve verdict), 1 configuration
 or usage errors, 2 numerical failures, 3 I/O failures.
@@ -27,7 +30,7 @@ import re
 import sys
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -179,7 +182,9 @@ def _read_kv_file(path: str) -> dict[str, tuple[str, int]]:
     return out
 
 
-def _merge_config(table: dict[str, _Opt], ns: argparse.Namespace) -> dict:
+def _merge_config(table: dict[str, _Opt], ns: argparse.Namespace) -> tuple[dict, dict]:
+    """The typed config (flag over file over default), and each option's
+    ``path:line: `` in the file, or "" when the file did not give it."""
     path = getattr(ns, "config", None)
     file_vals = _read_kv_file(path) if path else {}
     unknown = [f"{path}:{ln}: unknown config key {key!r}"
@@ -203,8 +208,7 @@ def _merge_config(table: dict[str, _Opt], ns: argparse.Namespace) -> dict:
                 merged[dest] = opt.convert(raw)
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{where}bad value for '{dest}': {raw!r} ({exc})") from exc
-    ns.origins = origins
-    return merged
+    return merged, origins
 
 
 # words by which library errors name an option, where they differ from its name
@@ -236,6 +240,7 @@ def _csv(header: str, rows: Iterable[Iterable[object]]) -> str:
 
 
 _Artifact = tuple[str, str | Callable[[str], None]]  # text, or a writer of the path
+_Report = list[tuple[str, object]]  # "key = value" lines: str as is, number via _fmt, None none
 
 
 def _write_run(out_dir: str, command: str, config: dict, files: list[_Artifact]) -> None:
@@ -354,54 +359,44 @@ def _load_run_snapshots(run_dir: str) -> list[tuple[float, Field]]:
 
 
 # -- subcommand handlers -----------------------------------------------------
+# Each takes the merged config and the parsed arguments, and returns the
+# artifacts for _write_run and the report that main prints after the write.
 
-def _cmd_shoot(ns: argparse.Namespace) -> int:
-    cfg = _merge_config(SHOOT_OPTS, ns)
-
+def _cmd_shoot(cfg: dict, ns: argparse.Namespace) -> tuple[list[_Artifact], _Report]:
     if cfg["mu"] is not None:
         params = ProfileParams(d=cfg["d"], n=cfg["n"], c=cfg["c"], mu=cfg["mu"])
         outcome, samples = integrate_shot(params, r_max=cfg["r_max"])
-        print(f"classification = {outcome.classification.value}")
-        if outcome.r_star is not None:
-            print(f"r_star = {_fmt(outcome.r_star)}")
-        if outcome.tau is not None:
-            print(f"tau = {_fmt(outcome.tau)}")
-            print(f"subcase = {outcome.subcase}")
-        if outcome.Q_tau is not None:
-            print(f"Q_tau = {_fmt(outcome.Q_tau)}")
+        report = [
+            ("classification", outcome.classification.value), ("r_star", outcome.r_star),
+            ("tau", outcome.tau), ("subcase", outcome.subcase), ("Q_tau", outcome.Q_tau),
+        ]
         sol = ProfileSolution(
             params=params, samples=samples,
             Q_tau=outcome.Q_tau if outcome.Q_tau is not None else float("nan"),
         )
     else:
         params = ProfileParams(d=cfg["d"], n=cfg["n"], c=cfg["c"])
-        report = structure_report(params)
+        structure = structure_report(params)
         mu_c, sol = find_mu_c(params, bisect_tol=cfg["bisect_tol"], r_max=cfg["r_max"])
         fit = decay_check(sol)
         sol = replace(sol, decay=fit)
-        print(f"Q_star = {_fmt(report.Q_star)}")
-        print(f"Q1 = {_fmt(report.Q1)}")
-        print(f"mu1_min = {_fmt(report.mu1_min)}")
-        print(f"mu2_min = {_fmt(report.mu2_min)}")
-        print(f"mu3_min = {_fmt(report.mu3_min)}")
-        print(f"mu_c = {_fmt(mu_c)}")
-        print(f"Q_tau = {_fmt(sol.Q_tau)}")
-        print(f"c_bar = {_fmt(_c_bar(params, 1.0 / sol.Q_tau))}")
-        if fit is not None:
-            print(f"decay_k = {_fmt(fit.k)}")
-            print(f"decay_M = {_fmt(fit.M)}")
-        else:
-            print("decay_k = nan")
-    if ns.out:
-        _write_run(ns.out, "shoot", cfg,
-                   [("profile.csv", lambda path: write_profile_csv(path, sol))])
-    return 0
+        report = [
+            ("Q_star", structure.Q_star), ("Q1", structure.Q1),
+            ("mu1_min", structure.mu1_min), ("mu2_min", structure.mu2_min),
+            ("mu3_min", structure.mu3_min), ("mu_c", mu_c), ("Q_tau", sol.Q_tau),
+            ("c_bar", _c_bar(params, 1.0 / sol.Q_tau)),
+            ("decay_k", float("nan") if fit is None else fit.k),
+            ("decay_M", None if fit is None else fit.M),
+        ]
+    return [("profile.csv", lambda path: write_profile_csv(path, sol))], report
 
 
-def _cmd_evolve(ns: argparse.Namespace) -> int:
-    cfg = _merge_config(EVOLVE_OPTS, ns)
+def _cmd_evolve(cfg: dict, ns: argparse.Namespace) -> tuple[list[_Artifact], _Report]:
     grid = _make_grid(cfg["n_points"], cfg["lengths"])
-    phi0 = _initial_field(cfg["init"], grid)
+    try:
+        phi0 = _initial_field(cfg["init"], grid)
+    except ValueError as exc:  # named, so that _locate finds the file line of 'init'
+        raise ValueError(f"init: {exc}") from exc
     ecfg = EvolveConfig(
         n_exponent=cfg["n"], dt=cfg["dt"], t_end=cfg["t_end"],
         s_monitor=cfg["s_monitor"], blowup_threshold=cfg["threshold"],
@@ -416,14 +411,10 @@ def _cmd_evolve(ns: argparse.Namespace) -> int:
     monitor_at = {float(t): float(m) for t, m in zip(rep.times, rep.monitor)}
     for i, (t, fld) in enumerate(result.snapshots):
         files += _snapshot_pair(i, t, fld, monitor_at.get(float(t), float("nan")), cfg_hash)
-    _write_run(ns.out, "evolve", cfg, files)
-
-    print(f"verdict = {rep.verdict.value}")
-    if rep.t_event is not None:
-        print(f"t_event = {_fmt(rep.t_event)}")
-    print(f"final_monitor = {_fmt(rep.final_monitor)}")
-    print(f"snapshots = {len(result.snapshots)}")
-    return 0
+    return files, [
+        ("verdict", rep.verdict.value), ("t_event", rep.t_event),
+        ("final_monitor", rep.final_monitor), ("snapshots", str(len(result.snapshots))),
+    ]
 
 
 def _sweep_task(item: tuple[float, float, float, float, float]) -> list[str]:
@@ -448,8 +439,7 @@ def _sweep_task(item: tuple[float, float, float, float, float]) -> list[str]:
         return [_fmt(d), _fmt(n), _fmt(c), "", "", "", "", msg]
 
 
-def _cmd_sweep(ns: argparse.Namespace) -> int:
-    cfg = _merge_config(SWEEP_OPTS, ns)
+def _cmd_sweep(cfg: dict, ns: argparse.Namespace) -> tuple[list[_Artifact], _Report]:
     if ns.jobs < 1:
         raise ValueError("jobs must be at least 1")
     items = [
@@ -464,143 +454,116 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
         with Pool(processes=ns.jobs) as pool:
             rows = pool.map(_sweep_task, items)
 
-    table = _csv("d,n,c,mu_c,Q_tau,k,c_bar,error", rows)
-    _write_run(ns.out, "sweep", cfg, [("sweep.csv", table)])
     failures = sum(1 for row in rows if row[-1])
-    print(f"rows = {len(rows)}")
-    print(f"failures = {failures}")
-    return 0
+    return [("sweep.csv", _csv("d,n,c,mu_c,Q_tau,k,c_bar,error", rows))], [
+        ("rows", str(len(rows))), ("failures", str(failures)),
+    ]
 
 
-def _cmd_embed(ns: argparse.Namespace) -> int:
-    cfg = _merge_config(EMBED_OPTS, ns)
+def _cmd_embed(cfg: dict, ns: argparse.Namespace) -> tuple[list[_Artifact], _Report]:
     grid = _make_grid(cfg["n_points"], cfg["lengths"])
     center = None if cfg["center"] is None else tuple(cfg["center"])
     fld = embed_on_torus(_read_profile(cfg["profile"]), grid, center)
 
     weight = _hs_weight(grid, _default_monitor_index(grid))
     monitor, mass, _ = _monitor_row(grid, fld.values, weight)
-    _write_run(ns.out, "embed", cfg, _snapshot_pair(0, 0.0, fld, monitor, _config_hash(cfg)))
-
     stats = field_stats(fld)
-    print(f"peak = {_fmt(stats.max)}")
-    print(f"min = {_fmt(stats.min)}")
-    print(f"mass = {_fmt(mass)}")
-    return 0
+    return _snapshot_pair(0, 0.0, fld, monitor, _config_hash(cfg)), [
+        ("peak", stats.max), ("min", stats.min), ("mass", mass),
+    ]
 
 
-def _cmd_diag_dispersion(ns: argparse.Namespace) -> int:
-    cfg = _merge_config(DISPERSION_OPTS, ns)
+def _cmd_diag_dispersion(cfg: dict, ns: argparse.Namespace) -> tuple[list[_Artifact], _Report]:
     grid = _make_grid(cfg["n_points"], cfg["lengths"])
     fit = fit_dispersion(
         grid, cfg["n"], tuple(cfg["mode"]), epsilon=cfg["epsilon"],
         periods=cfg["periods"], steps_per_period=cfg["steps_per_period"],
     )
-    print(f"omega_formula = {_fmt(fit.omega_formula)}")
-    print(f"omega_measured = {_fmt(fit.omega_measured)}")
-    print(f"relative_error = {_fmt(fit.relative_error)}")
-    if ns.out:
-        payload = _json(asdict(fit), indent=2)
-        _write_run(ns.out, "diagnose dispersion", cfg, [("dispersion.json", payload)])
-    return 0
+    return [("dispersion.json", _json(asdict(fit), indent=2))], [
+        ("omega_formula", fit.omega_formula), ("omega_measured", fit.omega_measured),
+        ("relative_error", fit.relative_error),
+    ]
 
 
-def _cmd_diag_track(ns: argparse.Namespace) -> int:
-    cfg = _merge_config(TRACK_OPTS, ns)
+def _cmd_diag_track(cfg: dict, ns: argparse.Namespace) -> tuple[list[_Artifact], _Report]:
     snapshots = _load_run_snapshots(cfg["run"])
     trace = track_peak(snapshots)
-    print(f"snapshots = {len(snapshots)}")
-    print(f"speed = {_fmt(trace.speed)}")
-    if ns.out:
-        table = _csv("t,position", zip(trace.times, trace.positions))
-        _write_run(ns.out, "diagnose track", cfg, [("peaks.csv", table)])
-    return 0
+    return [("peaks.csv", _csv("t,position", zip(trace.times, trace.positions)))], [
+        ("snapshots", str(len(snapshots))), ("speed", trace.speed),
+    ]
 
 
-def _cmd_diag_energy(ns: argparse.Namespace) -> int:
-    cfg = _merge_config(ENERGY_OPTS, ns)
+def _cmd_diag_energy(cfg: dict, ns: argparse.Namespace) -> tuple[list[_Artifact], _Report]:
     snapshots = _load_run_snapshots(cfg["run"])
     params = ConservedEnergyParams(n=cfg["n"], m=cfg["m"])
     times, energies = energy_series(snapshots, params)
     scale = max(abs(float(energies[0])), 1e-300)
     drift = float(np.max(np.abs(energies - energies[0]))) / scale
-    print(f"energy_initial = {_fmt(energies[0])}")
-    print(f"energy_final = {_fmt(energies[-1])}")
-    print(f"max_relative_drift = {_fmt(drift)}")
-    if ns.out:
-        table = _csv("t,energy", zip(times, energies))
-        _write_run(ns.out, "diagnose energy", cfg, [("energy.csv", table)])
-    return 0
+    return [("energy.csv", _csv("t,energy", zip(times, energies)))], [
+        ("energy_initial", energies[0]), ("energy_final", energies[-1]),
+        ("max_relative_drift", drift),
+    ]
 
 
 # -- parser ------------------------------------------------------------------
 
-def _add_table(sub: argparse.ArgumentParser, table: dict[str, _Opt]) -> None:
-    for dest, opt in table.items():
-        sub.add_argument("--" + dest.replace("_", "-"), default=None, metavar="V", help=opt.help)
+class _Command(NamedTuple):  # not a dataclass, which costs 1 ms at import
+    words: tuple[str, ...]  # ("shoot",) or ("diagnose", "track")
+    opts: dict[str, _Opt]
+    handler: Callable[[dict, argparse.Namespace], tuple[list[_Artifact], _Report]]
+    help: str
+    out_required: bool = False  # whether the run always writes a directory
 
 
-def _add_common(sub: argparse.ArgumentParser, out_required: bool) -> None:
-    sub.add_argument("--config", default=None, metavar="FILE",
-                     help="key=value file supplying defaults for any option")
-    sub.add_argument("--out", "-o", default=None, required=out_required,
-                     metavar="DIR", help="run directory for artifacts and manifest")
+_COMMANDS = [  # in the order --help lists them
+    _Command(("shoot",), SHOOT_OPTS, _cmd_shoot, "find the critical curvature or fire one shot"),
+    _Command(("evolve",), EVOLVE_OPTS, _cmd_evolve, "evolve an initial state on the torus", True),
+    _Command(("sweep",), SWEEP_OPTS, _cmd_sweep, "critical curvatures over a parameter grid",
+             True),
+    _Command(("embed",), EMBED_OPTS, _cmd_embed, "periodize an archived profile on a torus", True),
+    _Command(("diagnose", "dispersion"), DISPERSION_OPTS, _cmd_diag_dispersion,
+             "measure one mode's frequency"),
+    _Command(("diagnose", "track"), TRACK_OPTS, _cmd_diag_track, "peak positions and speed"),
+    _Command(("diagnose", "energy"), ENERGY_OPTS, _cmd_diag_energy, "energy drift over a run"),
+]
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="magma-lab",
                      description="Magma porosity equation laboratory.")
     parser.add_argument("--version", action="version", version=__version__)
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    p_shoot = subs.add_parser("shoot", help="find the critical curvature or fire one shot")
-    _add_table(p_shoot, SHOOT_OPTS)
-    _add_common(p_shoot, out_required=False)
-    p_shoot.set_defaults(handler=_cmd_shoot)
-
-    p_evolve = subs.add_parser("evolve", help="evolve an initial state on the torus")
-    _add_table(p_evolve, EVOLVE_OPTS)
-    _add_common(p_evolve, out_required=True)
-    p_evolve.set_defaults(handler=_cmd_evolve)
-
-    p_sweep = subs.add_parser("sweep", help="critical curvatures over a parameter grid")
-    _add_table(p_sweep, SWEEP_OPTS)
-    p_sweep.add_argument("--jobs", "-j", type=int, default=1,
-                         help="worker processes (default 1)")
-    _add_common(p_sweep, out_required=True)
-    p_sweep.set_defaults(handler=_cmd_sweep)
-
-    p_embed = subs.add_parser("embed", help="periodize an archived profile on a torus")
-    _add_table(p_embed, EMBED_OPTS)
-    _add_common(p_embed, out_required=True)
-    p_embed.set_defaults(handler=_cmd_embed)
-
-    p_diag = subs.add_parser("diagnose", help="measurements on runs and modes")
-    diag_subs = p_diag.add_subparsers(dest="diag_command", required=True)
-
-    p_disp = diag_subs.add_parser("dispersion", help="measure one mode's frequency")
-    _add_table(p_disp, DISPERSION_OPTS)
-    _add_common(p_disp, out_required=False)
-    p_disp.set_defaults(handler=_cmd_diag_dispersion)
-
-    p_track = diag_subs.add_parser("track", help="peak positions and speed")
-    _add_table(p_track, TRACK_OPTS)
-    _add_common(p_track, out_required=False)
-    p_track.set_defaults(handler=_cmd_diag_track)
-
-    p_energy = diag_subs.add_parser("energy", help="energy drift over a run")
-    _add_table(p_energy, ENERGY_OPTS)
-    _add_common(p_energy, out_required=False)
-    p_energy.set_defaults(handler=_cmd_diag_energy)
-
+    groups = {(): parser.add_subparsers(dest="command", required=True)}
+    for cmd in _COMMANDS:
+        if cmd.words[:-1] not in groups:  # "diagnose", made where its first member comes
+            p_diag = groups[()].add_parser("diagnose", help="measurements on runs and modes")
+            groups[cmd.words[:-1]] = p_diag.add_subparsers(dest="diag_command", required=True)
+        sub = groups[cmd.words[:-1]].add_parser(cmd.words[-1], help=cmd.help)
+        for dest, opt in cmd.opts.items():
+            sub.add_argument("--" + dest.replace("_", "-"), default=None, metavar="V",
+                             help=opt.help)
+        if cmd.handler is _cmd_sweep:  # not a config key: -j leaves config_hash alone
+            sub.add_argument("--jobs", "-j", type=int, default=1,
+                             help="worker processes (default 1)")
+        sub.add_argument("--config", default=None, metavar="FILE",
+                         help="key=value file supplying defaults for any option")
+        sub.add_argument("--out", "-o", default=None, required=cmd.out_required,
+                         metavar="DIR", help="run directory for artifacts and manifest")
+        sub.set_defaults(cmd=cmd)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    ns = argparse.Namespace(origins={})  # _merge_config fills origins
+    origins: dict[str, str] = {}
     try:
-        return parser.parse_args(argv, ns).handler(ns)
+        ns = _build_parser().parse_args(argv)
+        cfg, origins = _merge_config(ns.cmd.opts, ns)
+        files, report = ns.cmd.handler(cfg, ns)
+        if ns.out or ns.cmd.out_required:
+            _write_run(ns.out, " ".join(ns.cmd.words), cfg, files)
+        for key, value in report:
+            if value is not None:
+                print(f"{key} = {value if isinstance(value, str) else _fmt(value)}")
+        return 0
     except SystemExit as exc:  # --help / --version
         code = exc.code
         return code if isinstance(code, int) else 0
@@ -608,7 +571,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
-        print(f"config error: {_locate(str(exc), ns.origins)}", file=sys.stderr)
+        print(f"config error: {_locate(str(exc), origins)}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

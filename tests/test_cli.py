@@ -17,6 +17,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import magma_lab.cli
 from magma_lab import (
     Field,
     SnapshotFormatError,
@@ -180,10 +181,17 @@ def test_config_file_errors_name_the_line(tmp_path, text, message):
         assert code == 0 and err == ""
 
 
+_EVOLVE_CFG = "n_points = 16\nn = 2.5\ndt = 0.01\nt_end = 0.02\n"
+
+
 @pytest.mark.parametrize("command, text, message", [
     ("evolve", "n_points = 16\nn = 2\ndt = -1\nt_end = 0.1\n", ":3: dt must be positive"),
     ("shoot", "d = 3\nn = 5\nc = 1.7\n", ":2: exponent n must lie in [2, 3]"),
     ("shoot", "d = 3\nn = 2.5\nc = 9\n", ":3: wave speed c must lie in [1.55, n)"),
+    ("evolve", _EVOLVE_CFG + "init = bogus:1\n", ":5: init: unknown initial-condition kind"),
+    ("evolve", _EVOLVE_CFG + "init = constant:abc\n", ":5: init: could not convert string"),
+    ("evolve", _EVOLVE_CFG + "init = modes:base=1;amp=0.1,k=1:2\n",
+     ":5: init: mode k needs one integer per axis"),
 ])
 def test_config_file_range_errors_name_the_line(tmp_path, command, text, message):
     # a value that parses but fails a later range check used to be reported
@@ -517,6 +525,70 @@ def test_manifest_lists_every_artifact(command, critical_run, evolve_run, tmp_pa
         assert sidecar["config_hash"] == manifest["config_hash"]
 
 
+_REPORT_KEYS = {
+    "shoot": ["Q_star", "Q1", "mu1_min", "mu2_min", "mu3_min", "mu_c", "Q_tau", "c_bar",
+              "decay_k", "decay_M"],
+    "shoot-no-fit": ["Q_star", "Q1", "mu1_min", "mu2_min", "mu3_min", "mu_c", "Q_tau",
+                     "c_bar", "decay_k"],
+    "shot-crossing": ["classification", "r_star"],
+    "shot-turning": ["classification", "tau", "subcase"],
+    "evolve": ["verdict", "final_monitor", "snapshots"],
+    "evolve-threshold": ["verdict", "t_event", "final_monitor", "snapshots"],
+    "sweep": ["rows", "failures"],
+    "embed": ["peak", "min", "mass"],
+    "dispersion": ["omega_formula", "omega_measured", "relative_error"],
+    "track": ["snapshots", "speed"],
+    "energy": ["energy_initial", "energy_final", "max_relative_drift"],
+}
+
+
+@pytest.mark.parametrize("case", list(_REPORT_KEYS))
+def test_report_keys_in_order(case, critical_run, evolve_run, tmp_path, monkeypatch):
+    # every line is "key = value" in a fixed order; a value of None (tau of a
+    # crossing shot, t_event of a completed run, decay_M without a fit) prints
+    # no line, and counts print as integers
+    shoot = ["shoot", "--d", "3", "--n", "2.5", "--c", "1.7"]
+    evolve = ["evolve", "--n-points", "16", "--n", "2", "--dt", "0.05", "--t-end", "0.1",
+              "--init", "modes:base=1;amp=0.2,k=1"]
+    argv = {
+        "shoot": shoot + ["--bisect-tol", "1e-6"],
+        "shoot-no-fit": shoot + ["--bisect-tol", "1e-6"],
+        "shot-crossing": shoot + ["--mu", "-0.021"],
+        "shot-turning": shoot + ["--mu", "-0.02"],
+        "evolve": evolve,
+        "evolve-threshold": evolve + ["--threshold", "0.5"],
+        "sweep": ["sweep", "--d", "1", "--n", "2.5", "--c", "1.6"],
+        "embed": ["embed", "--profile", str(critical_run[0]), "--n-points", "48,48,48",
+                  "--lengths", "240"],
+        "dispersion": ["diagnose", "dispersion", "--n-points", "16", "--n", "2",
+                       "--mode", "1", "--periods", "1", "--steps-per-period", "16"],
+        "track": ["diagnose", "track", "--run", str(evolve_run)],
+        "energy": ["diagnose", "energy", "--run", str(evolve_run), "--n", "2"],
+    }[case]
+    if case == "shoot-no-fit":
+        monkeypatch.setattr(magma_lab.cli, "decay_check", lambda sol: None)
+    code, out, err = run_cli(argv + ["-o", str(tmp_path / "run")])
+    assert (code, err) == (0, "")
+    lines = [line.partition(" = ") for line in out.splitlines()]
+    assert [key for key, sep, _ in lines if sep] == _REPORT_KEYS[case]
+    assert len(lines) == len(_REPORT_KEYS[case])
+    counts = [value for key, _, value in lines if key in ("rows", "failures", "snapshots")]
+    assert all(value.isdigit() for value in counts)
+
+
+def test_failed_write_prints_no_report(evolve_run, tmp_path):
+    # the run is written before the report is printed, so a run directory
+    # that cannot be made leaves stdout empty
+    target = tmp_path / "a_file"
+    target.write_text("")
+    for argv in (["shoot", "--d", "3", "--n", "2.5", "--c", "1.7", "--mu", "-0.021"],
+                 ["diagnose", "track", "--run", str(evolve_run)]):
+        code, out, err = run_cli(argv + ["-o", str(target)])
+        assert (code, out) == (3, "")
+        assert err.startswith("io error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 _META = "# d=1.0, n=2.5, c=1.7, mu_c=-0.05, Q_tau=0.7, Q_star=0.3, k=nan, M=nan"
 _ROWS = "r,Q,Q_r,Q_rr\n0.0,1.0,0.0,-0.05\n1.0,0.98,-0.04,-0.03\n"
 
@@ -743,8 +815,17 @@ def test_torus_commands_load_no_scipy(tmp_path):
 
 
 def test_console_script_installed():
+    # the installed script when there is one; the entry point it is made from,
+    # and the module it runs, in every case
     exe = shutil.which("magma-lab")
-    if exe is None:
-        pytest.skip("console script not on PATH")
-    proc = subprocess.run([exe, "--version"], capture_output=True, text=True)
-    assert proc.returncode == 0
+    if exe is not None:
+        proc = subprocess.run([exe, "--version"], capture_output=True, text=True)
+        assert proc.returncode == 0
+    root = Path(__file__).resolve().parents[1]
+    pyproject = (root / "pyproject.toml").read_text()
+    scripts = pyproject.partition("[project.scripts]\n")[2].partition("\n[")[0]
+    assert 'magma-lab = "magma_lab.cli:main"' in scripts.splitlines()
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-m", "magma_lab.cli", "--version"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, magma_lab.__version__ + "\n")

@@ -1,7 +1,9 @@
-"""Package layout guards: the public names, and the one home of the transforms."""
+"""Package layout guards: the public names, the one home of the transforms,
+and the one pipeline of the command line."""
 
 from __future__ import annotations
 
+import ast
 import re
 import sys
 from pathlib import Path
@@ -50,3 +52,17 @@ def test_only_grid_touches_the_transforms():
     pattern = re.compile(r"\b(?:np|numpy)\.fft\b|\brfft_shape\b")
     offenders = [f.name for f in files if f.name != "grid.py" and pattern.search(f.read_text())]
     assert offenders == []
+
+
+def test_cli_runs_every_subcommand_through_main():
+    # main alone merges the config and writes the run; a handler returns its
+    # report and never prints
+    source = (Path(magma_lab.__file__).parent / "cli.py").read_text()
+    for name in ("_merge_config", "_write_run"):
+        assert len(re.findall(rf"(?<!def ){name}\(", source)) == 1, name
+    handlers = [node for node in ast.parse(source).body
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")]
+    assert len(handlers) == 7
+    printing = [h.name for h in handlers for node in ast.walk(h)
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print"]
+    assert printing == []
