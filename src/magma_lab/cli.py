@@ -243,6 +243,15 @@ _Artifact = tuple[str, str | Callable[[str], None]]  # text, or a writer of the 
 _Report = list[tuple[str, object]]  # "key = value" lines: str as is, number via _fmt, None none
 
 
+def _check_out(out_dir: str) -> None:
+    """Refuse a run directory that is or lies under a non-directory; makes nothing."""
+    path = os.path.abspath(out_dir)
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise NotADirectoryError(f"not a directory: {path}")
+
+
 def _write_run(out_dir: str, command: str, config: dict, files: list[_Artifact]) -> None:
     """Make the run directory, write each named file in order (text, or a
     writer called with its path), then manifest.json listing the names."""
@@ -557,6 +566,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         ns = _build_parser().parse_args(argv)
         cfg, origins = _merge_config(ns.cmd.opts, ns)
+        if ns.out:
+            _check_out(ns.out)
         files, report = ns.cmd.handler(cfg, ns)
         if ns.out or ns.cmd.out_required:
             _write_run(ns.out, " ".join(ns.cmd.words), cfg, files)

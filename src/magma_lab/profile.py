@@ -25,9 +25,11 @@ quadrature of the defining integrals in the test suite).
 
 Every shot runs _Shot, a DOP853 stepper on Python floats at RTOL, ATOL
 with SciPy's first step, error norm and step-size control, on one
-right-hand side, _qrrr.  A shot that keeps samples (the final shot of
-find_mu_c, ``shoot --mu``) keeps the 7th-order interpolant of every step
-and reads its samples off them.
+right-hand side, _QRRR, as straight-line code generated from SciPy's
+tableau with SciPy's operations in their order.  It reads event roots and
+probes off the step's 7th-order interpolant on floats in SciPy's order; a
+shot that keeps samples (the final shot of find_mu_c, ``shoot --mu``)
+keeps every step's interpolant and reads its samples off them.
 
 SciPy is imported on the first call that needs it (a shot, q_star, a
 spline), not with the module, so ``magma-lab diagnose`` and ``evolve``
@@ -380,16 +382,21 @@ DR_SAMPLE = 0.01  # radial spacing of stored samples
 WIDEN = 32.0  # find_mu_c doubles an indeterminate shot's radius up to WIDEN * r_max
 
 
+# Q_rrr(r, Q, Qr, Qrr) with noc = n/c, dm1 = d-1, on floats (libm pow as NumPy's)
+_QRRR = ("Qr * Q**-n - noc * Qr * (qinv := 1.0 / Q) - n * Qr * Qrr * qinv"
+         " - dm1 * (Qrr / r - Qr / (r * r))")
+
+
+def _stepper(p: ProfileParams) -> tuple:
+    """(qrrr, trial, extend) of p at RTOL, ATOL: trial(r, *y, Qrrr, h, U, V, W) -> (y_new, err)
+    fills stages 0.._END of U, V, W; extend(r, *y, h, U, V, W) the interpolant's stages."""
+    _load_dop853()
+    return _make_stepper(p.n, p.n / p.c, p.d - 1.0, RTOL, ATOL)
+
+
 def _qrrr(p: ProfileParams):
-    """Q_rrr(r, Q, Q_r, Q_rr) on Python floats (NumPy's libm pow at a third of the cost)."""
-    n, noc, dm1 = p.n, p.n / p.c, p.d - 1.0
-
-    def qrrr(r, Q, Qr, Qrr):
-        qinv = 1.0 / Q
-        return (Qr * Q**-n - noc * Qr * qinv - n * Qr * Qrr * qinv
-                - dm1 * (Qrr / r - Qr / (r * r)))
-
-    return qrrr
+    """Q_rrr(r, Q, Q_r, Q_rr) on Python floats."""
+    return _stepper(p)[0]
 
 
 def _series_start(mu: float) -> tuple[float, float, float]:
@@ -399,6 +406,16 @@ def _series_start(mu: float) -> tuple[float, float, float]:
 def _tail(r_max: float) -> list[float]:
     """The nine radii on which the flat test reads the curvature."""
     return np.linspace(r_max / 10.0, r_max, 9).tolist()
+
+
+@lru_cache(maxsize=16)
+def _probes(r_max: float) -> tuple[float, ...]:
+    """The radii the flat test reads at r_max and each doubling up to WIDEN * r_max, falling."""
+    radii, r = set(), r_max
+    while r <= WIDEN * r_max:
+        radii.update(_tail(r) + [r / 4.0, r / 2.0])
+        r *= 2.0
+    return tuple(sorted(radii, reverse=True))
 
 
 def _event_outcome(rf: float, rt: float, y_turn, qs: float) -> ShotOutcome:
@@ -458,14 +475,15 @@ def integrate_shot(
 # skipped.  Stage _END (weights b_j) is the step's end, stages _END+1.. feed
 # the interpolant, and _E pairs the weights (e5_j, e3_j) of the two error
 # estimates.  _load_dop853 binds these names, _C, _D (the interpolant's
-# weights), Dop853DenseOutput, OdeSolution and brentq once per process.
+# weights), Dop853DenseOutput, OdeSolution and brentq once per process, and
+# generates _make_stepper: the (j, a_j) loops' operations, in order, unrolled.
 def _nonzero(*rows) -> tuple:
     return tuple((j, *map(float, a)) for j, a in enumerate(zip(*rows)) if any(a))
 
 
 @cache
 def _load_dop853() -> None:
-    """Bind the tableau, SciPy's interpolants and brentq; the first _Shot or search calls it."""
+    """Bind the tableau, SciPy's interpolants and brentq, and generate _make_stepper."""
     global _END, _A, _C, _E, _D, Dop853DenseOutput, OdeSolution, brentq
     from scipy.integrate import OdeSolution
     from scipy.integrate._ivp import dop853_coefficients as t
@@ -475,6 +493,40 @@ def _load_dop853() -> None:
     _END, _C, _D = t.N_STAGES, t.C.tolist(), t.D
     _A = [_nonzero(row[:s]) for s, row in enumerate(t.A)]
     _E = _nonzero(t.E5, t.E3)
+
+    def total(terms, v):  # sum of a_j v_j from 0.0 in rising j
+        return "(0.0" + "".join(f" + {a!r} * {v}{j}" for j, a in terms) + ")"
+
+    def stages(ss):  # stages ss of a step of h from (x, y0, y1, y2) into u_s, v_s, w_s
+        return [line for s in ss for line in (
+            f"r = x + {_C[s]!r} * h", f"Q = y0 + h * {total(_A[s], 'u')}",
+            f"u{s} = Qr = y1 + h * {total(_A[s], 'v')}",
+            f"v{s} = Qrr = y2 + h * {total(_A[s], 'w')}", f"w{s} = {_QRRR}")]
+
+    def norm(k):  # squared scaled norm of the error estimate of weights e[k]
+        return " + ".join(f"({total([(e[0], e[k]) for e in _E], v)} / s{v}) ** 2" for v in "uvw")
+
+    def kept(ss):  # ("U[i:j]", "ui, ..., u(j-1)") for U, V, W over the stages ss
+        return [(f"{L}[{ss[0]}:{ss[-1] + 1}]", ", ".join(f"{v}{s}" for s in ss))
+                for L, v in zip("UVW", "uvw")]
+
+    old, new = range(_END + 1), range(_END + 1, len(_A))
+    defs = {
+        "qrrr(r, Q, Qr, Qrr)": ["return " + _QRRR],
+        "trial(x, y0, y1, y2, w0, h, U, V, W)": [
+            "u0, v0 = y1, y2", *stages(old[1:]),
+            *(f"s{v} = atol + max(abs(y{i}), abs({q})) * rtol"
+              for i, (v, q) in enumerate(zip("uvw", ("Q", f"u{_END}", f"v{_END}")))),
+            f"n5 = {norm(1)}", f"n3 = {norm(2)}", *(f"{L} = {us}" for L, us in kept(old)),
+            f"return (Q, u{_END}, v{_END}), (0.0 if n5 == 0.0 and n3 == 0.0"
+            " else h * n5 / math.sqrt((n5 + 0.01 * n3) * 3.0))"],
+        "extend(x, y0, y1, y2, h, U, V, W)": [
+            *(f"{us} = {L}" for L, us in kept(old)), *stages(new),
+            *(f"{L} = {us}" for L, us in kept(new))],
+    }
+    exec("def _make_stepper(n, noc, dm1, rtol, atol):\n" + "".join(
+        f"    def {sig}:\n" + "".join(f"        {line}\n" for line in body)
+        for sig, body in defs.items()) + "    return qrrr, trial, extend\n", globals())
 
 
 _EVENT_TOL = 4 * np.finfo(float).eps  # solve_ivp's xtol and rtol of an event root
@@ -495,26 +547,21 @@ class _Shot:
     """
 
     def __init__(self, p: ProfileParams, r_max: float, keep_samples: bool = False):
-        _load_dop853()
-        self.qrrr, self.qs, self.mu = _qrrr(p), q_star(p.n), _require_mu(p)
-        self.rtol, self.atol = RTOL, ATOL
+        self.qrrr, self.trial, self.extend = _stepper(p)
+        self.qs, self.mu = q_star(p.n), _require_mu(p)
         self.r, self.y = R0, _series_start(self.mu)
         self.w = self.qrrr(R0, *self.y)
         self.U, self.V, self.W = ([0.0] * len(_A) for _ in range(3))
         self.nfev, self.rejected = 1, 0
         self.h = self._first_step(r_max - R0)
-        radii, r = set(), r_max
-        while r <= WIDEN * r_max:
-            radii.update(_tail(r) + [r / 4.0, r / 2.0])
-            r *= 2.0
-        self.pending = sorted(radii, reverse=True)
-        self.seen: dict[float, np.ndarray] = {}
+        self.pending = list(_probes(r_max))
+        self.seen: dict[float, tuple[float, float, float]] = {}
         self.steps: list[Dop853DenseOutput] | None = [] if keep_samples else None
 
     def _first_step(self, interval: float) -> float:
         """SciPy's select_initial_step, on arrays as there: solve_ivp's first step."""
         y0, f0 = np.array(self.y), np.array((self.y[1], self.y[2], self.w))
-        scale = self.atol + np.abs(y0) * self.rtol
+        scale = ATOL + np.abs(y0) * RTOL
         d0, d1 = (np.linalg.norm(v / scale) / 3**0.5 for v in (y0, f0))
         h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, interval)
         y1 = (y0 + h0 * f0).tolist()
@@ -525,26 +572,9 @@ class _Shot:
             return float(min(100.0 * h0, max(1e-6, h0 * 1e-3), interval))
         return float(min(100.0 * h0, (0.01 / max(d1, d2)) ** 0.125, interval))
 
-    def _stages(self, stages, r: float, Q: float, Qr: float, Qrr: float, h: float) -> float:
-        """Evaluate the given stages of a step of h from r; returns Q at the last."""
-        qrrr, U, V, W = self.qrrr, self.U, self.V, self.W
-        for s in stages:
-            su = sv = sw = 0.0
-            for j, a in _A[s]:
-                su += a * U[j]
-                sv += a * V[j]
-                sw += a * W[j]
-            q = Q + h * su
-            U[s] = qr = Qr + h * sv
-            V[s] = qrr = Qrr + h * sw
-            W[s] = qrrr(r + _C[s] * h, q, qr, qrr)
-        self.nfev += len(stages)
-        return q
-
     def step(self, r_bound: float) -> None:
         """Take one accepted step, ending at r_bound at the latest."""
-        r, y, U, V, W = self.r, self.y, self.U, self.V, self.W
-        U[0], V[0], W[0] = y[1], y[2], self.w
+        r, y = self.r, self.y
         min_step = 10.0 * (math.nextafter(r, math.inf) - r)
         h = max(self.h, min_step)
         rejected = False
@@ -553,19 +583,8 @@ class _Shot:
                 raise Indeterminate(f"integrator failed: step below {min_step:.3e} at r={r}")
             r_new = min(r + h, r_bound)
             h = r_new - r
-            y_new = (self._stages(range(1, _END + 1), r, *y, h), U[_END], V[_END])
-            sq, sr, srr = (self.atol + max(abs(a), abs(b)) * self.rtol for a, b in zip(y, y_new))
-            e5q = e5r = e5rr = e3q = e3r = e3rr = 0.0
-            for j, e5, e3 in _E:
-                e5q += e5 * U[j]
-                e5r += e5 * V[j]
-                e5rr += e5 * W[j]
-                e3q += e3 * U[j]
-                e3r += e3 * V[j]
-                e3rr += e3 * W[j]
-            n5 = (e5q / sq) ** 2 + (e5r / sr) ** 2 + (e5rr / srr) ** 2
-            n3 = (e3q / sq) ** 2 + (e3r / sr) ** 2 + (e3rr / srr) ** 2
-            err = 0.0 if n5 == 0.0 and n3 == 0.0 else h * n5 / math.sqrt((n5 + 0.01 * n3) * 3.0)
+            y_new, err = self.trial(r, *y, self.w, h, self.U, self.V, self.W)
+            self.nfev += _END
             if err < 1.0:
                 break
             h *= max(0.2, 0.9 * err ** -0.125)
@@ -573,18 +592,30 @@ class _Shot:
             self.rejected += 1
         factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.125)
         self.r_old, self.y_old, self.h_old = r, y, h
-        self.r, self.y, self.w = r_new, y_new, W[_END]
+        self.r, self.y, self.w = r_new, y_new, self.W[_END]
         self.h = h * (min(1.0, factor) if rejected else factor)
 
-    def dense(self) -> Dop853DenseOutput:
-        """SciPy's 7th-order interpolant of the last step, r -> [Q, Q_r, Q_rr]."""
+    def dense(self):
+        """SciPy's 7th-order interpolant of the last step, r -> (Q, Q_r, Q_rr) on floats."""
         r, h, y_old = self.r_old, self.h_old, self.y_old
-        self._stages(range(_END + 1, len(_A)), r, *y_old, h)
+        self.extend(r, *y_old, h, self.U, self.V, self.W)
+        self.nfev += len(_A) - _END - 1
         K = np.array((self.U, self.V, self.W)).T
         dy = np.subtract(self.y, y_old)
-        F = np.vstack((dy, h * K[0] - dy, 2.0 * dy - h * (K[_END] + K[0]),
-                       h * (_D @ K)))
-        return Dop853DenseOutput(r, self.r, np.array(y_old), F)
+        F = np.vstack((dy, h * K[0] - dy, 2.0 * dy - h * (K[_END] + K[0]), h * (_D @ K)))
+        if self.steps is not None:
+            self.steps.append(Dop853DenseOutput(r, self.r, np.array(y_old), F))
+        rows, (y0, y1, y2) = F[::-1].tolist(), y_old
+
+        def at(t):  # Dop853DenseOutput's operations in its order
+            x = (t - r) / h
+            q = qr = qrr = 0.0
+            for i, (f, g, k) in enumerate(rows):
+                z = 1 - x if i % 2 else x
+                q, qr, qrr = (q + f) * z, (qr + g) * z, (qrr + k) * z
+            return q + y0, qr + y1, qrr + y2
+
+        return at
 
     def classify(self, r_end: float) -> ShotOutcome:
         """Integrate on to r_end and classify the shot there."""
@@ -598,8 +629,6 @@ class _Shot:
             if not (floor or turn or steps is not None or (pending and pending[-1] <= self.r)):
                 continue
             at = self.dense()
-            if steps is not None:
-                steps.append(at)
             if floor or turn:
                 def root(g):
                     return brentq(g, self.r_old, self.r, xtol=_EVENT_TOL, rtol=_EVENT_TOL)
@@ -607,7 +636,7 @@ class _Shot:
                 rf = root(lambda r: at(r)[0] - qs) if floor else math.inf
                 rt = root(lambda r: at(r)[1]) if turn else math.inf
                 self.r = min(rf, rt)
-                self.y = tuple(at(self.r))
+                self.y = at(self.r)
                 return _event_outcome(rf, rt, at(rt) if turn else None, qs)
             while pending and pending[-1] <= self.r:
                 x = pending.pop()

@@ -589,6 +589,27 @@ def test_failed_write_prints_no_report(evolve_run, tmp_path):
         assert "Traceback" not in err
 
 
+
+@pytest.mark.parametrize("out, refused", [("a_file", True), ("a_file/run", True),
+                                          ("new/run", False)])
+def test_unusable_out_is_refused_before_the_handler_runs(tmp_path, monkeypatch, out, refused):
+    # an --out that is, or lies under, a regular file used to be found only
+    # when the run was written, after the handler had done all its work
+    (tmp_path / "a_file").write_text("")
+    ran = []
+    monkeypatch.setattr(magma_lab.cli, "_COMMANDS", [
+        cmd._replace(handler=lambda cfg, ns, words=cmd.words: ran.append(words) or ([], []))
+        for cmd in magma_lab.cli._COMMANDS])
+    code, stdout, err = run_cli(["sweep", "--d", "1,2", "--n", "2.5", "--c", "1.6,1.7",
+                                 "-o", str(tmp_path / out)])
+    if refused:
+        assert (code, stdout, ran) == (3, "", [])
+        assert err == f"io error: not a directory: {tmp_path / 'a_file'}\n"
+        assert (tmp_path / "a_file").read_text() == "" and sorted(os.listdir(tmp_path)) == ["a_file"]
+    else:
+        assert (code, ran) == (0, [("sweep",)])
+        assert (tmp_path / out / "manifest.json").is_file()
+
 _META = "# d=1.0, n=2.5, c=1.7, mu_c=-0.05, Q_tau=0.7, Q_star=0.3, k=nan, M=nan"
 _ROWS = "r,Q,Q_r,Q_rr\n0.0,1.0,0.0,-0.05\n1.0,0.98,-0.04,-0.03\n"
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import ast
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -66,3 +67,44 @@ def test_cli_runs_every_subcommand_through_main():
     printing = [h.name for h in handlers for node in ast.walk(h)
                 if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print"]
     assert printing == []
+
+
+def test_only_the_dop853_generator_runs_generated_code():
+    # exec/compile/eval has one call in the package: the one that turns
+    # SciPy's tableau into the shooting stepper
+    def calls(tree):
+        return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) in ("exec", "compile", "eval")]
+
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(Path(magma_lab.__file__).parent.glob("*.py"))}
+    found = [(name, node) for name, tree in trees.items() for node in calls(tree)]
+    [generator] = [node for node in trees["profile.py"].body
+                   if isinstance(node, ast.FunctionDef) and node.name == "_load_dop853"]
+    assert [(name, node.func.id) for name, node in found] == [("profile.py", "exec")]
+    assert calls(generator) == [found[0][1]]
+
+
+_STEPPER_PROBE = """
+import sys
+import magma_lab.profile as prof
+
+def state():
+    scipy = any(m.split(".")[0] == "scipy" for m in sys.modules)
+    return [scipy, hasattr(prof, "_make_stepper")]
+
+print(state())
+shot = prof._Shot(prof.ProfileParams(d=3.0, n=2.5, c=1.7, mu=-0.021), 200.0)
+generated = [f.__code__.co_filename for f in (prof._make_stepper, shot.qrrr, shot.trial,
+                                             shot.extend)]
+print(state() + [generated == ["<string>"] * 4])
+"""
+
+
+def test_the_first_shot_generates_the_stepper():
+    # importing the module generates nothing and loads no SciPy; the first
+    # shot does both
+    proc = subprocess.run([sys.executable, "-c", _STEPPER_PROBE], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["[False, False]", "[True, True, True]"]

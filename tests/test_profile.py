@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import filecmp
+import math
+from bisect import bisect_left
 from dataclasses import replace
 
 import numpy as np
@@ -536,6 +539,107 @@ def test_dop853_tableau_from_scipy():
     assert len(prof._A) == 16 and prof._END == t.N_STAGES and prof._D is t.D
     assert np.array_equal(A, t.A) and prof._C == t.C.tolist()
     assert np.array_equal(E, np.vstack((t.E5, t.E3)))
+
+
+
+def _bits(xs) -> list[str]:
+    return [float(x).hex() for x in xs]
+
+
+def _hand_rhs(p):
+    """Q_rrr written out by hand: the reference of the generated right-hand side."""
+    n, noc, dm1 = p.n, p.n / p.c, p.d - 1.0
+
+    def qrrr(r, Q, Qr, Qrr):
+        qinv = 1.0 / Q
+        return (Qr * Q**-n - noc * Qr * qinv - n * Qr * Qrr * qinv
+                - dm1 * (Qrr / r - Qr / (r * r)))
+
+    return qrrr
+
+
+def _loop_stages(qrrr, stages, r, Q, Qr, Qrr, h, U, V, W) -> float:
+    """Stages of a step of h from r as loops over the (j, a_j) pairs: the
+    reference of the generated straight-line step.  Returns Q at the last."""
+    prof = magma_lab.profile
+    for s in stages:
+        su = sv = sw = 0.0
+        for j, a in prof._A[s]:
+            su += a * U[j]
+            sv += a * V[j]
+            sw += a * W[j]
+        q = Q + h * su
+        U[s] = qr = Qr + h * sv
+        V[s] = qrr = Qrr + h * sw
+        W[s] = qrrr(r + prof._C[s] * h, q, qr, qrr)
+    return q
+
+
+def _loop_error(y, y_new, h, U, V, W) -> float:
+    """SciPy's DOP853 error norm as a loop over the (j, e5_j, e3_j) weights."""
+    sq, sr, srr = (ATOL + max(abs(a), abs(b)) * RTOL for a, b in zip(y, y_new))
+    e5q = e5r = e5rr = e3q = e3r = e3rr = 0.0
+    for j, e5, e3 in magma_lab.profile._E:
+        e5q += e5 * U[j]
+        e5r += e5 * V[j]
+        e5rr += e5 * W[j]
+        e3q += e3 * U[j]
+        e3r += e3 * V[j]
+        e3rr += e3 * W[j]
+    n5 = (e5q / sq) ** 2 + (e5r / sr) ** 2 + (e5rr / srr) ** 2
+    n3 = (e3q / sq) ** 2 + (e3r / sr) ** 2 + (e3rr / srr) ** 2
+    return 0.0 if n5 == 0.0 and n3 == 0.0 else h * n5 / math.sqrt((n5 + 0.01 * n3) * 3.0)
+
+
+@pytest.mark.parametrize("d, mu", [(1.0, -0.05), (3.0, -0.021), (7.0, -0.021)])
+def test_generated_step_is_the_pair_loops_to_the_bit(d, mu):
+    # every attempt, accepted or rejected, and every interpolant extension of
+    # a shot: the same stages, end state and error norm, bit for bit
+    p = replace(EXAMPLE, d=d, mu=mu)
+    shot, qrrr, end = _Shot(p, 200.0), _hand_rhs(p), magma_lab.profile._END
+    trial, extend = shot.trial, shot.extend
+    counts = {"accepted": 0, "rejected": 0, "extended": 0}
+
+    def checked_trial(r, Q, Qr, Qrr, w, h, U, V, W):
+        y_new, err = trial(r, Q, Qr, Qrr, w, h, U, V, W)
+        U2, V2, W2 = ([x] + [0.0] * end for x in (Qr, Qrr, w))
+        want = (_loop_stages(qrrr, range(1, end + 1), r, Q, Qr, Qrr, h, U2, V2, W2),
+                U2[end], V2[end])
+        assert _bits(y_new) == _bits(want)
+        assert _bits(U[:end + 1] + V[:end + 1] + W[:end + 1]) == _bits(U2 + V2 + W2)
+        assert _bits([err]) == _bits([_loop_error((Q, Qr, Qrr), want, h, U2, V2, W2)])
+        counts["accepted" if err < 1.0 else "rejected"] += 1
+        return y_new, err
+
+    def checked_extend(r, Q, Qr, Qrr, h, U, V, W):
+        U2, V2, W2 = list(U), list(V), list(W)
+        extend(r, Q, Qr, Qrr, h, U, V, W)
+        _loop_stages(qrrr, range(end + 1, len(U)), r, Q, Qr, Qrr, h, U2, V2, W2)
+        assert _bits(U + V + W) == _bits(U2 + V2 + W2)
+        counts["extended"] += 1
+
+    shot.trial, shot.extend = checked_trial, checked_extend
+    with contextlib.suppress(Indeterminate):
+        shot.classify(50.0)
+    assert min(counts.values()) > 0, counts
+    assert _bits([shot.qrrr(1.5, 0.9, -0.01, 0.002)]) == _bits([qrrr(1.5, 0.9, -0.01, 0.002)])
+
+
+def test_float_interpolant_reads_scipys_dense_output_to_the_bit():
+    # at the eleven probe radii of the flat test at 16 and at the floor
+    # event, the interpolant on floats reads what SciPy's Dop853DenseOutput
+    # reads off the same step
+    shot = _Shot(replace(EXAMPLE, mu=-0.021), 200.0, keep_samples=True)
+    readers, dense = [], shot.dense
+    shot.dense = lambda: readers.append(dense()) or readers[-1]
+    assert shot.classify(200.0).classification is ShotClass.CROSSED
+    ends = [step.t for step in shot.steps]
+    radii = magma_lab.profile._tail(16.0) + [16.0 / 4.0, 16.0 / 2.0, shot.r]
+    assert len(radii) == 12 and shot.r > 16.0
+    for r in radii:
+        i = bisect_left(ends, r)
+        assert _bits(readers[i](r)) == _bits(shot.steps[i](r)), r
+    assert _bits(shot.y) == _bits(shot.steps[-1](shot.r))
 
 
 def test_integrate_shot_requires_mu_and_sane_radius():
