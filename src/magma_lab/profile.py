@@ -26,10 +26,12 @@ quadrature of the defining integrals in the test suite).
 Every shot runs _Shot, a DOP853 stepper on Python floats at RTOL, ATOL
 with SciPy's first step, error norm and step-size control, on one
 right-hand side, _QRRR, as straight-line code generated from SciPy's
-tableau with SciPy's operations in their order.  It reads event roots and
-probes off the step's 7th-order interpolant on floats in SciPy's order; a
-shot that keeps samples (the final shot of find_mu_c, ``shoot --mu``)
-keeps every step's interpolant and reads its samples off them.
+tableau with SciPy's operations in their order.  One evaluator, _dense,
+reads every value a shot reports off a step's 7th-order interpolant in
+SciPy's order: on floats for event roots and probes, in one pass over the
+kept steps for the samples of a sampling shot (the final shot of
+find_mu_c, ``shoot --mu``).  SciPy's dense-output classes are the tests'
+oracle.
 
 SciPy is imported on the first call that needs it (a shot, q_star, a
 spline), not with the module, so ``magma-lab diagnose`` and ``evolve``
@@ -257,8 +259,9 @@ class StructureReport:
     intersection_gap: float
 
 
-def _golden_min(f, lo: float, hi: float, xtol: float = 1e-12, seeds: int = 600):
+def _golden_min(f, lo: float, hi: float):
     """Grid scan for the global bracket, then golden-section refinement."""
+    seeds, xtol = 600, 1e-12  # points of the scan; bracket width at which refinement stops
     xs = np.linspace(lo, hi, seeds)
     ys = f(xs)
     i = int(np.argmin(ys))
@@ -461,10 +464,11 @@ def integrate_shot(
     builds the 7th-order interpolant only on steps that fire an event or
     pass a radius the flat test reads (nine tail radii, r_max/4, r_max/2).
     A shot that keeps samples builds it on every step and reads samples
-    every DR_SAMPLE from it, ending at the event or at r_max.
+    every DR_SAMPLE off the kept steps, ending at the event or at r_max.
+    WIDEN * r_max must be finite: the probe radii run up to it.
     """
-    if not R0 < r_max < math.inf:
-        raise ValueError(f"r_max must be finite and exceed R0 = {R0}, got {r_max}")
+    if not (R0 < r_max and WIDEN * r_max < math.inf):
+        raise ValueError(f"r_max must exceed R0 = {R0} with {WIDEN:g} * r_max finite, got {r_max}")
     shot = _Shot(p, r_max, keep_samples)
     outcome = shot.classify(r_max)
     return outcome, shot.samples()
@@ -475,19 +479,17 @@ def integrate_shot(
 # skipped.  Stage _END (weights b_j) is the step's end, stages _END+1.. feed
 # the interpolant, and _E pairs the weights (e5_j, e3_j) of the two error
 # estimates.  _load_dop853 binds these names, _C, _D (the interpolant's
-# weights), Dop853DenseOutput, OdeSolution and brentq once per process, and
-# generates _make_stepper: the (j, a_j) loops' operations, in order, unrolled.
+# weights) and brentq once per process, and generates _make_stepper: the
+# (j, a_j) loops' operations, in order, unrolled.
 def _nonzero(*rows) -> tuple:
     return tuple((j, *map(float, a)) for j, a in enumerate(zip(*rows)) if any(a))
 
 
 @cache
 def _load_dop853() -> None:
-    """Bind the tableau, SciPy's interpolants and brentq, and generate _make_stepper."""
-    global _END, _A, _C, _E, _D, Dop853DenseOutput, OdeSolution, brentq
-    from scipy.integrate import OdeSolution
+    """Bind the tableau and brentq, and generate _make_stepper."""
+    global _END, _A, _C, _E, _D, brentq
     from scipy.integrate._ivp import dop853_coefficients as t
-    from scipy.integrate._ivp.rk import Dop853DenseOutput
     from scipy.optimize import brentq
 
     _END, _C, _D = t.N_STAGES, t.C.tolist(), t.D
@@ -532,6 +534,14 @@ def _load_dop853() -> None:
 _EVENT_TOL = 4 * np.finfo(float).eps  # solve_ivp's xtol and rtol of an event root
 
 
+def _dense(t, r_old, r, y_old, rows):
+    """Interpolant of the step r_old..r at t off rows F[6], ..., F[0] (floats or arrays)."""
+    x, y = (t - r_old) / (r - r_old), 0.0
+    for i, f in enumerate(rows):  # SciPy's DOP853 dense output's operations, in its order
+        y = (y + f) * (1 - x if i % 2 else x)
+    return y + y_old
+
+
 class _Shot:
     """A shot: DOP853 steps of (Q, Q_r, Q_rr) on Python floats.
 
@@ -540,8 +550,8 @@ class _Shot:
     V[s], W[s]) = (Q_r, Q_rr, Q_rrr).  The shot reads the probe radii of
     the flat test at r_max and at each doubling up to WIDEN * r_max as its
     steps pass them, so it can be continued to a larger radius.  A shot
-    that keeps samples keeps every step's interpolant in ``steps`` (None
-    otherwise).  It stops at its first event, with r and y the event's.
+    that keeps samples keeps every step's (r_old, r, y_old, F) in ``steps``
+    (None otherwise).  It stops at its first event, with r and y the event's.
     ``nfev`` counts right-hand-side calls and ``rejected`` rejected step
     attempts.
     """
@@ -556,7 +566,7 @@ class _Shot:
         self.h = self._first_step(r_max - R0)
         self.pending = list(_probes(r_max))
         self.seen: dict[float, tuple[float, float, float]] = {}
-        self.steps: list[Dop853DenseOutput] | None = [] if keep_samples else None
+        self.steps: list[tuple] | None = [] if keep_samples else None
 
     def _first_step(self, interval: float) -> float:
         """SciPy's select_initial_step, on arrays as there: solve_ivp's first step."""
@@ -596,7 +606,7 @@ class _Shot:
         self.h = h * (min(1.0, factor) if rejected else factor)
 
     def dense(self):
-        """SciPy's 7th-order interpolant of the last step, r -> (Q, Q_r, Q_rr) on floats."""
+        """The last step's interpolant, r -> (Q, Q_r, Q_rr) on floats; a sampling shot keeps it."""
         r, h, y_old = self.r_old, self.h_old, self.y_old
         self.extend(r, *y_old, h, self.U, self.V, self.W)
         self.nfev += len(_A) - _END - 1
@@ -604,18 +614,9 @@ class _Shot:
         dy = np.subtract(self.y, y_old)
         F = np.vstack((dy, h * K[0] - dy, 2.0 * dy - h * (K[_END] + K[0]), h * (_D @ K)))
         if self.steps is not None:
-            self.steps.append(Dop853DenseOutput(r, self.r, np.array(y_old), F))
-        rows, (y0, y1, y2) = F[::-1].tolist(), y_old
-
-        def at(t):  # Dop853DenseOutput's operations in its order
-            x = (t - r) / h
-            q = qr = qrr = 0.0
-            for i, (f, g, k) in enumerate(rows):
-                z = 1 - x if i % 2 else x
-                q, qr, qrr = (q + f) * z, (qr + g) * z, (qrr + k) * z
-            return q + y0, qr + y1, qrr + y2
-
-        return at
+            self.steps.append((r, self.r, y_old, F))
+        reads = [(r, self.r, y, rows) for y, rows in zip(y_old, F[::-1].T.tolist())]
+        return lambda t: tuple(_dense(t, *read) for read in reads)
 
     def classify(self, r_end: float) -> ShotOutcome:
         """Integrate on to r_end and classify the shot there."""
@@ -670,16 +671,18 @@ class _Shot:
                     raise
 
     def samples(self) -> ShotSamples | None:
-        """Samples at 0, every DR_SAMPLE and r, read off the kept interpolants."""
+        """Samples at 0, every DR_SAMPLE and r, read off the kept interpolants in one pass."""
         if self.steps is None:
             return None
         interior = np.arange(DR_SAMPLE, self.r, DR_SAMPLE)
         if len(interior) and self.r - interior[-1] < 1e-9:
             interior = interior[:-1]
-        sol = OdeSolution([R0] + [at.t for at in self.steps], self.steps)
-        block = sol(interior) if len(interior) else np.zeros((3, 0))
+        r_old, r_end, y_old, F = map(np.array, zip(*self.steps))
+        k = np.searchsorted(r_end, interior)  # first step to end at or past r: SciPy's pick
+        rows = (F[k, i] for i in reversed(range(F.shape[1])))  # one (samples, 3) row at a time
+        block = _dense(interior[:, None], r_old[k, None], r_end[k, None], y_old[k], rows)
         r = np.concatenate(([0.0], interior, [self.r]))
-        return ShotSamples(r, *np.column_stack(((1.0, 0.0, self.mu), block, self.y)))
+        return ShotSamples(r, *np.column_stack(((1.0, 0.0, self.mu), block.T, self.y)))
 
 
 def _aitken_limit(a1: float, a2: float, a3: float) -> float:
@@ -789,6 +792,8 @@ def find_mu_c(
     """
     if not math.isfinite(bisect_tol):
         raise ValueError("bisect_tol must be finite")
+    if not 2.0 * WIDEN * r_max < math.inf:  # the final shot's probe radii
+        raise ValueError(f"r_max must keep {2.0 * WIDEN:g} * r_max finite, got {r_max}")
     report = structure_report(p)
     cap = WIDEN * r_max
 

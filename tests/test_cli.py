@@ -328,14 +328,16 @@ _SHOOT = ["shoot", "--d", "3", "--n", "2.5", "--c", "1.7"]
         _SHOOT + ["--mu", "-0.02", "--r-max", "inf"],
         _SHOOT + ["--mu", "-0.02", "--r-max", "0"],
         _SHOOT + ["--mu", "-0.02", "--r-max=-5"],
+        _SHOOT + ["--mu", "-0.021", "--r-max", "1e307"],
+        _SHOOT + ["--r-max", "3e306"],
         _SHOOT + ["--bisect-tol", "nan"],
         _SHOOT + ["--bisect-tol", "inf"],
         ["diagnose", "dispersion", "--n-points", "32", "--n", "3", "--mode", "1",
          "--epsilon", "0.99", "--periods", "1", "--steps-per-period", "16"],
     ],
     ids=["cg-breakdown", "dt-inf", "t-end-inf", "steps-overflow", "s-monitor-nan",
-         "r-max-nan", "r-max-inf", "r-max-0", "r-max-neg", "bisect-tol-nan",
-         "bisect-tol-inf", "dispersion-positivity"],
+         "r-max-nan", "r-max-inf", "r-max-0", "r-max-neg", "r-max-huge",
+         "r-max-huge-search", "bisect-tol-nan", "bisect-tol-inf", "dispersion-positivity"],
 )
 def test_degenerate_values_end_in_exit_code(tmp_path, argv):
     # a separate interpreter with a timeout: some of these used to hang

@@ -85,6 +85,26 @@ def test_only_the_dop853_generator_runs_generated_code():
     assert calls(generator) == [found[0][1]]
 
 
+def test_shooting_reads_scipys_tableau_not_its_dense_output():
+    # profile._dense reads every DOP853 interpolant; SciPy's dense-output
+    # classes are the tests' oracle only.  Besides the tableau, profile takes
+    # from scipy.integrate only solve_ivp (the seam perfbench wraps) and
+    # cumulative_trapezoid (qr2_identity_gap's quadrature).
+    package = Path(magma_lab.__file__).parent
+    tree = ast.parse((package / "profile.py").read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(alias.name, "") for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported += [(node.module or "", alias.name) for alias in node.names]
+    assert sorted(i for i in imported if i[0].startswith("scipy.integrate")) == [
+        ("scipy.integrate", "cumulative_trapezoid"), ("scipy.integrate", "solve_ivp"),
+        ("scipy.integrate._ivp", "dop853_coefficients")]
+    pattern = re.compile(r"\bOdeSolution\b|\bDop853DenseOutput\b|_ivp\.rk\b")
+    assert [f.name for f in sorted(package.glob("*.py")) if pattern.search(f.read_text())] == []
+
+
 _STEPPER_PROBE = """
 import sys
 import magma_lab.profile as prof

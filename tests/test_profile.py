@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import DOP853, quad, solve_ivp
+from scipy.integrate import DOP853, OdeSolution, quad, solve_ivp
 from scipy.integrate._ivp import dop853_coefficients
+from scipy.integrate._ivp.rk import Dop853DenseOutput
 from scipy.optimize import brentq
 
 import magma_lab.cli
@@ -625,6 +626,11 @@ def test_generated_step_is_the_pair_loops_to_the_bit(d, mu):
     assert _bits([shot.qrrr(1.5, 0.9, -0.01, 0.002)]) == _bits([qrrr(1.5, 0.9, -0.01, 0.002)])
 
 
+def _scipy_steps(shot) -> list:
+    """The oracle: SciPy's Dop853DenseOutput of every step a sampling shot kept."""
+    return [Dop853DenseOutput(r_old, r, np.array(y_old), F) for r_old, r, y_old, F in shot.steps]
+
+
 def test_float_interpolant_reads_scipys_dense_output_to_the_bit():
     # at the eleven probe radii of the flat test at 16 and at the floor
     # event, the interpolant on floats reads what SciPy's Dop853DenseOutput
@@ -633,13 +639,64 @@ def test_float_interpolant_reads_scipys_dense_output_to_the_bit():
     readers, dense = [], shot.dense
     shot.dense = lambda: readers.append(dense()) or readers[-1]
     assert shot.classify(200.0).classification is ShotClass.CROSSED
-    ends = [step.t for step in shot.steps]
+    steps = _scipy_steps(shot)
+    ends = [step.t for step in steps]
     radii = magma_lab.profile._tail(16.0) + [16.0 / 4.0, 16.0 / 2.0, shot.r]
     assert len(radii) == 12 and shot.r > 16.0
     for r in radii:
         i = bisect_left(ends, r)
-        assert _bits(readers[i](r)) == _bits(shot.steps[i](r)), r
-    assert _bits(shot.y) == _bits(shot.steps[-1](shot.r))
+        assert _bits(readers[i](r)) == _bits(steps[i](r)), r
+    assert _bits(shot.y) == _bits(steps[-1](shot.r))
+
+
+def _assert_samples_are_scipys(shot):
+    """Samples bit for bit as OdeSolution reads them off the kept steps."""
+    s = shot.samples()
+    steps = _scipy_steps(shot)
+    interior = s.r[1:-1]
+    want = OdeSolution([R0] + [step.t for step in steps], steps)(interior)
+    assert np.array([s.Q, s.Q_r, s.Q_rr])[:, 1:-1].tobytes() == want.tobytes()
+    assert _bits(s.r[[0, -1]]) == _bits([0.0, shot.r])
+    assert _bits(np.array([s.Q, s.Q_r, s.Q_rr])[:, -1]) == _bits(shot.y)
+
+
+def test_samples_are_odesolutions_to_the_bit():
+    # a shot stopped at a sample radius and then widened, so that one radius
+    # is a step end (OdeSolution reads it off the earlier step) and the last
+    # step is cut short by the floor event
+    p = replace(EXAMPLE, mu=-0.021)
+    grid = np.arange(magma_lab.profile.DR_SAMPLE, 10.0, magma_lab.profile.DR_SAMPLE)
+    r_stop = float(grid[299])
+    shot = _Shot(p, r_stop, keep_samples=True)
+    with pytest.raises(Indeterminate):
+        shot.classify(r_stop)
+    assert shot.widen(WIDEN * r_stop).classification is ShotClass.CROSSED
+    assert r_stop in shot.samples().r
+    assert shot.r < shot.steps[-1][1]  # the event cut the last step short
+    _assert_samples_are_scipys(shot)
+    # the two steps at r_stop agree there to the bit; move the later one's
+    # start by an ulp so that reading r_stop off the wrong step shows
+    [j] = [j for j, (r_old, _, _, _) in enumerate(shot.steps) if r_old == r_stop]
+    r_old, r, y_old, F = shot.steps[j]
+    shot.steps[j] = (r_old, r, tuple(np.nextafter(y_old, np.inf)), F)
+    _assert_samples_are_scipys(shot)
+    # a turning shot and a flat one
+    for q, r_max in ((replace(EXAMPLE, mu=structure_report(EXAMPLE).mu2_min / 2.0), 200.0),
+                     (ProfileParams(d=3.0, n=2.5, c=1.9, mu=-0.009785371279291785), 60.0)):
+        shot = _Shot(q, r_max, keep_samples=True)
+        shot.classify(r_max)
+        _assert_samples_are_scipys(shot)
+
+
+def test_samples_of_a_shot_with_no_interior_radius():
+    # mu = -1e5 crosses the floor before the first sample radius
+    shot = _Shot(replace(EXAMPLE, mu=-1e5), 200.0, keep_samples=True)
+    assert shot.classify(200.0).classification is ShotClass.CROSSED
+    s = shot.samples()
+    assert shot.r < magma_lab.profile.DR_SAMPLE
+    assert _bits(s.r) == _bits([0.0, shot.r])
+    assert _bits(np.array([s.Q, s.Q_r, s.Q_rr])[:, -1]) == _bits(shot.y)
+    assert _bits(np.array([s.Q, s.Q_r, s.Q_rr])[:, 0]) == _bits([1.0, 0.0, -1e5])
 
 
 def test_integrate_shot_requires_mu_and_sane_radius():
@@ -648,6 +705,19 @@ def test_integrate_shot_requires_mu_and_sane_radius():
     for r_max in (np.nan, np.inf, 0.0, -5.0):
         with pytest.raises(ValueError):
             integrate_shot(replace(EXAMPLE, mu=-0.021), r_max=r_max)
+
+
+def test_radius_whose_probe_ladder_overflows_is_refused(monkeypatch):
+    # the probe radii run up to WIDEN * r_max, and those of find_mu_c's final
+    # shot up to WIDEN * 2 * r_max; neither may overflow, and no shot runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("a shot ran")
+
+    monkeypatch.setattr(magma_lab.profile, "_Shot", refuse)
+    with pytest.raises(ValueError, match="r_max"):
+        integrate_shot(replace(EXAMPLE, mu=-0.021), r_max=1e307)
+    with pytest.raises(ValueError, match="r_max"):
+        find_mu_c(EXAMPLE, r_max=3e306)
 
 
 def test_classification_stable_under_tighter_rtol(monkeypatch):
