@@ -77,6 +77,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _UsageError(message)
 
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)  # a value, also where argparse's own test misses it ("-1e5")
+            return None
+        except ValueError:
+            return super()._parse_optional(arg_string)
+
 
 # -- option tables -----------------------------------------------------------
 

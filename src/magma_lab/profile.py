@@ -21,7 +21,11 @@ in mu as g_i(Q) + h_i(Q) mu:
     F3 = F1 - n integral_1^Q F2(q, mu) q^{-(n+2)} dq.
 
 g2 and g3 are evaluated here in closed form (verified against adaptive
-quadrature of the defining integrals in the test suite).
+quadrature of the defining integrals in the test suite).  At fixed mu,
+dF2/dQ = Q^n F1 and dF3/dQ = g1'(Q) - n Q^{-(n+2)} F2, where g1'(Q) =
+Q^{-n} - n/(c Q) is _decay_rate; so mu_2 is stationary where F1 vanishes
+on it (mu_1 = mu_2), mu_3 where dF3/dQ does, and structure_report finds
+each minimum as that root in (Q_star, Q1).
 
 Every shot runs _Shot, a DOP853 stepper on Python floats at RTOL, ATOL
 with SciPy's first step, error norm and step-size control, on one
@@ -105,7 +109,7 @@ class BracketInvalid(ProfileError):
 
 
 class OrderingViolated(ProfileError):
-    """The mu-curve minima failed their guaranteed ordering or intersection."""
+    """A mu-curve minimum is not a single interior root, or the minima are misordered."""
 
 
 class TailTooShort(ProfileError):
@@ -132,8 +136,8 @@ class ProfileParams:
             raise ValueError("exponent n must lie in [2, 3]")
         if not 1.55 <= self.c < self.n:
             raise ValueError("wave speed c must lie in [1.55, n)")
-        if self.mu is not None and not self.mu < 0:
-            raise ValueError("shot curvature mu must be negative")
+        if self.mu is not None and not -math.inf < self.mu < 0:
+            raise ValueError("shot curvature mu must be negative and finite")
 
 
 # -- structure functions ----------------------------------------------------
@@ -259,73 +263,53 @@ class StructureReport:
     intersection_gap: float
 
 
-def _golden_min(f, lo: float, hi: float):
-    """Grid scan for the global bracket, then golden-section refinement."""
-    seeds, xtol = 600, 1e-12  # points of the scan; bracket width at which refinement stops
-    xs = np.linspace(lo, hi, seeds)
-    ys = f(xs)
-    i = int(np.argmin(ys))
-    a = xs[max(i - 1, 0)]
-    b = xs[min(i + 1, seeds - 1)]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1 = float(f(x1))
-    f2 = float(f(x2))
-    while b - a > xtol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = float(f(x1))
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = float(f(x2))
-    xm = 0.5 * (a + b)
-    # Comparing f values cannot place the minimizer better than the
-    # sqrt(eps) noise plateau; one parabolic vertex step over a wider
-    # stencil recovers the location to ~1e-12.
-    h = 1e-5 * (hi - lo)
-    if lo + h < xm < hi - h:
-        fl, fm, fr = float(f(xm - h)), float(f(xm)), float(f(xm + h))
-        curv = fl - 2.0 * fm + fr
-        if curv > 0.0:
-            step = 0.5 * h * (fl - fr) / curv
-            if abs(step) < h:
-                xm += step
-    return xm, float(f(xm))
-
-
 def _q1(p: ProfileParams) -> float:
     """Q1 = (c/n)^{1/(n-1)}: the minimizer of mu_1 and the decay threshold."""
     return (p.c / p.n) ** (1.0 / (p.n - 1.0))
 
 
+def _falling_root(f, lo: float, hi: float, name: str) -> float:
+    """The root of f inside (lo, hi), where f must fall through zero once."""
+    from scipy.optimize import brentq
+
+    xs = np.linspace(lo, hi, 60)
+    ys = f(xs)
+    pos = ys > 0.0
+    flips = np.flatnonzero(pos[:-1] != pos[1:])
+    if np.all(np.isfinite(ys)) and pos[0] and len(flips) == 1:
+        i = flips[0]
+        x = brentq(lambda q: float(f(q)), xs[i], xs[i + 1], xtol=1e-15)
+        if x < hi:
+            return x
+    raise OrderingViolated(f"the stationarity condition of {name} does not fall "
+                           f"through zero once inside ({lo!r}, {hi!r})")
+
+
 def structure_report(p: ProfileParams) -> StructureReport:
-    """Locate the minima of the three mu curves and check their ordering."""
-    qs = q_star(p.n)
-    eps = 1e-7 * (1.0 - qs)
-    lo, hi = qs + eps, 1.0 - eps
+    """Locate the minima of the three mu curves and check their ordering.
 
-    Q1 = _q1(p)
-    mu1_min = float(mu_curve(1, Q1, p))
-    Q2, mu2_min = _golden_min(lambda q: mu_curve(2, q, p), lo, hi)
-    Q3, mu3_min = _golden_min(lambda q: mu_curve(3, q, p), lo, hi)
-
+    The stationarity conditions (module docstring), mu_1 - mu_2 for mu_2
+    and dF3/dQ on mu_3 for mu_3, must fall from + to - in (Q_star, Q1),
+    which makes each root a minimum.
+    """
+    n, c, d = p.n, p.c, p.d
+    qs, Q1 = q_star(n), _q1(p)
+    if not Q1 < 1.0:
+        raise OrderingViolated(f"Q1 = (c/n)^(1/(n-1)) rounds to 1 at n={n!r}, c={c!r}")
+    lo = qs + 1e-7 * (1.0 - qs)
+    Q2 = _falling_root(lambda q: _g2(q, n, c) / _h2(q, n, d) - _g1(q, n, c) / d,
+                       lo, Q1, "mu_2")
+    Q3 = _falling_root(lambda q: _decay_rate(p, q) - n * q ** (-n - 2.0) * (
+        _g2(q, n, c) - _h2(q, n, d) * _g3(q, n, c) / _h3(q, n, d)), lo, Q1, "mu_3")
+    mu1_min, mu2_min, mu3_min = (float(mu_curve(i, q, p))
+                                 for i, q in ((1, Q1), (2, Q2), (3, Q3)))
     if not (mu3_min < mu1_min < mu2_min < 0.0):
-        raise OrderingViolated(
-            f"expected mu3_min < mu1_min < mu2_min < 0, got "
-            f"{mu3_min}, {mu1_min}, {mu2_min}"
-        )
-    gap = abs(float(mu_curve(1, Q2, p)) - mu2_min)
-    if gap > 1e-8:
-        raise OrderingViolated(
-            f"mu1 and mu2 fail to intersect at Q2: gap {gap:.3e}"
-        )
+        raise OrderingViolated(f"expected mu3_min < mu1_min < mu2_min < 0, got "
+                               f"{mu3_min}, {mu1_min}, {mu2_min}")
     return StructureReport(
-        Q_star=qs, Q1=Q1, Q2=float(Q2), Q3=float(Q3),
+        Q_star=qs, Q1=Q1, Q2=Q2, Q3=Q3,
         mu1_min=mu1_min, mu2_min=mu2_min, mu3_min=mu3_min,
-        intersection_gap=gap,
+        intersection_gap=abs(float(mu_curve(1, Q2, p)) - mu2_min),
     )
 
 
@@ -458,7 +442,8 @@ def integrate_shot(
     Q = 1 + mu r0^2/2 and is integrated by DOP853 at RTOL, ATOL.  Terminal
     events: Q falling to Q_star, and Q_r rising to zero.  Reaching r_max
     with |Q_r| <= FLAT_TOL and settled curvature counts as flat; anything
-    else raises Indeterminate.
+    else raises Indeterminate.  A mu so large that the series puts Q(R0)
+    at or below Q_star raises ProfileError.
 
     The shot runs _Shot.  A classification shot (keep_samples=False)
     builds the 7th-order interpolant only on steps that fire an event or
@@ -560,6 +545,8 @@ class _Shot:
         self.qrrr, self.trial, self.extend = _stepper(p)
         self.qs, self.mu = q_star(p.n), _require_mu(p)
         self.r, self.y = R0, _series_start(self.mu)
+        if not self.y[0] > self.qs:
+            raise ProfileError(f"mu={self.mu!r} crosses the floor before R0={R0}")
         self.w = self.qrrr(R0, *self.y)
         self.U, self.V, self.W = ([0.0] * len(_A) for _ in range(3))
         self.nfev, self.rejected = 1, 0
@@ -593,7 +580,10 @@ class _Shot:
                 raise Indeterminate(f"integrator failed: step below {min_step:.3e} at r={r}")
             r_new = min(r + h, r_bound)
             h = r_new - r
-            y_new, err = self.trial(r, *y, self.w, h, self.U, self.V, self.W)
+            try:
+                y_new, err = self.trial(r, *y, self.w, h, self.U, self.V, self.W)
+            except TypeError:  # a stage took Q below 0, where Q**n is complex
+                err = math.inf  # rejected, as SciPy rejects its nan error norm
             self.nfev += _END
             if err < 1.0:
                 break

@@ -329,6 +329,9 @@ _SHOOT = ["shoot", "--d", "3", "--n", "2.5", "--c", "1.7"]
         _SHOOT + ["--mu", "-0.02", "--r-max", "0"],
         _SHOOT + ["--mu", "-0.02", "--r-max=-5"],
         _SHOOT + ["--mu", "-0.021", "--r-max", "1e307"],
+        _SHOOT + ["--mu", "-inf"],
+        _SHOOT + ["--mu", "-1e30"],
+        ["shoot", "--d", "1e-300", "--n", "2.5", "--c", "1.7"],
         _SHOOT + ["--r-max", "3e306"],
         _SHOOT + ["--bisect-tol", "nan"],
         _SHOOT + ["--bisect-tol", "inf"],
@@ -336,7 +339,8 @@ _SHOOT = ["shoot", "--d", "3", "--n", "2.5", "--c", "1.7"]
          "--epsilon", "0.99", "--periods", "1", "--steps-per-period", "16"],
     ],
     ids=["cg-breakdown", "dt-inf", "t-end-inf", "steps-overflow", "s-monitor-nan",
-         "r-max-nan", "r-max-inf", "r-max-0", "r-max-neg", "r-max-huge",
+         "r-max-nan", "r-max-inf", "r-max-0", "r-max-neg", "r-max-huge", "mu-neg-inf",
+         "mu-huge", "d-tiny",
          "r-max-huge-search", "bisect-tol-nan", "bisect-tol-inf", "dispersion-positivity"],
 )
 def test_degenerate_values_end_in_exit_code(tmp_path, argv):
@@ -350,6 +354,13 @@ def test_degenerate_values_end_in_exit_code(tmp_path, argv):
     if proc.returncode == 0:
         assert "verdict" in parsed(proc.stdout)
     assert "Traceback" not in proc.stderr
+
+
+def test_negative_value_in_exponent_notation(tmp_path):
+    # argparse alone takes "-1e5" for an option and fails with "expected one argument"
+    code, out, err = run_cli(_SHOOT + ["--mu", "-1e5", "-o", str(tmp_path / "shot")])
+    assert code == 0, err
+    assert parsed(out)["classification"] == "crossed_floor"
 
 
 def test_missing_snapshot_file_is_io_error(tmp_path):

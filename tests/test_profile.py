@@ -26,6 +26,8 @@ from magma_lab import (
     F2,
     F3,
     Indeterminate,
+    OrderingViolated,
+    ProfileError,
     ProfileParams,
     ProfileSolution,
     ShotClass,
@@ -85,6 +87,8 @@ def test_params_validation():
         ProfileParams(d=3.0, n=2.5, c=2.5)
     with pytest.raises(ValueError):
         ProfileParams(d=3.0, n=2.5, c=1.7, mu=0.1)
+    with pytest.raises(ValueError):
+        ProfileParams(d=3.0, n=2.5, c=1.7, mu=-math.inf)
 
 
 def test_q_star_frozen_digits():
@@ -153,6 +157,31 @@ def test_mu_curve_domain_errors():
         mu_curve(0, 0.5, EXAMPLE)
 
 
+def _mp_minima(p: ProfileParams, rep) -> tuple[float, float, float, float]:
+    """(Q2, mu2_min, Q3, mu3_min) at 50 digits from the defining integrals.
+
+    mu_i = -g_i/h_i is stationary where g_i' h_i = g_i h_i'; the roots are
+    polished from the report's locations.
+    """
+    import mpmath as mp
+
+    with mp.workdps(50):
+        n, c, d = mp.mpf(p.n), mp.mpf(p.c), mp.mpf(p.d)
+        g1 = lambda Q: -(Q ** (1 - n) - 1) / (n - 1) - n / c * mp.log(Q)
+        g2 = lambda Q: mp.quad(lambda q: g1(q) * q**n, [1, Q])
+        h2 = lambda Q: d * (Q ** (n + 1) - 1) / (n + 1)
+        # by parts: int_1^Q F2 q^{-(n+2)} dq = (int_1^Q F1/q dq - F2 Q^{-(n+1)}) / (n+1)
+        g3 = lambda Q: g1(Q) - n / (n + 1) * (mp.quad(lambda q: g1(q) / q, [1, Q])
+                                              - g2(Q) * Q ** (-n - 1))
+        h3 = lambda Q: d - n / (n + 1) * (d * mp.log(Q) - h2(Q) * Q ** (-n - 1))
+        s2 = lambda Q: g1(Q) * Q**n * h2(Q) - g2(Q) * d * Q**n
+        s3 = lambda Q: ((Q ** -n - n / (c * Q) - n * g2(Q) * Q ** (-n - 2)) * h3(Q)
+                        + g3(Q) * n * h2(Q) * Q ** (-n - 2))
+        Q2 = mp.findroot(s2, mp.mpf(rep.Q2))
+        Q3 = mp.findroot(s3, mp.mpf(rep.Q3))
+        return float(Q2), float(-g2(Q2) / h2(Q2)), float(Q3), float(-g3(Q3) / h3(Q3))
+
+
 def test_structure_report_frozen_digits(report3):
     assert report3.Q1 == pytest.approx(0.77328444663882409, abs=1e-14)
     assert report3.mu1_min == pytest.approx(-0.02145832706274009, abs=1e-13)
@@ -161,18 +190,40 @@ def test_structure_report_frozen_digits(report3):
     assert report3.intersection_gap <= 1e-8
     assert report3.Q_star < report3.Q3 < 1.0
     assert 0.0 < report3.Q2 < 1.0
+    Q2, mu2_min, Q3, mu3_min = _mp_minima(EXAMPLE, report3)
+    assert report3.mu2_min == pytest.approx(mu2_min, rel=1e-13)
+    assert report3.mu3_min == pytest.approx(mu3_min, rel=1e-13)
+    assert report3.Q2 == pytest.approx(Q2, rel=1e-9)
+    assert report3.Q3 == pytest.approx(Q3, rel=1e-9)
 
 
-@settings(max_examples=25)
-@given(
-    st.sampled_from([1.0, 2.0, 3.0, 4.0, 7.0]),
-    st.floats(min_value=2.0, max_value=3.0),
-    st.floats(min_value=0.0, max_value=1.0),
-)
-def test_structure_report_ordering_property(d, n, frac):
-    c = 1.55 + frac * (n - 0.05 - 1.55)
-    rep = structure_report(ProfileParams(d=d, n=n, c=c))
+@st.composite
+def _structure_cells(draw):
+    """Cells with c uniform on [1.55, n - 0.05], or c = n - 10^-u for u in [1.3, 15]."""
+    d = draw(st.sampled_from([1.0, 2.0, 3.0, 4.0, 7.0]))
+    n = draw(st.floats(min_value=2.0, max_value=3.0))
+    if draw(st.booleans()):
+        c = 1.55 + draw(st.floats(min_value=0.0, max_value=1.0)) * (n - 0.05 - 1.55)
+    else:
+        c = n - 10.0 ** -draw(st.floats(min_value=1.3, max_value=15.0))
+    return ProfileParams(d=d, n=n, c=c)
+
+
+@settings(max_examples=100)
+@given(_structure_cells())
+@example(ProfileParams(d=3.0, n=3.0, c=math.nextafter(3.0, 0.0)))  # Q1 rounds to 1
+@example(ProfileParams(d=3.0, n=3.0, c=3.0 - 1e-5))  # the mu_3 root rounds onto Q1
+def test_structure_report_ordering_property(p):
+    try:
+        rep = structure_report(p)
+    except OrderingViolated:
+        assert p.n - p.c < 1e-3  # only where float64 rounding decides the ordering
+        return
     assert rep.mu3_min < rep.mu1_min < rep.mu2_min < 0.0
+    assert rep.Q_star < rep.Q2 < rep.Q1 and rep.Q_star < rep.Q3 < rep.Q1
+    if p.n - p.c >= 1e-3:  # closer to n rounding decides, so no more is asked there
+        for i, q, m in ((2, rep.Q2, rep.mu2_min), (3, rep.Q3, rep.mu3_min)):
+            assert min(mu_curve(i, q - 1e-6, p), mu_curve(i, q + 1e-6, p)) >= m
 
 
 def test_integrate_shot_crossing_and_samples():
@@ -191,6 +242,16 @@ def test_integrate_shot_crossing_and_samples():
     assert np.all(np.diff(samples.Q) < 0.0)
     with pytest.raises(ValueError):
         samples.Q[0] = 2.0  # readonly
+
+
+def test_extreme_curvatures_end_in_profile_errors():
+    # a stage that takes Q below 0 is a rejected step, not a complex number
+    out, _ = integrate_shot(replace(EXAMPLE, mu=-5e11), keep_samples=False)
+    assert out.classification is ShotClass.CROSSED
+    with pytest.raises(ProfileError, match="before R0"):
+        integrate_shot(replace(EXAMPLE, mu=-1e30))
+    with pytest.raises(ProfileError):  # the bracket scales as 1/d
+        find_mu_c(ProfileParams(d=1e-300, n=2.5, c=1.7))
 
 
 def test_integrate_shot_turning():
