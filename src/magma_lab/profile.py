@@ -37,9 +37,10 @@ kept steps for the samples of a sampling shot (the final shot of
 find_mu_c, ``shoot --mu``).  SciPy's dense-output classes are the tests'
 oracle.
 
-SciPy is imported on the first call that needs it (a shot, q_star, a
-spline), not with the module, so ``magma-lab diagnose`` and ``evolve``
-(unless it embeds a profile) never load it.
+Between sample radii one NumPy reader, _hermite, reads Q off the quintic
+Hermite of the stored (Q, Q_r, Q_rr).  SciPy is imported on the first call
+that needs it (a shot, q_star, ode_residual's splines), not with the
+module, so ``magma-lab diagnose``, ``embed`` and ``evolve`` never load it.
 """
 
 from __future__ import annotations
@@ -130,8 +131,8 @@ class ProfileParams:
     mu: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.d > 0:
-            raise ValueError("dimension d must be positive")
+        if not 0 < self.d < math.inf:
+            raise ValueError("dimension d must be positive and finite")
         if not 2.0 <= self.n <= 3.0:
             raise ValueError("exponent n must lie in [2, 3]")
         if not 1.55 <= self.c < self.n:
@@ -675,6 +676,19 @@ class _Shot:
         return ShotSamples(r, *np.column_stack(((1.0, 0.0, self.mu), block.T, self.y)))
 
 
+def _hermite(s: ShotSamples, r):
+    """Q at r off the quintic Hermite of (Q, Q_r, Q_rr) on the samples' interval holding r."""
+    i = np.clip(np.searchsorted(s.r, r) - 1, 0, len(s.r) - 2)
+    h = s.r[i + 1] - s.r[i]
+    t = (r - s.r[i]) / h
+
+    def end(k, t, u, h):  # sample k's basis terms at t, with u = 1 - t: exact at t = 0 and 1
+        return u**3 * ((1.0 + 3.0 * t + 6.0 * t * t) * s.Q[k]
+                       + t * h * ((1.0 + 3.0 * t) * s.Q_r[k] + 0.5 * t * h * s.Q_rr[k]))
+
+    return end(i, t, 1.0 - t, h) + end(i + 1, 1.0 - t, t, -h)
+
+
 def _aitken_limit(a1: float, a2: float, a3: float) -> float:
     """Accelerated limit of Q from its values at three successive dyadic radii."""
     den = a1 - 2.0 * a2 + a3
@@ -811,20 +825,13 @@ def find_mu_c(
     if outcome.classification is ShotClass.FLAT:
         q_tau = float(outcome.Q_tau)
     else:
-        from scipy.interpolate import CubicSpline
-
-        spline = CubicSpline(samples.r, samples.Q)
         r_end = samples.r[-1]
-        q_tau = _aitken_limit(
-            float(spline(r_end / 4.0)), float(spline(r_end / 2.0)), float(samples.Q[-1])
-        )
+        q_tau = _aitken_limit(*_hermite(samples, r_end / np.array([4.0, 2.0])).tolist(),
+                              float(samples.Q[-1]))
     if not (report.Q_star < q_tau < 1.0):
         raise ProfileError(f"limit {q_tau} escaped (Q_star, 1)")
 
-    solution = ProfileSolution(
-        params=replace(p, mu=mu_c), samples=samples, Q_tau=q_tau,
-    )
-    return mu_c, solution
+    return mu_c, ProfileSolution(params=replace(p, mu=mu_c), samples=samples, Q_tau=q_tau)
 
 
 def _decay_rate(p: ProfileParams, q_tau: float) -> float:
@@ -936,17 +943,13 @@ def embed_on_torus(
         raise ValueError("center must have one coordinate per axis")
 
     q0 = 1.0 / sol.Q_tau
-    r_scale = q0 ** (p.n / 2.0)
+    r_scale = rescale(sol, q0).scaling.r_scale
     r_last = float(sol.samples.r[-1])
     R_bar = r_scale * r_last
     r_half = min(grid.lengths) / 2.0
 
-    from scipy.interpolate import PchipInterpolator
-
-    interp = PchipInterpolator(sol.samples.r, sol.samples.Q, extrapolate=False)
-
     if r_half <= R_bar:
-        discrepancy = abs(q0 * float(interp(r_half / r_scale)) - 1.0)
+        discrepancy = abs(q0 * float(_hermite(sol.samples, r_half / r_scale)) - 1.0)
     elif sol.decay is not None:
         discrepancy = q0 * sol.decay.M * math.exp(-sol.decay.k * r_half / r_scale)
     else:
@@ -968,7 +971,7 @@ def embed_on_torus(
     r_prof = rho / r_scale
     inside = r_prof <= r_last
     vals = np.ones(grid.shape)
-    vals[inside] = q0 * interp(r_prof[inside])
+    vals[inside] = q0 * _hermite(sol.samples, r_prof[inside])
     s = np.clip((rho / R_bar - 0.95) / 0.05, 0.0, 1.0)
     weight = 1.0 - _smoothstep5(s)
     return Field(grid, 1.0 + (vals - 1.0) * weight)
@@ -1076,6 +1079,8 @@ def read_profile_csv(path) -> ProfileSolution:
                 raise ValueError(f"sample row {i} holds {len(row)} values, not 4")
             try:
                 rows[i - 1] = [float(v) for v in row]
+                if not all(map(math.isfinite, rows[i - 1])):
+                    raise ValueError("a value is not finite")
             except ValueError as exc:
                 raise ValueError(f"sample row {i}: {exc}") from None
         data = np.array(rows, dtype=np.float64)

@@ -66,11 +66,11 @@ def test_criterion_01_example_regime():
 
     t0 = time.perf_counter()
 
-    mp.mp.dps = 50
-    n, c, d = mp.mpf("2.5"), mp.mpf("1.7"), mp.mpf(3)
-    Q1 = (c / n) ** (1 / (n - 1))
-    g1 = -(Q1 ** (1 - n) - 1) / (n - 1) - (n / c) * mp.log(Q1)
-    oracle = float(-g1 / d)
+    with mp.workdps(50):  # for this oracle only, not for the rest of the process
+        n, c, d = mp.mpf("2.5"), mp.mpf("1.7"), mp.mpf(3)
+        Q1 = (c / n) ** (1 / (n - 1))
+        g1 = -(Q1 ** (1 - n) - 1) / (n - 1) - (n / c) * mp.log(Q1)
+        oracle = float(-g1 / d)
     assert oracle == pytest.approx(-0.02145832706274009, abs=1e-16)
 
     report = structure_report(EXAMPLE)

@@ -356,6 +356,19 @@ def test_degenerate_values_end_in_exit_code(tmp_path, argv):
     assert "Traceback" not in proc.stderr
 
 
+def test_infinite_dimension_is_refused():
+    # d = inf made every step NaN, and the shot never ended: a separate
+    # interpreter with a timeout runs cli.main
+    argv = ["shoot", "--d", "inf", "--n", "2.5", "--c", "1.7", "--mu", "-0.02"]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys, magma_lab.cli; sys.exit(magma_lab.cli.main({argv!r}))"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "config error: dimension d must be positive and finite\n"
+
+
 def test_negative_value_in_exponent_notation(tmp_path):
     # argparse alone takes "-1e5" for an option and fails with "expected one argument"
     code, out, err = run_cli(_SHOOT + ["--mu", "-1e5", "-o", str(tmp_path / "shot")])
@@ -824,23 +837,29 @@ import magma_lab.cli as cli
 def loaded():
     return sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "multiprocessing"))
 
-run = sys.argv[1]
+run, profile = sys.argv[1:]
+torus = ["--n-points", "16,16,16", "--lengths", "240"]
 with contextlib.redirect_stdout(io.StringIO()):
     after_import = loaded()
     assert cli.main(["evolve", "--n-points", "16", "--n", "2", "--dt", "0.05", "--t-end", "0.15",
                      "--init", "modes:base=1;amp=0.1,k=1", "--snapshot-every", "1",
                      "-o", run]) == 0
     assert cli.main(["diagnose", "energy", "--run", run, "--n", "2"]) == 0
+    assert cli.main(["embed", "--profile", profile, *torus, "-o", run + "_embedded"]) == 0
+    assert cli.main(["evolve", *torus, "--n", "2.5", "--dt", "0.05", "--t-end", "0.1",
+                     "--init", "profile:" + profile, "-o", run + "_profile"]) == 0
     after_torus = loaded()
     assert cli.main(["shoot", "--d", "3", "--n", "2.5", "--c", "1.7", "--mu", "-0.021"]) == 0
 print(json.dumps([after_import, after_torus, loaded()]))
 """
 
 
-def test_torus_commands_load_no_scipy(tmp_path):
+def test_torus_commands_load_no_scipy(critical_run, tmp_path):
     # SciPy and multiprocessing load with the shooting code, not with the
-    # command line: evolve and diagnose run without them
-    proc = subprocess.run([sys.executable, "-c", _IMPORTS_PROBE, str(tmp_path / "run")],
+    # command line: evolve, diagnose and embedding a stored profile run
+    # without them
+    profile = str(critical_run[0] / "profile.csv")
+    proc = subprocess.run([sys.executable, "-c", _IMPORTS_PROBE, str(tmp_path / "run"), profile],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     after_import, after_torus, after_shoot = json.loads(proc.stdout)

@@ -105,6 +105,26 @@ def test_shooting_reads_scipys_tableau_not_its_dense_output():
     assert [f.name for f in sorted(package.glob("*.py")) if pattern.search(f.read_text())] == []
 
 
+def test_only_ode_residual_reads_a_scipy_spline():
+    # profile._hermite reads stored samples between their radii; the one
+    # SciPy spline left is ode_residual's, an independent check by design
+    package = Path(magma_lab.__file__).parent
+    tree = ast.parse((package / "profile.py").read_text())
+    [residual] = [node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "ode_residual"]
+
+    def spline_imports(root):
+        return [(getattr(node, "module", None) or alias.name, alias.name)
+                for node in ast.walk(root) if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names
+                if (getattr(node, "module", None) or alias.name).startswith("scipy.interpolate")]
+
+    assert spline_imports(tree) == spline_imports(residual) == [
+        ("scipy.interpolate", "make_interp_spline")]
+    pattern = re.compile(r"\bPchipInterpolator\b|\bCubicSpline\b")
+    assert [f.name for f in sorted(package.glob("*.py")) if pattern.search(f.read_text())] == []
+
+
 _STEPPER_PROBE = """
 import sys
 import magma_lab.profile as prof

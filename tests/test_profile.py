@@ -89,6 +89,9 @@ def test_params_validation():
         ProfileParams(d=3.0, n=2.5, c=1.7, mu=0.1)
     with pytest.raises(ValueError):
         ProfileParams(d=3.0, n=2.5, c=1.7, mu=-math.inf)
+    for d in (math.inf, math.nan):  # d = inf made every step NaN, and a shot never ended
+        with pytest.raises(ValueError, match="dimension d must be positive and finite"):
+            ProfileParams(d=d, n=2.5, c=1.7)
 
 
 def test_q_star_frozen_digits():
@@ -931,6 +934,49 @@ def test_embed_errors(critical2):
         embed_on_torus(sol, TorusGrid((96, 96), (160.0, 160.0)), center=(1.0,))
 
 
+@pytest.mark.parametrize("d", [1.0, 2.0, 3.0, 7.0])
+def test_hermite_reads_the_final_shot_between_samples(d):
+    # the quintic Hermite of the stored (Q, Q_r, Q_rr) against the final
+    # shot's own DOP853 interpolants midway between samples
+    _, sol = find_mu_c(ProfileParams(d=d, n=2.5, c=1.7), bisect_tol=1e-8)
+    shot = _Shot(sol.params, 400.0, keep_samples=True)  # find_mu_c's final shot, again
+    try:
+        shot.classify(400.0)
+    except Indeterminate:
+        shot.widen(WIDEN * 200.0)
+    s = shot.samples()
+    assert _bits(s.r) == _bits(sol.samples.r) and _bits(s.Q) == _bits(sol.samples.Q)
+    mid = 0.5 * (s.r[:-1] + s.r[1:])
+    r_old, r_end, y_old, F = map(np.array, zip(*shot.steps))
+    k = np.searchsorted(r_end, mid)
+    rows = (F[k, i] for i in reversed(range(F.shape[1])))
+    want = magma_lab.profile._dense(mid[:, None], r_old[k, None], r_end[k, None], y_old[k], rows)
+    assert np.max(np.abs(magma_lab.profile._hermite(s, mid) - want[:, 0])) <= 1e-11
+
+
+def test_hermite_returns_the_samples_and_reproduces_quintics(critical3):
+    hermite = magma_lab.profile._hermite
+    s = critical3[1].samples
+    assert _bits(hermite(s, s.r)) == _bits(s.Q)
+    assert _bits([hermite(s, float(r)) for r in s.r[[0, 1, -2, -1]]]) == _bits(s.Q[[0, 1, -2, -1]])
+    # any quintic comes back whole, on uneven radii too
+    r = np.array([0.0, 0.3, 0.35, 1.0, 2.5])
+    q = np.polynomial.Polynomial([0.9, -0.4, 0.3, 0.2, -0.1, 0.05])
+    quintic = ShotSamples(r, q(r), q.deriv()(r), q.deriv(2)(r))
+    x = np.linspace(0.0, 2.5, 101)
+    np.testing.assert_allclose(hermite(quintic, x), q(x), rtol=0, atol=1e-14)
+
+
+def test_embedding_a_read_back_profile_is_bit_identical(tmp_path, critical2):
+    _, sol = critical2
+    path = tmp_path / "profile.csv"
+    write_profile_csv(path, sol)
+    grid = TorusGrid((96, 96), (160.0, 160.0))
+    want = embed_on_torus(sol, grid, center=(40.0, 80.0))
+    got = embed_on_torus(read_profile_csv(path), grid, center=(40.0, 80.0))
+    assert got.values.tobytes() == want.values.tobytes()
+
+
 def test_profile_csv_round_trip(tmp_path, critical3):
     _, sol = critical3
     path_a = tmp_path / "profile.csv"
@@ -985,8 +1031,8 @@ _ARCHIVE = (
 def test_profile_csv_errors_name_the_file(tmp_path):
     # "d=2.0, d=3.0" used to read as d=3.0, and a bad cell or a byte that is
     # not UTF-8 used to raise a message without the file (or the row); a
-    # single sample row or radii that do not increase were read, and
-    # embedding then failed in PCHIP without naming the file
+    # single sample row, radii that do not increase or a cell that is not
+    # finite were read, and embedding then failed without naming the file
     path = tmp_path / "profile.csv"
     for raw, match in [
         (_ARCHIVE.replace("d=3.0", "d=2.0, d=3.0").encode(), "'d' twice"),
@@ -994,6 +1040,8 @@ def test_profile_csv_errors_name_the_file(tmp_path):
         (_ARCHIVE.encode() + b"\xff\n", "utf-8"),
         (_ARCHIVE.replace("0.01,", "0.0,").encode(), "sample row 2: r does not increase"),
         (_ARCHIVE.rsplit("0.01,", 1)[0].encode(), "1 sample rows, fewer than 2"),
+        (_ARCHIVE.replace("0.999998", "nan").encode(), "sample row 2: a value is not finite"),
+        (_ARCHIVE.replace("-0.00021", "-inf").encode(), "sample row 2: a value is not finite"),
     ]:
         path.write_bytes(raw)
         with pytest.raises(ValueError, match=match) as err:
@@ -1023,8 +1071,9 @@ _PIECES = st.one_of(
 ))
 @example(_ARCHIVE.replace("c=1.7", "c=.7").encode())  # ValueError without the path
 @example(_ARCHIVE.replace("Q_tau=0.66", "Q_tau=1e-300").encode())  # OverflowError
-@example(_ARCHIVE.replace("0.01,", "0.0,").encode())  # r not increasing: PCHIP's error
-@example(_ARCHIVE.rsplit("0.01,", 1)[0].encode())  # one sample row: PCHIP's error
+@example(_ARCHIVE.replace("0.01,", "0.0,").encode())  # r not increasing
+@example(_ARCHIVE.rsplit("0.01,", 1)[0].encode())  # one sample row
+@example(_ARCHIVE.replace("0.999998", "nan").encode())  # a sample that is not finite
 def test_profile_csv_reader_fuzz(tmp_path_factory, raw):
     # any bytes: an archive that can be interpolated comes back, or a
     # ValueError that names the file
@@ -1037,3 +1086,5 @@ def test_profile_csv_reader_fuzz(tmp_path_factory, raw):
         return
     assert isinstance(got, ProfileSolution)
     assert len(got.samples.r) >= 2 and np.all(np.diff(got.samples.r) > 0.0)
+    s = got.samples
+    assert np.all(np.isfinite([s.r, s.Q, s.Q_r, s.Q_rr]))
