@@ -332,13 +332,18 @@ def _initial_field(spec: str, grid: TorusGrid) -> Field:
             raise ValueError("snapshot grid does not match the requested grid")
         return fld
     if kind == "profile":
-        return embed_on_torus(_read_profile(rest), grid)
+        return _embed_profile(rest, grid)
     raise ValueError(f"unknown initial-condition kind {kind!r}")
 
 
-def _read_profile(path: str) -> ProfileSolution:
-    """A profile archive, given as its csv path or a run directory holding one."""
-    return read_profile_csv(os.path.join(path, "profile.csv") if os.path.isdir(path) else path)
+def _embed_profile(path: str, grid: TorusGrid, center: tuple[float, ...] | None = None) -> Field:
+    """The profile archive at path, its csv or a run directory holding one, on grid;
+    a profile that cannot be embedded names its archive."""
+    sol = read_profile_csv(os.path.join(path, "profile.csv") if os.path.isdir(path) else path)
+    try:
+        return embed_on_torus(sol, grid, center)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _snapshot_pair(
@@ -479,7 +484,7 @@ def _cmd_sweep(cfg: dict, ns: argparse.Namespace) -> tuple[list[_Artifact], _Rep
 def _cmd_embed(cfg: dict, ns: argparse.Namespace) -> tuple[list[_Artifact], _Report]:
     grid = _make_grid(cfg["n_points"], cfg["lengths"])
     center = None if cfg["center"] is None else tuple(cfg["center"])
-    fld = embed_on_torus(_read_profile(cfg["profile"]), grid, center)
+    fld = _embed_profile(cfg["profile"], grid, center)
 
     weight = _hs_weight(grid, _default_monitor_index(grid))
     monitor, mass, _ = _monitor_row(grid, fld.values, weight)

@@ -27,15 +27,18 @@ Q^{-n} - n/(c Q) is _decay_rate; so mu_2 is stationary where F1 vanishes
 on it (mu_1 = mu_2), mu_3 where dF3/dQ does, and structure_report finds
 each minimum as that root in (Q_star, Q1).
 
-Every shot runs _Shot, a DOP853 stepper on Python floats at RTOL, ATOL
-with SciPy's first step, error norm and step-size control, on one
-right-hand side, _QRRR, as straight-line code generated from SciPy's
-tableau with SciPy's operations in their order.  One evaluator, _dense,
-reads every value a shot reports off a step's 7th-order interpolant in
-SciPy's order: on floats for event roots and probes, in one pass over the
-kept steps for the samples of a sampling shot (the final shot of
-find_mu_c, ``shoot --mu``).  SciPy's dense-output classes are the tests'
-oracle.
+Q is even and analytic at r = 0, so every shot starts from its Taylor
+series there, _series: N_TERMS coefficients in r^2 carry it to a start
+radius r0, typically 2-4, with no integration.  From r0 it runs _Shot, a
+DOP853 stepper on Python floats at RTOL, ATOL with SciPy's error norm and
+step-size control, on one right-hand side, _QRRR, as straight-line code
+generated from SciPy's tableau with SciPy's operations in their order.
+One evaluator, _dense, reads every value a shot reports past r0 off a
+step's 7th-order interpolant in SciPy's order: on floats for event roots
+and probes, in one pass over the kept steps for the samples of a sampling
+shot (the final shot of find_mu_c, ``shoot --mu``); its samples up to r0
+come off the series, _series_at, in another.  SciPy's solve_ivp and
+dense-output classes are the tests' oracle.
 
 Between sample radii one NumPy reader, _hermite, reads Q off the quintic
 Hermite of the stored (Q, Q_r, Q_rr).  SciPy is imported on the first call
@@ -49,6 +52,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cache, lru_cache
+from operator import mul
 
 import numpy as np
 
@@ -362,12 +366,12 @@ class ProfileSolution:
     decay: DecayFit | None = None
 
 
-R0 = 1e-6  # series start; quadratic truncation error O(r0^4)
 SUBCASE_TOL = 1e-9
 FLAT_TOL = 1e-9  # |Q_r| and |Q_rr| bound of a flat endpoint
 RTOL, ATOL = 1e-10, 1e-12  # DOP853 tolerances of every shot
 DR_SAMPLE = 0.01  # radial spacing of stored samples
 WIDEN = 32.0  # find_mu_c doubles an indeterminate shot's radius up to WIDEN * r_max
+N_TERMS = 16  # even Taylor coefficients of the series start, up to r^(2 N_TERMS - 2)
 
 
 # Q_rrr(r, Q, Qr, Qrr) with noc = n/c, dm1 = d-1, on floats (libm pow as NumPy's)
@@ -387,8 +391,42 @@ def _qrrr(p: ProfileParams):
     return _stepper(p)[0]
 
 
-def _series_start(mu: float) -> tuple[float, float, float]:
-    return (1.0 + 0.5 * mu * R0**2, mu * R0, mu)
+def _series(p: ProfileParams, mu: float) -> np.ndarray:
+    """The shot's Taylor coefficients at r = 0 in x = r^2, shape (N_TERMS, 4).
+
+    Row i holds the x^i coefficients of Q, Q_r/r, Q_rr and the positive part
+    of Q_r/r - mu, which bounds Q_r/r from above for x > 0.  With Q = sum b_i
+    x^i, the left side Q_rrr + (d-1)(Q_rr/r - Q_r/r^2) of _QRRR is r sum L_i
+    x^i, L_i = 2m(2m-2)(2m+d-2) b_m at m = i + 2; multiplied by Q, the right
+    side is r P V with P = Q_r/r and V = Q^(1-n) - n/c - n Q_rr, so L_i =
+    [P V]_i - sum_(j>=1) b_j L_(i-j).  Q^(1-n) follows from J. C. P. Miller's
+    recurrence for a power of a series (Knuth, TAOCP vol. 2, 4.7).
+    """
+    n, noc, d = p.n, p.n / p.c, p.d
+    b, ib = [0.5 * mu], [0.5 * mu]  # b_1, b_2, ... (b_0 = 1) and i b_i
+    P, S, V, E, L = [mu], [mu], [1.0 - noc - n * mu], [1.0], []  # E = Q^(1-n)
+    for k in range(1, N_TERMS - 1):  # b_(k+1), then E_k and V_k
+        m = k + 1
+        L.append(sum(map(mul, P, reversed(V))) - sum(map(mul, b, reversed(L))))
+        bm = L[-1] / (2 * m * (2 * m - 2) * (2 * m + d - 2.0))
+        b.append(bm)
+        ib.append(m * bm)
+        P.append(2 * m * bm)
+        S.append(2 * m * (2 * m - 1) * bm)
+        E.append((2.0 - n) / k * sum(map(mul, ib, reversed(E))) - sum(map(mul, b, reversed(E))))
+        V.append(E[k] - n * S[k])
+    if not (math.isfinite(sum(map(abs, b))) and abs(b[-1]) >= np.finfo(float).tiny):
+        raise ProfileError(f"the series at r = 0 leaves the float range at d={d!r}, mu={mu!r}")
+    P.append(0.0)  # the x^(N_TERMS - 1) terms of Q_r/r and Q_rr need b_(N_TERMS)
+    S.append(0.0)
+    return np.array(([1.0] + b, P, S, [0.0] + [max(c, 0.0) for c in P[1:]])).T
+
+
+def _series_at(C: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Rows (Q, Q_r, Q_rr, bound of Q_r/r - mu) at the radii r off the coefficients C."""
+    out = np.vander(r * r, len(C), increasing=True) @ C
+    out[:, 1] *= r
+    return out
 
 
 def _tail(r_max: float) -> list[float]:
@@ -439,22 +477,24 @@ def integrate_shot(
 ) -> tuple[ShotOutcome, ShotSamples | None]:
     """Integrate one shot and classify it.
 
-    The state (Q, Q_r, Q_rr) starts at r0 = R0 from the even series
-    Q = 1 + mu r0^2/2 and is integrated by DOP853 at RTOL, ATOL.  Terminal
-    events: Q falling to Q_star, and Q_r rising to zero.  Reaching r_max
-    with |Q_r| <= FLAT_TOL and settled curvature counts as flat; anything
-    else raises Indeterminate.  A mu so large that the series puts Q(R0)
-    at or below Q_star raises ProfileError.
+    The state (Q, Q_r, Q_rr) starts at r0 from the even Taylor series of
+    Q at r = 0 (_Shot._start: below r_max/10, with Q > Q_star and Q_r < 0
+    on (0, r0], so no event lies there) and is integrated by DOP853 at
+    RTOL, ATOL.  Terminal events: Q falling to Q_star, and Q_r rising to
+    zero.  Reaching r_max with |Q_r| <= FLAT_TOL and settled curvature
+    counts as flat; anything else raises Indeterminate.  A mu or d that
+    takes the series out of the float range raises ProfileError.
 
     The shot runs _Shot.  A classification shot (keep_samples=False)
     builds the 7th-order interpolant only on steps that fire an event or
     pass a radius the flat test reads (nine tail radii, r_max/4, r_max/2).
     A shot that keeps samples builds it on every step and reads samples
-    every DR_SAMPLE off the kept steps, ending at the event or at r_max.
-    WIDEN * r_max must be finite: the probe radii run up to it.
+    every DR_SAMPLE, up to r0 off the series and past it off the kept
+    steps, ending at the event or at r_max.  WIDEN * r_max must be finite:
+    the probe radii run up to it.
     """
-    if not (R0 < r_max and WIDEN * r_max < math.inf):
-        raise ValueError(f"r_max must exceed R0 = {R0} with {WIDEN:g} * r_max finite, got {r_max}")
+    if not (0.0 < r_max and WIDEN * r_max < math.inf):
+        raise ValueError(f"r_max must be positive with {WIDEN:g} * r_max finite, got {r_max}")
     shot = _Shot(p, r_max, keep_samples)
     outcome = shot.classify(r_max)
     return outcome, shot.samples()
@@ -529,9 +569,9 @@ def _dense(t, r_old, r, y_old, rows):
 
 
 class _Shot:
-    """A shot: DOP853 steps of (Q, Q_r, Q_rr) on Python floats.
+    """A shot: the series up to r0, then DOP853 steps of (Q, Q_r, Q_rr) on Python floats.
 
-    Steps are sized by SciPy's first-step guess, error norm and controller;
+    The first step is r0; the rest are sized by SciPy's error norm and controller;
     stage s of the last attempt is kept as its derivative triple (U[s],
     V[s], W[s]) = (Q_r, Q_rr, Q_rrr).  The shot reads the probe radii of
     the flat test at r_max and at each doubling up to WIDEN * r_max as its
@@ -545,30 +585,37 @@ class _Shot:
     def __init__(self, p: ProfileParams, r_max: float, keep_samples: bool = False):
         self.qrrr, self.trial, self.extend = _stepper(p)
         self.qs, self.mu = q_star(p.n), _require_mu(p)
-        self.r, self.y = R0, _series_start(self.mu)
-        if not self.y[0] > self.qs:
-            raise ProfileError(f"mu={self.mu!r} crosses the floor before R0={R0}")
-        self.w = self.qrrr(R0, *self.y)
+        self.series = _series(p, self.mu)
+        self.r0, self.y = self._start(r_max)
+        self.r = self.h = self.r0  # the first step spans the series' own radius
+        self.w = self.qrrr(self.r, *self.y)
         self.U, self.V, self.W = ([0.0] * len(_A) for _ in range(3))
         self.nfev, self.rejected = 1, 0
-        self.h = self._first_step(r_max - R0)
         self.pending = list(_probes(r_max))
         self.seen: dict[float, tuple[float, float, float]] = {}
         self.steps: list[tuple] | None = [] if keep_samples else None
 
-    def _first_step(self, interval: float) -> float:
-        """SciPy's select_initial_step, on arrays as there: solve_ivp's first step."""
-        y0, f0 = np.array(self.y), np.array((self.y[1], self.y[2], self.w))
-        scale = ATOL + np.abs(y0) * RTOL
-        d0, d1 = (np.linalg.norm(v / scale) / 3**0.5 for v in (y0, f0))
-        h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, interval)
-        y1 = (y0 + h0 * f0).tolist()
-        f1 = np.array((y1[1], y1[2], self.qrrr(self.r + h0, *y1)))
-        self.nfev += 1
-        d2 = np.linalg.norm((f1 - f0) / scale) / 3**0.5 / h0
-        if d1 <= 1e-15 and d2 <= 1e-15:
-            return float(min(100.0 * h0, max(1e-6, h0 * 1e-3), interval))
-        return float(min(100.0 * h0, (0.01 / max(d1, d2)) ** 0.125, interval))
+    def _start(self, r_max: float) -> tuple[float, tuple[float, float, float]]:
+        """The start radius r0 and the series' (Q, Q_r, Q_rr) there.
+
+        r0 is where the last two terms of each series fall below ATOL, at most
+        r_max/20, below every probe radius; it halves until Q(r0) > Q_star and
+        the bound keeps Q_r < 0 on (0, r0], so no event lies in [0, r0].
+        """
+        C, mu = self.series, self.mu
+        x = math.inf
+        for j in (N_TERMS - 2, N_TERMS - 1):
+            b = abs(float(C[j, 0]))
+            for a, e in ((b, j), (2 * j * b, j - 0.5), (2 * j * (2 * j - 1) * b, j - 1)):
+                if a > 0.0:
+                    x = min(x, (ATOL / a) ** (1.0 / e))
+        r0 = min(math.sqrt(x), r_max / 20.0)
+        for _ in range(64):
+            Q, Qr, Qrr, rise = _series_at(C, np.array([r0]))[0].tolist()
+            if Q > self.qs and mu + rise < 0.0:
+                return r0, (Q, Qr, Qrr)
+            r0 *= 0.5
+        raise ProfileError(f"mu={mu!r}: no start radius keeps the series above Q_star and falling")
 
     def step(self, r_bound: float) -> None:
         """Take one accepted step, ending at r_bound at the latest."""
@@ -662,18 +709,22 @@ class _Shot:
                     raise
 
     def samples(self) -> ShotSamples | None:
-        """Samples at 0, every DR_SAMPLE and r, read off the kept interpolants in one pass."""
+        """Samples at 0, every DR_SAMPLE and r: those up to r0 read off the series in one
+        pass, the rest off the kept interpolants in another."""
         if self.steps is None:
             return None
         interior = np.arange(DR_SAMPLE, self.r, DR_SAMPLE)
         if len(interior) and self.r - interior[-1] < 1e-9:
             interior = interior[:-1]
-        r_old, r_end, y_old, F = map(np.array, zip(*self.steps))
-        k = np.searchsorted(r_end, interior)  # first step to end at or past r: SciPy's pick
-        rows = (F[k, i] for i in reversed(range(F.shape[1])))  # one (samples, 3) row at a time
-        block = _dense(interior[:, None], r_old[k, None], r_end[k, None], y_old[k], rows)
+        near, far = np.split(interior, [np.searchsorted(interior, self.r0, side="right")])
+        blocks = [(1.0, 0.0, self.mu), _series_at(self.series, near)[:, :3]]
+        if len(far):
+            r_old, r_end, y_old, F = map(np.array, zip(*self.steps))
+            k = np.searchsorted(r_end, far)  # first step to end at or past r: SciPy's pick
+            rows = (F[k, i] for i in reversed(range(F.shape[1])))  # one (samples, 3) row at a time
+            blocks.append(_dense(far[:, None], r_old[k, None], r_end[k, None], y_old[k], rows))
         r = np.concatenate(([0.0], interior, [self.r]))
-        return ShotSamples(r, *np.column_stack(((1.0, 0.0, self.mu), block.T, self.y)))
+        return ShotSamples(r, *np.vstack(blocks + [self.y]).T)
 
 
 def _hermite(s: ShotSamples, r):
@@ -933,6 +984,8 @@ def embed_on_torus(
     deviates from 1 by less than 1e-8.
     """
     p = sol.params
+    if not 0.0 < sol.Q_tau < math.inf:  # a single shot's archive holds nan
+        raise ValueError(f"profile has no finite Q_tau to normalize by, got {sol.Q_tau!r}")
     if float(grid.d) != float(p.d):
         raise ValueError(
             f"profile dimension {p.d} does not match grid dimension {grid.d}"

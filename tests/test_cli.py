@@ -337,13 +337,17 @@ _SHOOT = ["shoot", "--d", "3", "--n", "2.5", "--c", "1.7"]
         _SHOOT + ["--bisect-tol", "inf"],
         ["diagnose", "dispersion", "--n-points", "32", "--n", "3", "--mode", "1",
          "--epsilon", "0.99", "--periods", "1", "--steps-per-period", "16"],
+        ["shoot", "--d", "1e308", "--n", "2.5", "--c", "1.7", "--mu", "-0.02"],
+        ["shoot", "--d", "1e308", "--n", "2.5", "--c", "1.7"],
+        ["shoot", "--d", "1e300", "--n", "2.5", "--c", "1.7", "--mu", "-0.02"],
     ],
     ids=["cg-breakdown", "dt-inf", "t-end-inf", "steps-overflow", "s-monitor-nan",
          "r-max-nan", "r-max-inf", "r-max-0", "r-max-neg", "r-max-huge", "mu-neg-inf",
          "mu-huge", "d-tiny",
-         "r-max-huge-search", "bisect-tol-nan", "bisect-tol-inf", "dispersion-positivity"],
+         "r-max-huge-search", "bisect-tol-nan", "bisect-tol-inf", "dispersion-positivity",
+         "d-huge", "d-huge-search", "d-huge-1e300"],
 )
-def test_degenerate_values_end_in_exit_code(tmp_path, argv):
+def test_degenerate_values_end_in_exit_code(request, tmp_path, argv):
     # a separate interpreter with a timeout: some of these used to hang
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run(
@@ -354,6 +358,11 @@ def test_degenerate_values_end_in_exit_code(tmp_path, argv):
     if proc.returncode == 0:
         assert "verdict" in parsed(proc.stdout)
     assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) <= 1  # no warning printed ahead of the error
+    if request.node.callspec.id.startswith("d-huge"):  # a NumPy warning used to precede it
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("numerical failure: ProfileError: the series at r = 0 "
+                                      "leaves the float range at d=1e+30")
 
 
 def test_infinite_dimension_is_refused():
@@ -440,6 +449,17 @@ def test_unsettled_shot_names_the_public_error(tmp_path):
     assert code == 0
     row = (out_dir / "sweep.csv").read_text().splitlines()[1].split(",")
     assert row[7].startswith("Indeterminate: no event fired by r_max=16.0")
+
+
+def test_embedding_a_single_shot_names_its_archive(tmp_path):
+    # a single shot's archive has Q_tau = nan, and embedding it used to fail
+    # with "scale factor must be positive", naming neither the file nor Q_tau
+    shot = tmp_path / "shot"
+    assert run_cli(_SHOOT + ["--mu", "-0.021", "-o", str(shot)])[0] == 0
+    code, out, err = run_cli(["embed", "--profile", str(shot), "--n-points", "16,16,16",
+                              "--lengths", "240", "-o", str(tmp_path / "embedded")])
+    assert (code, out) == (1, "")
+    assert err == f"config error: {shot}: profile has no finite Q_tau to normalize by, got nan\n"
 
 
 def test_embed_cli(critical_run, tmp_path):

@@ -49,9 +49,14 @@ from magma_lab import (
     structure_report,
     write_profile_csv,
 )
-from magma_lab.profile import ATOL, R0, RTOL, WIDEN, _Shot
+from magma_lab.profile import ATOL, RTOL, WIDEN, _Shot
+
+R0 = 1e-6  # the quadratic start Q = 1 + mu r^2/2 of an oracle that does not use the series
 
 EXAMPLE = ProfileParams(d=3.0, n=2.5, c=1.7)
+# a shot that is flat at r_max = 60: mu sits in the window, 4.6e-16 wide, where
+# |Q_r| and |Q_rr| at 60 stay within FLAT_TOL
+_FLAT = ProfileParams(d=3.0, n=2.5, c=1.9, mu=-0.009785371279269595)
 
 
 @pytest.fixture(scope="module")
@@ -251,10 +256,51 @@ def test_extreme_curvatures_end_in_profile_errors():
     # a stage that takes Q below 0 is a rejected step, not a complex number
     out, _ = integrate_shot(replace(EXAMPLE, mu=-5e11), keep_samples=False)
     assert out.classification is ShotClass.CROSSED
-    with pytest.raises(ProfileError, match="before R0"):
+    with pytest.raises(ProfileError, match="the series at r = 0 leaves the float range"):
         integrate_shot(replace(EXAMPLE, mu=-1e30))
     with pytest.raises(ProfileError):  # the bracket scales as 1/d
         find_mu_c(ProfileParams(d=1e-300, n=2.5, c=1.7))
+
+
+@pytest.mark.parametrize("d", [1.0, 2.0, 3.0, 7.0])
+def test_series_start_matches_solve_ivp_from_r0(d):
+    # the series' (Q, Q_r, Q_rr) at r0, against solve_ivp from the quadratic
+    # start at R0 at rtol 1e-13, atol 1e-15, inside find_mu_c's bracket
+    rep = structure_report(replace(EXAMPLE, d=d))
+    p = replace(EXAMPLE, d=d, mu=0.5 * (rep.mu3_min + rep.mu2_min))
+    shot = _Shot(p, 200.0)
+    assert 1.0 < shot.r0 < 10.0
+    np.testing.assert_allclose(shot.y, _from_the_center(p, shot.r0).y[:, -1], rtol=0.0, atol=1e-11)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.sampled_from([1.0, 2.0, 3.0, 4.0, 7.0]) | st.floats(0.05, 50.0),
+    n=st.floats(2.0, 3.0),
+    u=st.floats(0.0, 0.99),
+    mu=st.floats(1e-6, 0.2).map(lambda m: -m) | st.floats(-30.0, 40.0).map(lambda e: -(10.0**e)),
+    r_max=st.sampled_from([0.5, 5.0, 60.0, 200.0]),
+)
+@example(d=3.0, n=2.5, u=0.15, mu=-1e30, r_max=200.0)  # the series overflows
+@example(d=3.0, n=2.5, u=0.15, mu=-1e5, r_max=0.5)
+def test_series_start_property(d, n, u, mu, r_max):
+    # a shot ends in an outcome or a ProfileError; a start radius, when one is
+    # found, lies below every probe radius with no event in [0, r0]
+    p = ProfileParams(d=d, n=n, c=1.55 + u * (n - 1.55), mu=mu)
+    try:
+        assert isinstance(integrate_shot(p, r_max=r_max, keep_samples=False)[0], ShotOutcome)
+    except ProfileError:
+        pass
+    try:
+        shot = _Shot(p, r_max)
+    except ProfileError:
+        return
+    assert 0.0 < shot.r0 < r_max / 10.0 == min(magma_lab.profile._probes(r_max))
+    r_a = 1e-6 * shot.r0  # relative control alone: Q_r can lie far below ATOL
+    sol = solve_ivp(_odes(p), (r_a, shot.r0), (1.0 + 0.5 * mu * r_a**2, mu * r_a, mu),
+                    method="DOP853", rtol=RTOL, atol=1e-300, events=_events(p))
+    assert sol.status == 0 and not (len(sol.t_events[0]) or len(sol.t_events[1]))
+    assert shot.y[0] > q_star(n) and shot.y[1] < 0.0
 
 
 def test_integrate_shot_turning():
@@ -278,18 +324,21 @@ def _assert_alike(got, want, rel):
             assert a == pytest.approx(b, rel=rel)
 
 
-def _scipy_shot(p, r_max):
-    """The oracle: the same shot by solve_ivp's DOP853, with the two terminal events.
-
-    Returns the outcome (classified by the library's rules) and solve_ivp's
-    dense output.
-    """
-    prof = magma_lab.profile
-    qrrr, qs = prof._qrrr(p), q_star(p.n)
+def _odes(p):
+    qrrr = magma_lab.profile._qrrr(p)
 
     def odes(r, y):
         Q, Qr, Qrr = y.tolist()
+        if not Q > 0.0:  # Q**-n is complex: SciPy rejects the step on its nan error norm
+            return (Qr, Qrr, math.nan)
         return (Qr, Qrr, qrrr(float(r), Q, Qr, Qrr))
+
+    return odes
+
+
+def _events(p):
+    """The two terminal events of a shot, as solve_ivp takes them: Q falls to Q_star, Q_r rises to 0."""
+    qs = q_star(p.n)
 
     def floor(r, y):
         return y[0] - qs
@@ -299,8 +348,40 @@ def _scipy_shot(p, r_max):
 
     floor.terminal = turn.terminal = True
     floor.direction, turn.direction = -1.0, 1.0
-    sol = solve_ivp(odes, (R0, r_max), prof._series_start(p.mu), method="DOP853",
-                    rtol=RTOL, atol=ATOL, events=(floor, turn), dense_output=True)
+    return floor, turn
+
+
+def _quadratic_start(mu):
+    """(R0, (Q, Q_r, Q_rr) there off Q = 1 + mu r^2/2, no first step): solve_ivp picks its own."""
+    return R0, (1.0 + 0.5 * mu * R0**2, mu * R0, mu), None
+
+
+def _series_start(p, r_max):
+    """The library's start: (r0, the series' (Q, Q_r, Q_rr) there, the first step)."""
+    shot = _Shot(p, r_max)
+    return shot.r0, shot.y, shot.h
+
+
+def _from_the_center(p, r_end):
+    """solve_ivp's DOP853 from the quadratic start to r_end at rtol 1e-13, atol 1e-15:
+    the oracle of the series start."""
+    r, y0, _ = _quadratic_start(p.mu)
+    return solve_ivp(_odes(p), (r, r_end), y0, method="DOP853", rtol=1e-13, atol=1e-15,
+                     dense_output=True)
+
+
+def _scipy_shot(p, r_max, start=None):
+    """The oracle: the same shot by solve_ivp's DOP853, with the two terminal events,
+    from start, by default the library's series start.
+
+    Returns the outcome (classified by the library's rules) and a dense output:
+    solve_ivp's, and below the series start _from_the_center's.
+    """
+    prof = magma_lab.profile
+    qs = q_star(p.n)
+    r0, y0, h0 = _series_start(p, r_max) if start is None else start
+    sol = solve_ivp(_odes(p), (r0, r_max), y0, method="DOP853", first_step=h0,
+                    rtol=RTOL, atol=ATOL, events=_events(p), dense_output=True)
     assert sol.status >= 0, sol.message
     (rf, rt), y_turn = sol.t_events, sol.y_events[1]
     if len(rf) or len(rt):
@@ -309,7 +390,14 @@ def _scipy_shot(p, r_max):
     else:
         q_tau = prof._aitken_limit(sol.sol(r_max / 4.0)[0], sol.sol(r_max / 2.0)[0], sol.y[0, -1])
         out = ShotOutcome(ShotClass.FLAT, Q_tau=float(q_tau))
-    return out, sol.sol
+    center = sol.sol if r0 == R0 else _from_the_center(p, r0).sol
+
+    def dense(r):
+        r = np.asarray(r, dtype=float)
+        near = r <= r0
+        return np.where(near, center(np.where(near, r, r0)), sol.sol(np.where(near, r0, r)))
+
+    return out, dense
 
 
 def _assert_samples_match(samples, sol):
@@ -323,7 +411,7 @@ def _assert_samples_match(samples, sol):
     [
         (replace(EXAMPLE, mu=-0.021), 200.0, ShotClass.CROSSED),
         (replace(EXAMPLE, mu=structure_report(EXAMPLE).mu2_min / 2.0), 200.0, ShotClass.TURNED),
-        (ProfileParams(d=3.0, n=2.5, c=1.9, mu=-0.009785371279291785), 60.0, ShotClass.FLAT),
+        (_FLAT, 60.0, ShotClass.FLAT),
     ],
 )
 def test_classification_shot_matches_sample_shot(p, r_max, cls):
@@ -385,21 +473,22 @@ _NEAR_CRITICAL = [
 
 @pytest.mark.parametrize("params, r_max, cls, subcase, radius", _NEAR_CRITICAL)
 def test_near_critical_classification_table(params, r_max, cls, subcase, radius):
-    # The pinned radii are solve_ivp's.  The library's stepper takes the
-    # same steps but rounds differently, and this close to mu_c that moves
-    # the radius far more than rounding: solve_ivp itself with RTOL scaled
-    # by 1 + 1e-12 moves it by up to 2.5e-6 relative.
+    # The pinned radii are solve_ivp's from the quadratic start at R0.  The
+    # library starts from the series at r0 instead, and this close to mu_c
+    # that moves the radius far more than rounding: solve_ivp itself with
+    # RTOL scaled by 1 + 1e-12 moves it by up to 2.5e-6 relative.  So the
+    # library is held to solve_ivp from its own start, which takes the same
+    # steps but rounds differently.
     p = ProfileParams(*params)
-    want, _ = _scipy_shot(p, r_max)
+    want, _ = _scipy_shot(p, r_max, _quadratic_start(p.mu))
     assert want.classification is ShotClass[cls]
     assert want.subcase == subcase
     assert (want.r_star if cls == "CROSSED" else want.tau) == pytest.approx(radius, rel=1e-8)
+    want, _ = _scipy_shot(p, r_max)  # from the library's series start
     for keep in (True, False):
         out, _ = integrate_shot(p, r_max=r_max, keep_samples=keep)
         assert out.classification is ShotClass[cls]
-        assert out.subcase == subcase
-        got = out.r_star if cls == "CROSSED" else out.tau
-        assert got == pytest.approx(radius, rel=1e-5)
+        _assert_alike(out, want, rel=1e-5)
 
 
 def _restarted(p, r_max):
@@ -453,7 +542,8 @@ def test_final_shot_continues_past_twice_r_max():
     assert _crosses(p, mu_c - 2.0 * tol) and not _crosses(p, mu_c)
     assert sol.samples.r[-1] > 2.0 * r_max
     assert sol.samples.r[-1] == pytest.approx(490.8, abs=0.1)
-    _assert_samples_match(sol.samples, _scipy_shot(sol.params, 4.0 * r_max)[1])
+    start = _series_start(sol.params, 2.0 * r_max)  # the final shot's
+    _assert_samples_match(sol.samples, _scipy_shot(sol.params, 4.0 * r_max, start)[1])
 
 
 # the first cell of each dimension in seed 3's shoot_grid block: (d, n, c)
@@ -547,8 +637,7 @@ def test_search_bracket_holds_when_classification_is_not_monotone():
 def test_continued_shot_reads_the_probes_of_the_larger_radius():
     # the flat test at 2r reads 2r/10, r/2 and r, which the shot passed
     # before it stopped at r
-    p = ProfileParams(d=3.0, n=2.5, c=1.9, mu=-0.009785371279291785)
-    continued, restarted = _Shot(p, 7.5), _Shot(p, 15.0)
+    continued, restarted = _Shot(_FLAT, 7.5), _Shot(_FLAT, 15.0)
     for shot, radii in ((continued, (7.5, 15.0)), (restarted, (15.0,))):
         for r in radii:
             with pytest.raises(Indeterminate):
@@ -559,20 +648,17 @@ def test_continued_shot_reads_the_probes_of_the_larger_radius():
 
 
 def test_stepper_takes_scipys_steps():
-    # Same first step, error norm and step controller as SciPy's DOP853: the
-    # same steps are accepted and rejected.  Near r = 0 the error estimate is
-    # mostly rounding in (d-1)(Q_rr/r - Q_r/r^2), so the two step sizes there
-    # differ by up to 2%.
+    # From the same start and first step, the same error norm and step
+    # controller as SciPy's DOP853: the same steps are accepted and rejected.
     p = replace(EXAMPLE, mu=-0.021)
     qrrr = magma_lab.profile._qrrr(p)
     ours = _Shot(p, 200.0)
-    ref = DOP853(lambda r, y: (y[1], y[2], qrrr(r, *y)), R0, ours.y, 200.0, rtol=RTOL, atol=ATOL)
-    for k in range(80):
+    ref = DOP853(lambda r, y: (y[1], y[2], qrrr(r, *y)), ours.r0, ours.y, 200.0,
+                 rtol=RTOL, atol=ATOL, first_step=ours.h)
+    for _ in range(80):
         ours.step(200.0)
         ref.step()
         assert ours.nfev == ref.nfev
-        if k == 0:  # SciPy's guess at R0 is too long for the singular start
-            assert ours.rejected == 8
     assert ours.r == pytest.approx(ref.t, rel=1e-3)
 
 
@@ -713,14 +799,26 @@ def test_float_interpolant_reads_scipys_dense_output_to_the_bit():
     assert _bits(shot.y) == _bits(steps[-1](shot.r))
 
 
+def _horner(shot, r):
+    """(Q, Q_r, Q_rr) at r by Horner's rule on the series coefficients of the shot."""
+    Q, P, S = (np.polynomial.polynomial.polyval(r * r, shot.series[:, i]) for i in range(3))
+    return np.array([Q, r * P, S])
+
+
 def _assert_samples_are_scipys(shot):
-    """Samples bit for bit as OdeSolution reads them off the kept steps."""
+    """Samples past r0 bit for bit as OdeSolution reads them off the kept steps, and up
+    to r0 as Horner's rule reads the series, to rounding."""
     s = shot.samples()
     steps = _scipy_steps(shot)
     interior = s.r[1:-1]
-    want = OdeSolution([R0] + [step.t for step in steps], steps)(interior)
-    assert np.array([s.Q, s.Q_r, s.Q_rr])[:, 1:-1].tobytes() == want.tobytes()
+    near = interior <= shot.r0
+    got = np.array([s.Q, s.Q_r, s.Q_rr])[:, 1:-1]
+    want = OdeSolution([shot.r0] + [step.t for step in steps], steps)(interior[~near])
+    assert got[:, ~near].tobytes() == want.tobytes()
+    assert near.any()
+    np.testing.assert_allclose(got[:, near], _horner(shot, interior[near]), rtol=1e-14, atol=1e-16)
     assert _bits(s.r[[0, -1]]) == _bits([0.0, shot.r])
+    assert _bits(np.array([s.Q, s.Q_r, s.Q_rr])[:, 0]) == _bits([1.0, 0.0, shot.mu])
     assert _bits(np.array([s.Q, s.Q_r, s.Q_rr])[:, -1]) == _bits(shot.y)
 
 
@@ -746,7 +844,7 @@ def test_samples_are_odesolutions_to_the_bit():
     _assert_samples_are_scipys(shot)
     # a turning shot and a flat one
     for q, r_max in ((replace(EXAMPLE, mu=structure_report(EXAMPLE).mu2_min / 2.0), 200.0),
-                     (ProfileParams(d=3.0, n=2.5, c=1.9, mu=-0.009785371279291785), 60.0)):
+                     (_FLAT, 60.0)):
         shot = _Shot(q, r_max, keep_samples=True)
         shot.classify(r_max)
         _assert_samples_are_scipys(shot)
@@ -947,11 +1045,13 @@ def test_hermite_reads_the_final_shot_between_samples(d):
     s = shot.samples()
     assert _bits(s.r) == _bits(sol.samples.r) and _bits(s.Q) == _bits(sol.samples.Q)
     mid = 0.5 * (s.r[:-1] + s.r[1:])
+    near, far = mid[mid <= shot.r0], mid[mid > shot.r0]  # below r0 the shot is its series
     r_old, r_end, y_old, F = map(np.array, zip(*shot.steps))
-    k = np.searchsorted(r_end, mid)
+    k = np.searchsorted(r_end, far)
     rows = (F[k, i] for i in reversed(range(F.shape[1])))
-    want = magma_lab.profile._dense(mid[:, None], r_old[k, None], r_end[k, None], y_old[k], rows)
-    assert np.max(np.abs(magma_lab.profile._hermite(s, mid) - want[:, 0])) <= 1e-11
+    want = np.concatenate((_horner(shot, near)[0], magma_lab.profile._dense(
+        far[:, None], r_old[k, None], r_end[k, None], y_old[k], rows)[:, 0]))
+    assert np.max(np.abs(magma_lab.profile._hermite(s, mid) - want)) <= 1e-11
 
 
 def test_hermite_returns_the_samples_and_reproduces_quintics(critical3):
