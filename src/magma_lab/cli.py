@@ -30,7 +30,7 @@ import re
 import sys
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -56,6 +56,7 @@ from .profile import (
     ProfileParams,
     ProfileSolution,
     _c_bar,
+    _csv,
     _fmt,
     decay_check,
     embed_on_torus,
@@ -141,7 +142,6 @@ EMBED_OPTS: dict[str, _Opt] = {
     "profile": _Opt(str, required=True, help="profile.csv or a run directory holding one"),
     "n_points": _Opt(_c_ints, required=True, help="grid points per axis"),
     "lengths": _Opt(_c_floats, help="box side lengths (default 2*pi per axis)"),
-    "center": _Opt(_c_floats, help="peak location (default the domain midpoint)"),
 }
 
 DISPERSION_OPTS: dict[str, _Opt] = {
@@ -240,12 +240,6 @@ def _json(obj: object, indent: int | None = None) -> str:
     return json.dumps(obj, indent=indent, sort_keys=True) + "\n"
 
 
-def _csv(header: str, rows: Iterable[Iterable[object]]) -> str:
-    """CSV text: the header, then one line per row; non-string cells via _fmt."""
-    lines = [",".join(v if isinstance(v, str) else _fmt(v) for v in row) for row in rows]
-    return "".join(line + "\n" for line in [header, *lines])
-
-
 _Artifact = tuple[str, str | Callable[[str], None]]  # text, or a writer of the path
 _Report = list[tuple[str, object]]  # "key = value" lines: str as is, number via _fmt, None none
 
@@ -336,12 +330,12 @@ def _initial_field(spec: str, grid: TorusGrid) -> Field:
     raise ValueError(f"unknown initial-condition kind {kind!r}")
 
 
-def _embed_profile(path: str, grid: TorusGrid, center: tuple[float, ...] | None = None) -> Field:
+def _embed_profile(path: str, grid: TorusGrid) -> Field:
     """The profile archive at path, its csv or a run directory holding one, on grid;
     a profile that cannot be embedded names its archive."""
     sol = read_profile_csv(os.path.join(path, "profile.csv") if os.path.isdir(path) else path)
     try:
-        return embed_on_torus(sol, grid, center)
+        return embed_on_torus(sol, grid)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -483,8 +477,7 @@ def _cmd_sweep(cfg: dict, ns: argparse.Namespace) -> tuple[list[_Artifact], _Rep
 
 def _cmd_embed(cfg: dict, ns: argparse.Namespace) -> tuple[list[_Artifact], _Report]:
     grid = _make_grid(cfg["n_points"], cfg["lengths"])
-    center = None if cfg["center"] is None else tuple(cfg["center"])
-    fld = _embed_profile(cfg["profile"], grid, center)
+    fld = _embed_profile(cfg["profile"], grid)
 
     weight = _hs_weight(grid, _default_monitor_index(grid))
     monitor, mass, _ = _monitor_row(grid, fld.values, weight)

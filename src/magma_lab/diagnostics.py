@@ -7,8 +7,8 @@ mutate evolution state.  The energy functional
     V''(phi) = phi^{-(n+m)},  V(1) = V'(1) = 0,
 
 is an exact invariant of the flow for m = 0 (any dimension); for m > 0 it
-is evaluated as a diagnostic only.  The antiderivative V has removable
-singularities at n + m = 1 and n + m = 2, handled by explicit branches.
+is evaluated as a diagnostic only.  The antiderivative V has a removable
+singularity at n + m = 2, handled by an explicit branch.
 """
 
 from __future__ import annotations
@@ -45,11 +45,9 @@ class ConservedEnergyParams:
 
 
 def _potential(phi: np.ndarray, s: float) -> np.ndarray:
-    """V with V'' = phi^{-s}, V(1) = V'(1) = 0, including the s = 1, 2 limits."""
+    """V with V'' = phi^{-s}, V(1) = V'(1) = 0, for s = n + m in [2, 4], s = 2 its limit."""
     if abs(s - 2.0) <= 1e-9:
         return (phi - 1.0) - np.log(phi)
-    if abs(s - 1.0) <= 1e-9:
-        return phi * np.log(phi) - phi + 1.0
     return (phi ** (2.0 - s) - 1.0 + (s - 2.0) * (phi - 1.0)) / ((s - 1.0) * (s - 2.0))
 
 

@@ -21,7 +21,9 @@ in mu as g_i(Q) + h_i(Q) mu:
     F3 = F1 - n integral_1^Q F2(q, mu) q^{-(n+2)} dq.
 
 g2 and g3 are evaluated here in closed form (verified against adaptive
-quadrature of the defining integrals in the test suite).  At fixed mu,
+quadrature of the defining integrals in the test suite).  _gh holds each
+(g_i, h_i); structure_fn alone forms F_i and _mu alone mu_i = -g_i/h_i,
+which mu_curve returns inside its domain.  At fixed mu,
 dF2/dQ = Q^n F1 and dF3/dQ = g1'(Q) - n Q^{-(n+2)} F2, where g1'(Q) =
 Q^{-n} - n/(c Q) is _decay_rate; so mu_2 is stationary where F1 vanishes
 on it (mu_1 = mu_2), mu_3 where dF3/dQ does, and structure_report finds
@@ -41,9 +43,11 @@ come off the series, _series_at, in another.  SciPy's solve_ivp and
 dense-output classes are the tests' oracle.
 
 Between sample radii one NumPy reader, _hermite, reads Q off the quintic
-Hermite of the stored (Q, Q_r, Q_rr).  SciPy is imported on the first call
-that needs it (a shot, q_star, ode_residual's splines), not with the
-module, so ``magma-lab diagnose``, ``embed`` and ``evolve`` never load it.
+Hermite of the stored (Q, Q_r, Q_rr); find_mu_c reads every critical Q_tau
+through it, as the Aitken limit of Q at r/4, r/2 and the last sample r.
+SciPy is imported on the first call that needs it (a shot, q_star,
+ode_residual's splines), not with the module, so ``magma-lab diagnose``,
+``embed`` and ``evolve`` never load it.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cache, lru_cache
 from operator import mul
+from typing import Iterable
 
 import numpy as np
 
@@ -198,29 +203,40 @@ def _scalar_like(Q, out):
     return float(out) if np.isscalar(Q) or np.ndim(Q) == 0 else out
 
 
-def F1(Q, p: ProfileParams):
-    arr = _check_Q_positive(Q)
-    return _scalar_like(Q, _g1(arr, p.n, p.c) + p.d * _require_mu(p))
+def _gh(i: int, Q, p: ProfileParams) -> tuple:
+    """(g_i(Q), h_i(Q)) of F_i = g_i + h_i mu, with h_1 = d."""
+    if i == 1:
+        return _g1(Q, p.n, p.c), p.d
+    if i == 2:
+        return _g2(Q, p.n, p.c), _h2(Q, p.n, p.d)
+    if i == 3:
+        return _g3(Q, p.n, p.c), _h3(Q, p.n, p.d)
+    raise ValueError("structure function index must be 1, 2 or 3")
 
 
-def F2(Q, p: ProfileParams):
-    arr = _check_Q_positive(Q)
-    return _scalar_like(Q, _g2(arr, p.n, p.c) + _h2(arr, p.n, p.d) * _require_mu(p))
-
-
-def F3(Q, p: ProfileParams):
-    arr = _check_Q_positive(Q)
-    return _scalar_like(Q, _g3(arr, p.n, p.c) + _h3(arr, p.n, p.d) * _require_mu(p))
+def _mu(i: int, Q, p: ProfileParams):
+    """mu_i(Q) = -g_i(Q)/h_i(Q), with no domain check."""
+    g, h = _gh(i, Q, p)
+    return -g / h
 
 
 def structure_fn(i: int, Q, p: ProfileParams):
-    if i == 1:
-        return F1(Q, p)
-    if i == 2:
-        return F2(Q, p)
-    if i == 3:
-        return F3(Q, p)
-    raise ValueError("structure function index must be 1, 2 or 3")
+    """F_i(Q, mu) = g_i(Q) + h_i(Q) mu at the params' mu."""
+    arr = _check_Q_positive(Q)
+    g, h = _gh(i, arr, p)
+    return _scalar_like(Q, g + h * _require_mu(p))
+
+
+def F1(Q, p: ProfileParams):
+    return structure_fn(1, Q, p)
+
+
+def F2(Q, p: ProfileParams):
+    return structure_fn(2, Q, p)
+
+
+def F3(Q, p: ProfileParams):
+    return structure_fn(3, Q, p)
 
 
 @lru_cache(maxsize=None)
@@ -238,22 +254,13 @@ def q_star(n: float) -> float:
 
 
 def mu_curve(i: int, Q, p: ProfileParams):
-    """The curve mu_i(Q) = -g_i(Q)/h_i(Q) on which F_i vanishes."""
+    """The curve mu_i(Q) = -g_i(Q)/h_i(Q) on which F_i vanishes: (Q_star, 1) for
+    mu_3, where h3(Q_star) = 0, and (0, 1) for the others."""
     arr = _check_Q_positive(Q)
-    if i == 1:
-        if not np.all(arr < 1.0):
-            raise ValueError("mu_1 is defined on (0, 1)")
-        return _scalar_like(Q, -_g1(arr, p.n, p.c) / p.d)
-    if i == 2:
-        if not np.all(arr < 1.0):
-            raise ValueError("mu_2 is defined on (0, 1); h2(1) = 0")
-        return _scalar_like(Q, -_g2(arr, p.n, p.c) / _h2(arr, p.n, p.d))
-    if i == 3:
-        qs = q_star(p.n)
-        if not (np.all(arr > qs) and np.all(arr < 1.0)):
-            raise ValueError("mu_3 is defined on (Q_star, 1); h3(Q_star) = 0")
-        return _scalar_like(Q, -_g3(arr, p.n, p.c) / _h3(arr, p.n, p.d))
-    raise ValueError("curve index must be 1, 2 or 3")
+    lo = q_star(p.n) if i == 3 else 0.0
+    if i in (1, 2, 3) and not (np.all(arr > lo) and np.all(arr < 1.0)):
+        raise ValueError(f"mu_{i} is defined on ({lo!r}, 1)")
+    return _scalar_like(Q, _mu(i, arr, p))
 
 
 @dataclass(frozen=True)
@@ -297,15 +304,17 @@ def structure_report(p: ProfileParams) -> StructureReport:
     and dF3/dQ on mu_3 for mu_3, must fall from + to - in (Q_star, Q1),
     which makes each root a minimum.
     """
-    n, c, d = p.n, p.c, p.d
-    qs, Q1 = q_star(n), _q1(p)
+    qs, Q1 = q_star(p.n), _q1(p)
     if not Q1 < 1.0:
-        raise OrderingViolated(f"Q1 = (c/n)^(1/(n-1)) rounds to 1 at n={n!r}, c={c!r}")
+        raise OrderingViolated(f"Q1 = (c/n)^(1/(n-1)) rounds to 1 at n={p.n!r}, c={p.c!r}")
+
+    def dF3(q):  # on mu_3, in the order g2 - h2 g3/h3: g2 + h2 mu_3 rounds otherwise
+        (g2, h2), (g3, h3) = _gh(2, q, p), _gh(3, q, p)
+        return _decay_rate(p, q) - p.n * q ** (-p.n - 2.0) * (g2 - h2 * g3 / h3)
+
     lo = qs + 1e-7 * (1.0 - qs)
-    Q2 = _falling_root(lambda q: _g2(q, n, c) / _h2(q, n, d) - _g1(q, n, c) / d,
-                       lo, Q1, "mu_2")
-    Q3 = _falling_root(lambda q: _decay_rate(p, q) - n * q ** (-n - 2.0) * (
-        _g2(q, n, c) - _h2(q, n, d) * _g3(q, n, c) / _h3(q, n, d)), lo, Q1, "mu_3")
+    Q2 = _falling_root(lambda q: _mu(1, q, p) - _mu(2, q, p), lo, Q1, "mu_2")
+    Q3 = _falling_root(dF3, lo, Q1, "mu_3")
     mu1_min, mu2_min, mu3_min = (float(mu_curve(i, q, p))
                                  for i, q in ((1, Q1), (2, Q2), (3, Q3)))
     if not (mu3_min < mu1_min < mu2_min < 0.0):
@@ -372,6 +381,7 @@ RTOL, ATOL = 1e-10, 1e-12  # DOP853 tolerances of every shot
 DR_SAMPLE = 0.01  # radial spacing of stored samples
 WIDEN = 32.0  # find_mu_c doubles an indeterminate shot's radius up to WIDEN * r_max
 N_TERMS = 16  # even Taylor coefficients of the series start, up to r^(2 N_TERMS - 2)
+MAX_NFEV = 200_000  # a shot past this many RHS calls is indeterminate; d = 50 needs 3,000
 
 
 # Q_rrr(r, Q, Qr, Qrr) with noc = n/c, dm1 = d-1, on floats (libm pow as NumPy's)
@@ -384,11 +394,6 @@ def _stepper(p: ProfileParams) -> tuple:
     fills stages 0.._END of U, V, W; extend(r, *y, h, U, V, W) the interpolant's stages."""
     _load_dop853()
     return _make_stepper(p.n, p.n / p.c, p.d - 1.0, RTOL, ATOL)
-
-
-def _qrrr(p: ProfileParams):
-    """Q_rrr(r, Q, Q_r, Q_rr) on Python floats."""
-    return _stepper(p)[0]
 
 
 def _series(p: ProfileParams, mu: float) -> np.ndarray:
@@ -482,8 +487,9 @@ def integrate_shot(
     on (0, r0], so no event lies there) and is integrated by DOP853 at
     RTOL, ATOL.  Terminal events: Q falling to Q_star, and Q_r rising to
     zero.  Reaching r_max with |Q_r| <= FLAT_TOL and settled curvature
-    counts as flat; anything else raises Indeterminate.  A mu or d that
-    takes the series out of the float range raises ProfileError.
+    counts as flat; anything else, or a shot past MAX_NFEV RHS calls,
+    raises Indeterminate.  A mu or d that takes the series out of the
+    float range raises ProfileError.
 
     The shot runs _Shot.  A classification shot (keep_samples=False)
     builds the 7th-order interpolant only on steps that fire an event or
@@ -626,6 +632,8 @@ class _Shot:
         while True:
             if h < min_step:
                 raise Indeterminate(f"integrator failed: step below {min_step:.3e} at r={r}")
+            if self.nfev > MAX_NFEV:
+                raise Indeterminate(f"integrator failed: over {MAX_NFEV} RHS calls by r={r}")
             r_new = min(r + h, r_bound)
             h = r_new - r
             try:
@@ -873,12 +881,9 @@ def find_mu_c(
     if float(samples.Q_r.max()) > 1e-12:
         raise ProfileError("critical shot is not monotone nonincreasing")
 
-    if outcome.classification is ShotClass.FLAT:
-        q_tau = float(outcome.Q_tau)
-    else:
-        r_end = samples.r[-1]
-        q_tau = _aitken_limit(*_hermite(samples, r_end / np.array([4.0, 2.0])).tolist(),
-                              float(samples.Q[-1]))
+    r_end = samples.r[-1]
+    q_tau = _aitken_limit(*_hermite(samples, r_end / np.array([4.0, 2.0])).tolist(),
+                          float(samples.Q[-1]))
     if not (report.Q_star < q_tau < 1.0):
         raise ProfileError(f"limit {q_tau} escaped (Q_star, 1)")
 
@@ -1067,7 +1072,6 @@ def qr2_identity_gap(samples: ShotSamples, p: ProfileParams) -> float:
     """
     from scipy.integrate import cumulative_trapezoid
 
-    mu = _require_mu(p)
     r, Q, Qr = samples.r, samples.Q, samples.Q_r
     inner = cumulative_trapezoid(Qr**3 / Q**2, r, initial=0.0)
     correction = cumulative_trapezoid(
@@ -1075,7 +1079,7 @@ def qr2_identity_gap(samples: ShotSamples, p: ProfileParams) -> float:
         r, initial=0.0,
     )
     lhs = 0.5 * Q**p.n * Qr**2
-    rhs = _g2(Q, p.n, p.c) + _h2(Q, p.n, p.d) * mu - correction
+    rhs = F2(Q, p) - correction
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -1085,23 +1089,21 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _csv(header: str, rows: Iterable[Iterable[object]]) -> str:
+    """CSV text: the header, then one line per row; non-string cells via _fmt."""
+    lines = [",".join(v if isinstance(v, str) else _fmt(v) for v in row) for row in rows]
+    return "".join(line + "\n" for line in [header, *lines])
+
+
 def write_profile_csv(path, sol: ProfileSolution) -> None:
     """Profile archive: one commented metadata line, then r,Q,Q_r,Q_rr rows."""
-    p = sol.params
+    p, s = sol.params, sol.samples
     k = sol.decay.k if sol.decay is not None else float("nan")
     M = sol.decay.M if sol.decay is not None else float("nan")
-    lines = [
-        f"# d={_fmt(p.d)}, n={_fmt(p.n)}, c={_fmt(p.c)}, mu_c={_fmt(_require_mu(p))}, "
-        f"Q_tau={_fmt(sol.Q_tau)}, Q_star={_fmt(q_star(p.n))}, k={_fmt(k)}, M={_fmt(M)}",
-        "r,Q,Q_r,Q_rr",
-    ]
-    s = sol.samples
-    for i in range(len(s.r)):
-        lines.append(
-            f"{_fmt(s.r[i])},{_fmt(s.Q[i])},{_fmt(s.Q_r[i])},{_fmt(s.Q_rr[i])}"
-        )
+    meta = (f"# d={_fmt(p.d)}, n={_fmt(p.n)}, c={_fmt(p.c)}, mu_c={_fmt(_require_mu(p))}, "
+            f"Q_tau={_fmt(sol.Q_tau)}, Q_star={_fmt(q_star(p.n))}, k={_fmt(k)}, M={_fmt(M)}")
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(_csv(meta, [("r,Q,Q_r,Q_rr",), *zip(s.r, s.Q, s.Q_r, s.Q_rr)]))
 
 
 def read_profile_csv(path) -> ProfileSolution:

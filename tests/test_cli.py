@@ -340,12 +340,14 @@ _SHOOT = ["shoot", "--d", "3", "--n", "2.5", "--c", "1.7"]
         ["shoot", "--d", "1e308", "--n", "2.5", "--c", "1.7", "--mu", "-0.02"],
         ["shoot", "--d", "1e308", "--n", "2.5", "--c", "1.7"],
         ["shoot", "--d", "1e300", "--n", "2.5", "--c", "1.7", "--mu", "-0.02"],
+        ["shoot", "--d", "1e15", "--n", "2.5", "--c", "1.7", "--mu", "-0.02"],
+        ["shoot", "--d", "1e15", "--n", "2.5", "--c", "1.7"],
     ],
     ids=["cg-breakdown", "dt-inf", "t-end-inf", "steps-overflow", "s-monitor-nan",
          "r-max-nan", "r-max-inf", "r-max-0", "r-max-neg", "r-max-huge", "mu-neg-inf",
          "mu-huge", "d-tiny",
          "r-max-huge-search", "bisect-tol-nan", "bisect-tol-inf", "dispersion-positivity",
-         "d-huge", "d-huge-search", "d-huge-1e300"],
+         "d-huge", "d-huge-search", "d-huge-1e300", "d-1e15", "d-1e15-search"],
 )
 def test_degenerate_values_end_in_exit_code(request, tmp_path, argv):
     # a separate interpreter with a timeout: some of these used to hang
@@ -363,6 +365,9 @@ def test_degenerate_values_end_in_exit_code(request, tmp_path, argv):
         assert proc.returncode == 2
         assert proc.stderr.startswith("numerical failure: ProfileError: the series at r = 0 "
                                       "leaves the float range at d=1e+30")
+    if request.node.callspec.id.startswith("d-1e15"):  # a stiff shot used to run for minutes
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("numerical failure: Indeterminate: integrator failed: over ")
 
 
 def test_infinite_dimension_is_refused():

@@ -31,7 +31,7 @@ def test_energy_params_validation():
         ConservedEnergyParams(n=2.0, m=1.5)
 
 
-@pytest.mark.parametrize("s", [1.0, 2.0, 2.7, 3.5])
+@pytest.mark.parametrize("s", [2.0, 2.7, 3.5])
 def test_potential_normalization_and_curvature(s):
     assert _potential(np.array(1.0), s) == pytest.approx(0.0, abs=1e-15)
     h = 1e-5
@@ -47,10 +47,9 @@ def test_potential_normalization_and_curvature(s):
 
 def test_potential_limit_branches_continuous():
     phi = np.array([0.5, 0.9, 1.4, 2.2])
-    for s_limit in (1.0, 2.0):
-        inside = _potential(phi, s_limit)
-        outside = _potential(phi, s_limit + 5e-9)
-        np.testing.assert_allclose(inside, outside, rtol=1e-6, atol=1e-12)
+    inside = _potential(phi, 2.0)
+    outside = _potential(phi, 2.0 + 5e-9)
+    np.testing.assert_allclose(inside, outside, rtol=1e-6, atol=1e-12)
 
 
 def test_conserved_energy_against_quadrature():

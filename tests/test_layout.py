@@ -1,5 +1,6 @@
-"""Package layout guards: the public names, the one home of the transforms,
-and the one pipeline of the command line."""
+"""Package layout guards: the public names, the private names that cross
+modules, the one home of the transforms, and the one pipeline of the
+command line."""
 
 from __future__ import annotations
 
@@ -44,6 +45,23 @@ def test_public_api_is_pinned():
         obj = getattr(magma_lab, name)
         assert obj.__module__.startswith("magma_lab."), name
         assert getattr(sys.modules[obj.__module__], name) is obj, name
+
+
+def test_private_names_cross_modules_only_where_pinned():
+    # a private name taken from another module is where a second copy of a
+    # formula starts; these are the ones the package takes
+    imported = sorted(
+        (path.stem, node.module, alias.name)
+        for path in Path(magma_lab.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names if re.match(r"_(?!_)", alias.name))
+    assert imported == [
+        ("cli", "evolution", "_default_monitor_index"), ("cli", "evolution", "_monitor_row"),
+        ("cli", "grid", "_hs_weight"), ("cli", "profile", "_c_bar"), ("cli", "profile", "_csv"),
+        ("cli", "profile", "_fmt"), ("evolution", "elliptic", "_solve_raw"),
+        ("evolution", "grid", "_hs_norm_raw"), ("evolution", "grid", "_hs_weight"),
+    ]
 
 
 def test_only_grid_touches_the_transforms():

@@ -325,7 +325,7 @@ def _assert_alike(got, want, rel):
 
 
 def _odes(p):
-    qrrr = magma_lab.profile._qrrr(p)
+    qrrr = magma_lab.profile._stepper(p)[0]
 
     def odes(r, y):
         Q, Qr, Qrr = y.tolist()
@@ -651,7 +651,7 @@ def test_stepper_takes_scipys_steps():
     # From the same start and first step, the same error norm and step
     # controller as SciPy's DOP853: the same steps are accepted and rejected.
     p = replace(EXAMPLE, mu=-0.021)
-    qrrr = magma_lab.profile._qrrr(p)
+    qrrr = magma_lab.profile._stepper(p)[0]
     ours = _Shot(p, 200.0)
     ref = DOP853(lambda r, y: (y[1], y[2], qrrr(r, *y)), ours.r0, ours.y, 200.0,
                  rtol=RTOL, atol=ATOL, first_step=ours.h)
