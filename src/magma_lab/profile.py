@@ -35,12 +35,17 @@ radius r0, typically 2-4, with no integration.  From r0 it runs _Shot, a
 DOP853 stepper on Python floats at RTOL, ATOL with SciPy's error norm and
 step-size control, on one right-hand side, _QRRR, as straight-line code
 generated from SciPy's tableau with SciPy's operations in their order.
-One evaluator, _dense, reads every value a shot reports past r0 off a
-step's 7th-order interpolant in SciPy's order: on floats for event roots
-and probes, in one pass over the kept steps for the samples of a sampling
-shot (the final shot of find_mu_c, ``shoot --mu``); its samples up to r0
-come off the series, _series_at, in another.  SciPy's solve_ivp and
-dense-output classes are the tests' oracle.
+One method, _Shot._interpolant, builds a step's 7th-order interpolant, and
+one evaluator, _dense, reads every value a shot reports past r0 off it in
+SciPy's order.  The step of an event builds it at once, and brentq reads
+the root off it on floats.  A classification shot keeps the steps that
+pass probe radii unextended until the flat test reads them, so a shot that
+ends in an event builds one interpolant.  A sampling shot (the final shot
+of find_mu_c, ``shoot --mu``) builds one on every step and reads its
+samples past r0 one component at a time, each step's coefficients repeated
+over its run of samples; its samples up to r0 come off the series,
+_series_at.  SciPy's solve_ivp and dense-output classes are the tests'
+oracle.
 
 Between sample radii one NumPy reader, _hermite, reads Q off the quintic
 Hermite of the stored (Q, Q_r, Q_rr); find_mu_c reads every critical Q_tau
@@ -489,15 +494,17 @@ def integrate_shot(
     zero.  Reaching r_max with |Q_r| <= FLAT_TOL and settled curvature
     counts as flat; anything else, or a shot past MAX_NFEV RHS calls,
     raises Indeterminate.  A mu or d that takes the series out of the
-    float range raises ProfileError.
+    float range, or an r_max so small that Q_rrr at r0 leaves it, raises
+    ProfileError.
 
     The shot runs _Shot.  A classification shot (keep_samples=False)
-    builds the 7th-order interpolant only on steps that fire an event or
-    pass a radius the flat test reads (nine tail radii, r_max/4, r_max/2).
-    A shot that keeps samples builds it on every step and reads samples
-    every DR_SAMPLE, up to r0 off the series and past it off the kept
-    steps, ending at the event or at r_max.  WIDEN * r_max must be finite:
-    the probe radii run up to it.
+    builds the 7th-order interpolant on the step that fires an event, and
+    on the steps that pass a radius the flat test reads (nine tail radii,
+    r_max/4, r_max/2) only when that test runs: a shot that ends in an
+    event builds one.  A shot that keeps samples builds it on every step
+    and reads samples every DR_SAMPLE, up to r0 off the series and past it
+    off the kept steps one component at a time, ending at the event or at
+    r_max.  WIDEN * r_max must be finite: the probe radii run up to it.
     """
     if not (0.0 < r_max and WIDEN * r_max < math.inf):
         raise ValueError(f"r_max must be positive with {WIDEN:g} * r_max finite, got {r_max}")
@@ -580,10 +587,12 @@ class _Shot:
     The first step is r0; the rest are sized by SciPy's error norm and controller;
     stage s of the last attempt is kept as its derivative triple (U[s],
     V[s], W[s]) = (Q_r, Q_rr, Q_rrr).  The shot reads the probe radii of
-    the flat test at r_max and at each doubling up to WIDEN * r_max as its
-    steps pass them, so it can be continued to a larger radius.  A shot
-    that keeps samples keeps every step's (r_old, r, y_old, F) in ``steps``
-    (None otherwise).  It stops at its first event, with r and y the event's.
+    the flat test at r_max and at each doubling up to WIDEN * r_max into
+    ``seen`` as its steps pass them, so it can be continued to a larger
+    radius; a classification shot keeps those steps, with copies of U, V,
+    W, in ``unread`` until _flat reads them.  A shot that keeps samples
+    keeps every step's (r_old, r, y_old, F) in ``steps`` (None otherwise).
+    It stops at its first event, with r and y the event's.
     ``nfev`` counts right-hand-side calls and ``rejected`` rejected step
     attempts.
     """
@@ -594,11 +603,15 @@ class _Shot:
         self.series = _series(p, self.mu)
         self.r0, self.y = self._start(r_max)
         self.r = self.h = self.r0  # the first step spans the series' own radius
-        self.w = self.qrrr(self.r, *self.y)
+        try:
+            self.w = self.qrrr(self.r, *self.y)
+        except ArithmeticError:  # r0 * r0 underflowed, or Q_rrr left the float range
+            raise ProfileError(f"Q_rrr leaves the float range at r0={self.r0!r}") from None
         self.U, self.V, self.W = ([0.0] * len(_A) for _ in range(3))
         self.nfev, self.rejected = 1, 0
         self.pending = list(_probes(r_max))
         self.seen: dict[float, tuple[float, float, float]] = {}
+        self.unread: list[tuple[list[float], tuple]] = []  # (probe radii, step) not yet read
         self.steps: list[tuple] | None = [] if keep_samples else None
 
     def _start(self, r_max: float) -> tuple[float, tuple[float, float, float]]:
@@ -638,8 +651,8 @@ class _Shot:
             h = r_new - r
             try:
                 y_new, err = self.trial(r, *y, self.w, h, self.U, self.V, self.W)
-            except TypeError:  # a stage took Q below 0, where Q**n is complex
-                err = math.inf  # rejected, as SciPy rejects its nan error norm
+            except (TypeError, ArithmeticError):  # a stage took Q below 0 (Q**n is complex)
+                err = math.inf  # or left the float range: rejected, as SciPy rejects a nan norm
             self.nfev += _END
             if err < 1.0:
                 break
@@ -651,18 +664,24 @@ class _Shot:
         self.r, self.y, self.w = r_new, y_new, self.W[_END]
         self.h = h * (min(1.0, factor) if rejected else factor)
 
-    def dense(self):
-        """The last step's interpolant, r -> (Q, Q_r, Q_rr) on floats; a sampling shot keeps it."""
-        r, h, y_old = self.r_old, self.h_old, self.y_old
-        self.extend(r, *y_old, h, self.U, self.V, self.W)
+    def _interpolant(self, r_old, r, h, y_old, y, U, V, W):
+        """The interpolant of the step r_old..r (size h, start stages U, V, W), r -> (Q, Q_r,
+        Q_rr) on floats; it extends U, V, W by the interpolant's stages, and a sampling shot
+        keeps it."""
+        self.extend(r_old, *y_old, h, U, V, W)
         self.nfev += len(_A) - _END - 1
-        K = np.array((self.U, self.V, self.W)).T
-        dy = np.subtract(self.y, y_old)
+        K = np.array((U, V, W)).T
+        dy = np.subtract(y, y_old)
         F = np.vstack((dy, h * K[0] - dy, 2.0 * dy - h * (K[_END] + K[0]), h * (_D @ K)))
         if self.steps is not None:
-            self.steps.append((r, self.r, y_old, F))
-        reads = [(r, self.r, y, rows) for y, rows in zip(y_old, F[::-1].T.tolist())]
+            self.steps.append((r_old, r, y_old, F))
+        reads = [(r_old, r, y0, rows) for y0, rows in zip(y_old, F[::-1].T.tolist())]
         return lambda t: tuple(_dense(t, *read) for read in reads)
+
+    def dense(self):
+        """The last step's interpolant, r -> (Q, Q_r, Q_rr) on floats; a sampling shot keeps it."""
+        return self._interpolant(self.r_old, self.r, self.h_old, self.y_old, self.y,
+                                 self.U, self.V, self.W)
 
     def classify(self, r_end: float) -> ShotOutcome:
         """Integrate on to r_end and classify the shot there."""
@@ -673,10 +692,9 @@ class _Shot:
             Q, Qr, _ = self.y
             floor = q_old >= qs >= Q  # the events as solve_ivp detects them
             turn = qr_old <= 0.0 <= Qr
-            if not (floor or turn or steps is not None or (pending and pending[-1] <= self.r)):
-                continue
-            at = self.dense()
             if floor or turn:
+                at = self.dense()
+
                 def root(g):
                     return brentq(g, self.r_old, self.r, xtol=_EVENT_TOL, rtol=_EVENT_TOL)
 
@@ -685,14 +703,24 @@ class _Shot:
                 self.r = min(rf, rt)
                 self.y = at(self.r)
                 return _event_outcome(rf, rt, at(rt) if turn else None, qs)
+            radii = []
             while pending and pending[-1] <= self.r:
-                x = pending.pop()
-                self.seen[x] = at(x)
+                radii.append(pending.pop())
+            if steps is not None:
+                at = self.dense()
+                self.seen.update((x, at(x)) for x in radii)
+            elif radii:  # the flat test reads them; a shot that ends in an event never does
+                self.unread.append((radii, (self.r_old, self.r, self.h_old, self.y_old, self.y,
+                                            self.U.copy(), self.V.copy(), self.W.copy())))
         return self._flat(r_end)
 
     def _flat(self, r_end: float) -> ShotOutcome:
         """Classify a shot that reached r_end with no event, from its probes."""
         seen, (Qe, Qre, Qrre) = self.seen, self.y
+        for radii, step in self.unread:
+            at = self._interpolant(*step)
+            seen.update((x, at(x)) for x in radii)
+        self.unread.clear()
         Qrr_tail = [abs(seen[r][2]) for r in _tail(r_end)]
         settled = (abs(Qre) <= FLAT_TOL and Qe > self.qs
                    and abs(Qrre) <= FLAT_TOL
@@ -718,21 +746,28 @@ class _Shot:
 
     def samples(self) -> ShotSamples | None:
         """Samples at 0, every DR_SAMPLE and r: those up to r0 read off the series in one
-        pass, the rest off the kept interpolants in another."""
+        pass, the rest off the kept interpolants one component at a time."""
         if self.steps is None:
             return None
         interior = np.arange(DR_SAMPLE, self.r, DR_SAMPLE)
         if len(interior) and self.r - interior[-1] < 1e-9:
             interior = interior[:-1]
-        near, far = np.split(interior, [np.searchsorted(interior, self.r0, side="right")])
-        blocks = [(1.0, 0.0, self.mu), _series_at(self.series, near)[:, :3]]
-        if len(far):
-            r_old, r_end, y_old, F = map(np.array, zip(*self.steps))
-            k = np.searchsorted(r_end, far)  # first step to end at or past r: SciPy's pick
-            rows = (F[k, i] for i in reversed(range(F.shape[1])))  # one (samples, 3) row at a time
-            blocks.append(_dense(far[:, None], r_old[k, None], r_end[k, None], y_old[k], rows))
         r = np.concatenate(([0.0], interior, [self.r]))
-        return ShotSamples(r, *np.vstack(blocks + [self.y]).T)
+        j = 1 + np.searchsorted(interior, self.r0, side="right")  # the first sample past r0
+        out = np.empty((3, len(r)))
+        out[:, 0], out[:, -1] = (1.0, 0.0, self.mu), self.y
+        out[:, 1:j] = _series_at(self.series, r[1:j])[:, :3].T
+        far = r[j:-1]
+        if len(far):
+            r_old, r_end, y_old, F = zip(*self.steps)
+            # step k reads the samples its end is the first to reach: SciPy's pick
+            counts = np.bincount(np.searchsorted(r_end, far), minlength=len(r_end))
+            r_old, r_end = np.repeat(r_old, counts), np.repeat(r_end, counts)
+            y_old, F = np.array(y_old), np.array(F)
+            for c, row in enumerate(out[:, j:-1]):  # one (samples,) row of F at a time
+                rows = (np.repeat(F[:, i, c], counts) for i in reversed(range(F.shape[1])))
+                row[:] = _dense(far, r_old, r_end, np.repeat(y_old[:, c], counts), rows)
+        return ShotSamples(r, *out)
 
 
 def _hermite(s: ShotSamples, r):

@@ -390,6 +390,57 @@ def test_negative_value_in_exponent_notation(tmp_path):
     assert parsed(out)["classification"] == "crossed_floor"
 
 
+def _spelled(values):
+    """A float from values, spelled as repr, in exponent notation or in %g."""
+    return st.tuples(values, st.sampled_from([repr, "{:e}".format, "{:.17E}".format,
+                                              "{:g}".format])).map(lambda vf: vf[1](vf[0]))
+
+
+_ANY_NUMBER = st.one_of(
+    _spelled(st.floats()),
+    st.builds("{}{}e{}".format, st.sampled_from(["", "-", "+"]), st.integers(0, 99),
+              st.integers(-330, 330)),
+    st.sampled_from(["nan", "-inf", "inf", "0", "-0", "1e400", "-1e-400", "", "x", "-", "1,2"]),
+)
+_SHOOT_RANGES = {  # values in these ranges reach the shot
+    "--d": st.floats(0.5, 12.0),
+    "--n": st.floats(2.0, 3.0),
+    "--c": st.floats(1.55, 2.0),
+    "--mu": st.floats(-6.0, 12.0).map(lambda e: -(10.0 ** -e)),
+    "--r-max": st.floats(-2.0, 4.0).map(lambda e: 10.0**e),
+}
+
+
+@st.composite
+def _shoot_argv(draw):
+    """shoot --d --n --c --mu [--r-max], as '--flag value' or '--flag=value', each value
+    in its flag's range but for at most one flag, whose value may be anything."""
+    wild, argv = draw(st.sampled_from([None, *_SHOOT_RANGES])), ["shoot"]
+    for flag, values in _SHOOT_RANGES.items():
+        if flag == "--r-max" and flag != wild and draw(st.booleans()):
+            continue
+        value = draw(_ANY_NUMBER if flag == wild else _spelled(values))
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    return argv
+
+
+@given(_shoot_argv())
+@example(_SHOOT + ["--mu", "-1E+05"])
+@example(_SHOOT + ["--mu", "-1", "--r-max", "6.08363e-306"])  # ZeroDivisionError at r0
+@example(_SHOOT + ["--mu", "-1", "--r-max", "1e-160"])  # OverflowError in the error norm
+def test_shoot_argv_fuzz(argv):
+    # any single-shot command line ends in an exit code with at most one line
+    # on stderr: no traceback and no warning ahead of the error
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(argv)
+    assert code in (0, 1, 2, 3), (code, err)
+    if code == 0:
+        assert "classification" in parsed(out)
+    assert "Traceback" not in err and len(err.splitlines()) <= 1, err
+    assert [str(w.message) for w in caught] == []
+
+
 def test_missing_snapshot_file_is_io_error(tmp_path):
     code, _, _ = run_cli([
         "evolve", "--n-points", "16", "--n", "2", "--dt", "0.1", "--t-end", "0.1",

@@ -166,3 +166,20 @@ def test_the_first_shot_generates_the_stepper():
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[:2] == ["[False, False]", "[True, True, True]"]
+
+
+def test_one_shot_method_builds_every_interpolant():
+    # the eager reads (event roots, sampling shots) and the probe reads that
+    # wait for the flat test extend a step through one method, so the two
+    # cannot drift apart
+    tree = ast.parse((Path(magma_lab.__file__).parent / "profile.py").read_text())
+    [shot] = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "_Shot"]
+    methods = [node for node in shot.body if isinstance(node, ast.FunctionDef)]
+
+    def reads(method, attr):  # method loads self.<attr>
+        return any(isinstance(node, ast.Attribute) and node.attr == attr
+                   and isinstance(node.ctx, ast.Load) and getattr(node.value, "id", None) == "self"
+                   for node in ast.walk(method))
+
+    [builder] = [m.name for m in methods if reads(m, "extend")]
+    assert sorted(m.name for m in methods if reads(m, builder)) == ["_flat", "dense"]

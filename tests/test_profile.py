@@ -861,6 +861,85 @@ def test_samples_of_a_shot_with_no_interior_radius():
     assert _bits(np.array([s.Q, s.Q_r, s.Q_rr])[:, 0]) == _bits([1.0, 0.0, -1e5])
 
 
+def _gathered_samples(shot) -> np.ndarray:
+    """The oracle of samples(): rows (r, Q, Q_r, Q_rr), those past r0 read by one _dense
+    pass over per-sample gathers F[k, i] of shape (samples, 3)."""
+    prof = magma_lab.profile
+    interior = np.arange(prof.DR_SAMPLE, shot.r, prof.DR_SAMPLE)
+    if len(interior) and shot.r - interior[-1] < 1e-9:
+        interior = interior[:-1]
+    near, far = np.split(interior, [np.searchsorted(interior, shot.r0, side="right")])
+    blocks = [(1.0, 0.0, shot.mu), prof._series_at(shot.series, near)[:, :3]]
+    if len(far):
+        r_old, r_end, y_old, F = map(np.array, zip(*shot.steps))
+        k = np.searchsorted(r_end, far)
+        rows = (F[k, i] for i in reversed(range(F.shape[1])))
+        blocks.append(prof._dense(far[:, None], r_old[k, None], r_end[k, None], y_old[k], rows))
+    r = np.concatenate(([0.0], interior, [shot.r]))
+    return np.vstack((r, np.vstack(blocks + [shot.y]).T))
+
+
+def _final_shot(monkeypatch, p, r_max=200.0):
+    """The sampling shot of find_mu_c(p) at bisect_tol 1e-8."""
+    kept = []
+
+    class Recording(_Shot):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            kept.append(self)
+
+    monkeypatch.setattr(magma_lab.profile, "_Shot", Recording)
+    find_mu_c(p, bisect_tol=1e-8, r_max=r_max)
+    [shot] = [s for s in kept if s.steps is not None]
+    return shot
+
+
+@pytest.mark.parametrize("case", ["d1", "d2", "d3", "d7", "widened", "event-cut"])
+def test_samples_read_one_component_at_a_time_as_the_gathers_did(monkeypatch, case):
+    # samples() repeats each step's coefficients over its run of samples and
+    # reads one component at a time: the per-sample gathers' numbers, to the bit
+    if case == "event-cut":
+        shot = _Shot(replace(EXAMPLE, mu=-0.021), 200.0, keep_samples=True)
+        assert shot.classify(200.0).classification is ShotClass.CROSSED
+        assert shot.r < shot.steps[-1][1]
+    elif case == "widened":
+        shot = _final_shot(monkeypatch, EXAMPLE, r_max=8.0)
+        assert shot.r > 16.0
+    else:
+        shot = _final_shot(monkeypatch, replace(EXAMPLE, d=float(case[1:])))
+    s = shot.samples()
+    got = np.array([s.r, s.Q, s.Q_r, s.Q_rr])
+    assert got.shape[1] > 1000
+    assert got.tobytes() == _gathered_samples(shot).tobytes()
+
+
+def test_a_shot_that_ends_in_an_event_builds_one_interpolant():
+    # a classification shot keeps the steps that pass probe radii unextended
+    # until the flat test reads them; a crossing shot never runs that test
+    shot = _Shot(replace(EXAMPLE, mu=-0.021), 20.0)
+    calls, extend = [], shot.extend
+    shot.extend = lambda *args: calls.append(args[0]) or extend(*args)
+    assert shot.classify(20.0).classification is ShotClass.CROSSED
+    assert shot.r > 2.0 and len(shot.unread) > 0 and shot.seen == {}
+    assert calls == [shot.r_old]
+
+
+def test_deferred_probe_reads_are_the_sampling_shots_to_the_bit():
+    # the flat test at 7.5 and at 15 builds the passed steps' interpolants
+    # late; each probe reads what the eager interpolant of a sampling shot
+    # reads at that radius
+    deferred, sampling = _Shot(_FLAT, 7.5), _Shot(_FLAT, 7.5, keep_samples=True)
+    for shot in (deferred, sampling):
+        for r in (7.5, 15.0):
+            with pytest.raises(Indeterminate):
+                shot.classify(r)
+    assert deferred.unread == []
+    probes = [x for x in magma_lab.profile._probes(7.5) if x <= 15.0]
+    assert sorted(deferred.seen) == sorted(sampling.seen) == sorted(probes)
+    for x in probes:
+        assert _bits(deferred.seen[x]) == _bits(sampling.seen[x]), x
+
+
 def test_integrate_shot_requires_mu_and_sane_radius():
     with pytest.raises(ValueError):
         integrate_shot(EXAMPLE)
