@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import EvolveConfig, PositivityLost, Verdict, evolve
+from .evolution import MAX_STEPS, EvolveConfig, PositivityLost, Verdict, evolve
 from .grid import Field, TorusGrid, spectral_derivative
 
 __all__ = [
@@ -110,6 +110,8 @@ def fit_dispersion(
         raise ValueError("periods must be positive and finite")
     if not steps_per_period >= 1:
         raise ValueError("steps_per_period must be at least 1")
+    if not periods * steps_per_period <= MAX_STEPS:
+        raise ValueError(f"periods * steps_per_period must be at most {MAX_STEPS} steps")
 
     k_vec = grid.mode_wavevector(mode)
     k_sq = sum(kj**2 for kj in k_vec)

@@ -11,8 +11,10 @@ earlier stage plus that stage's offset, extrapolated by the backward
 differences of its last ORDER values (Fischer, CMAME 1998), so only
 iteration counts change; guesses are rfft coefficients (``TorusGrid.rfft``),
 as the solver takes them.  Every step evaluates the dichotomy monitor
-hs_norm(phi - 1, s) + sup|1/phi|; threshold crossings, positivity loss and
-elliptic breakdowns are reported as verdicts, never exceptions.
+hs_norm(phi - 1, s) + sup|1/phi|; threshold crossings (a monitor that is
+not finite among them), positivity loss and elliptic breakdowns are
+reported as verdicts, never exceptions or NumPy warnings.  A run is
+refused up front when it would take more than MAX_STEPS steps.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ __all__ = [
 ]
 
 ORDER = 5  # stage guesses sum up to 5 backward differences of past offsets
+MAX_STEPS = 100_000  # a longer run is refused: 20x criterion 7's 5,000 steps, ~100 s at 1d N=256
 # at most one (weakref to a run's final Field, (n, dt, tol), its k4, its
 # tables): what evolve continues when that Field comes back as phi0
 _carried: list[tuple] = []
@@ -65,7 +68,7 @@ class Verdict(Enum):
 
 @dataclass(frozen=True)
 class EvolveConfig:
-    """RK4 steps of width dt, the last one shortened to end on t_end."""
+    """RK4 steps of width dt, the last one shortened to end on t_end; at most MAX_STEPS."""
 
     n_exponent: float
     dt: float
@@ -82,8 +85,8 @@ class EvolveConfig:
             raise ValueError("dt must be positive and finite")
         if not 0 < self.t_end < np.inf:
             raise ValueError("t_end must be positive and finite")
-        if not self.t_end / self.dt < np.inf:
-            raise ValueError("t_end/dt must be finite")
+        if not self.t_end / self.dt <= MAX_STEPS:
+            raise ValueError(f"t_end/dt must be at most {MAX_STEPS} steps")
         if self.s_monitor is not None and not 0 <= self.s_monitor < np.inf:
             raise ValueError("s_monitor must be nonnegative and finite")
         if not self.blowup_threshold > 0:
@@ -227,10 +230,11 @@ def measure_mass(phi: Field) -> float:
 
 def _record(
     rows: list[tuple], t: float, vals: np.ndarray, grid: TorusGrid, weight: np.ndarray,
-    cfg: EvolveConfig, cg: int,
+    limit: float, cg: int,
 ) -> Verdict | None:
     """Append (t, monitor, mass, min_phi, cg) of a state and return its
-    verdict, if any; a non-finite state records monitor +inf."""
+    verdict, if any; a non-finite state records monitor +inf, and a monitor
+    that is not at most ``limit`` (nan, or above it) exceeds the threshold."""
     if np.all(np.isfinite(vals)):
         rows.append((t, *_monitor_row(grid, vals, weight), cg))
     else:
@@ -238,11 +242,12 @@ def _record(
     _, mon, _, lo, _ = rows[-1]
     if lo <= 0.0 and np.isfinite(lo):
         return Verdict.POSITIVITY_LOST
-    if mon > cfg.blowup_threshold:
+    if not mon <= limit:
         return Verdict.THRESHOLD_EXCEEDED
     return None
 
 
+@np.errstate(all="ignore")  # the verdict reports a state that overflows
 def evolve(phi0: Field, cfg: EvolveConfig) -> EvolveResult:
     """Integrate to t_end or to the first verdict, in fixed RK4 steps.
 
@@ -257,7 +262,8 @@ def evolve(phi0: Field, cfg: EvolveConfig) -> EvolveResult:
     n_exponent, dt and elliptic_tol, continues them, so a chain of calls
     is bit for bit one long call.  Any other phi0 starts cold.
     Threshold, positivity and elliptic failures are verdicts at the end
-    time of the failing step.
+    time of the failing step.  A monitor that is not finite exceeds any
+    threshold, an infinite one included.
     """
     grid, key = phi0.grid, (cfg.n_exponent, cfg.dt, cfg.elliptic_tol)  # phi0 fixes the grid
     # k4 and the backward differences of the stage offsets, moved out of the slot
@@ -265,11 +271,11 @@ def evolve(phi0: Field, cfg: EvolveConfig) -> EvolveResult:
     if ref is None or ref() is not phi0 or old_key != key:
         guess_hat, tables = None, [[], [], [], []]
     s = monitor_index(cfg, grid)
-    weight = _hs_weight(grid, s)
+    weight, limit = _hs_weight(grid, s), min(cfg.blowup_threshold, np.finfo(float).max)
     rows: list[tuple[float, float, float, float, int]] = []
     snapshots: list[tuple[float, Field]] = [(0.0, phi0)]
     vals = phi0.values
-    verdict = _record(rows, 0.0, vals, grid, weight, cfg, 0)
+    verdict = _record(rows, 0.0, vals, grid, weight, limit, 0)
     t_event: float | None = 0.0
     n_full = int(np.floor(cfg.t_end / cfg.dt + 1e-9))
     n_steps = n_full + int(cfg.t_end - n_full * cfg.dt > 1e-12 * cfg.dt)
@@ -292,7 +298,7 @@ def evolve(phi0: Field, cfg: EvolveConfig) -> EvolveResult:
                 if a is not None:  # k1 of the first step has no offset
                     _push(table, b - a)
         vals, guess_hat = new, ks[-1]
-        verdict = _record(rows, t_event, vals, grid, weight, cfg, cg)
+        verdict = _record(rows, t_event, vals, grid, weight, limit, cg)
         if verdict is None and cfg.snapshot_every > 0 and step % cfg.snapshot_every == 0:
             snapshots.append((t_event, Field(grid, vals)))
     if verdict is None:

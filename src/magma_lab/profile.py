@@ -35,24 +35,23 @@ radius r0, typically 2-4, with no integration.  From r0 it runs _Shot, a
 DOP853 stepper on Python floats at RTOL, ATOL with SciPy's error norm and
 step-size control, on one right-hand side, _QRRR, as straight-line code
 generated from SciPy's tableau with SciPy's operations in their order.
-One method, _Shot._interpolant, builds a step's 7th-order interpolant, and
-one evaluator, _dense, reads every value a shot reports past r0 off it in
-SciPy's order.  The step of an event builds it at once, and brentq reads
-the root off it on floats.  A classification shot keeps the steps that
-pass probe radii unextended until the flat test reads them, so a shot that
-ends in an event builds one interpolant.  A sampling shot (the final shot
-of find_mu_c, ``shoot --mu``) builds one on every step and reads its
-samples past r0 one component at a time, each step's coefficients repeated
-over its run of samples; its samples up to r0 come off the series,
-_series_at.  SciPy's solve_ivp and dense-output classes are the tests'
-oracle.
+One method, _Shot.dense, builds a step's 7th-order interpolant, and one
+evaluator, _dense, reads every value a shot reports past r0 off it in
+SciPy's order.  A classification shot builds it only on the step of an
+event, and brentq reads the root off it on floats.  A sampling shot (the
+final shot of find_mu_c, ``shoot --mu``) builds one on every step and
+reads its samples past r0 one component at a time, each step's
+coefficients repeated over its run of samples; its samples up to r0 come
+off the series, _series_at.  SciPy's solve_ivp and dense-output classes
+are the tests' oracle.
 
-Between sample radii one NumPy reader, _hermite, reads Q off the quintic
-Hermite of the stored (Q, Q_r, Q_rr); find_mu_c reads every critical Q_tau
-through it, as the Aitken limit of Q at r/4, r/2 and the last sample r.
-SciPy is imported on the first call that needs it (a shot, q_star,
-ode_residual's splines), not with the module, so ``magma-lab diagnose``,
-``embed`` and ``evolve`` never load it.
+A shot's tail is read off its end state (r, Q, Q_r, Q_rr) alone: the flat
+test, find_mu_c's Q_tau (_tail_limit, the fixed point of the linearised
+tail) and decay_check's rate k = sqrt(L(Q_tau)).  Where L(Q) <= 0 the tail
+is algebraic, and find_mu_c reads Q_tau through the one NumPy reader of
+stored samples, _hermite.  SciPy is imported on the first call that needs
+it (a shot, q_star, ode_residual's splines), not with the module, so
+``magma-lab diagnose``, ``embed`` and ``evolve`` never load it.
 """
 
 from __future__ import annotations
@@ -346,7 +345,7 @@ class ShotOutcome:
     r_star: float | None = None   # CROSSED: radius where Q hit the floor
     tau: float | None = None      # TURNED: turning radius
     subcase: str | None = None    # TURNED: "convex" | "degenerate" | "at_floor"
-    Q_tau: float | None = None    # FLAT: extrapolated limit
+    Q_tau: float | None = None    # FLAT: limit read off the end state
 
 
 @dataclass(frozen=True)
@@ -387,6 +386,7 @@ DR_SAMPLE = 0.01  # radial spacing of stored samples
 WIDEN = 32.0  # find_mu_c doubles an indeterminate shot's radius up to WIDEN * r_max
 N_TERMS = 16  # even Taylor coefficients of the series start, up to r^(2 N_TERMS - 2)
 MAX_NFEV = 200_000  # a shot past this many RHS calls is indeterminate; d = 50 needs 3,000
+TAIL_ITERS = 32  # _tail_limit's cap on fixed-point iterations; the grid's cells take 3-10
 
 
 # Q_rrr(r, Q, Qr, Qrr) with noc = n/c, dm1 = d-1, on floats (libm pow as NumPy's)
@@ -439,21 +439,6 @@ def _series_at(C: np.ndarray, r: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tail(r_max: float) -> list[float]:
-    """The nine radii on which the flat test reads the curvature."""
-    return np.linspace(r_max / 10.0, r_max, 9).tolist()
-
-
-@lru_cache(maxsize=16)
-def _probes(r_max: float) -> tuple[float, ...]:
-    """The radii the flat test reads at r_max and each doubling up to WIDEN * r_max, falling."""
-    radii, r = set(), r_max
-    while r <= WIDEN * r_max:
-        radii.update(_tail(r) + [r / 4.0, r / 2.0])
-        r *= 2.0
-    return tuple(sorted(radii, reverse=True))
-
-
 def _event_outcome(rf: float, rt: float, y_turn, qs: float) -> ShotOutcome:
     """Classify a shot stopped at the floor (radius rf) or a turn (rt, state y_turn)."""
     if abs(rf - rt) < 1e-12:
@@ -488,26 +473,20 @@ def integrate_shot(
     """Integrate one shot and classify it.
 
     The state (Q, Q_r, Q_rr) starts at r0 from the even Taylor series of
-    Q at r = 0 (_Shot._start: below r_max/10, with Q > Q_star and Q_r < 0
+    Q at r = 0 (_Shot._start: at most r_max/20, with Q > Q_star and Q_r < 0
     on (0, r0], so no event lies there) and is integrated by DOP853 at
     RTOL, ATOL.  Terminal events: Q falling to Q_star, and Q_r rising to
-    zero.  Reaching r_max with |Q_r| <= FLAT_TOL and settled curvature
-    counts as flat; anything else, or a shot past MAX_NFEV RHS calls,
-    raises Indeterminate.  A mu or d that takes the series out of the
-    float range, or an r_max so small that Q_rrr at r0 leaves it, raises
-    ProfileError.
+    zero.  A shot that reaches r_max is classified from its end state
+    alone (_Shot._flat); one that is not flat there, or a shot past
+    MAX_NFEV RHS calls, raises Indeterminate.  A mu or d that takes the
+    series out of the float range, or an r_max so small that Q_rrr at r0
+    leaves it, raises ProfileError.
 
-    The shot runs _Shot.  A classification shot (keep_samples=False)
-    builds the 7th-order interpolant on the step that fires an event, and
-    on the steps that pass a radius the flat test reads (nine tail radii,
-    r_max/4, r_max/2) only when that test runs: a shot that ends in an
-    event builds one.  A shot that keeps samples builds it on every step
-    and reads samples every DR_SAMPLE, up to r0 off the series and past it
-    off the kept steps one component at a time, ending at the event or at
-    r_max.  WIDEN * r_max must be finite: the probe radii run up to it.
+    The shot runs _Shot (module docstring); one that keeps samples reads
+    them every DR_SAMPLE, ending at the event or at r_max.
     """
-    if not (0.0 < r_max and WIDEN * r_max < math.inf):
-        raise ValueError(f"r_max must be positive with {WIDEN:g} * r_max finite, got {r_max}")
+    if not 0.0 < r_max < math.inf:
+        raise ValueError(f"r_max must be positive and finite, got {r_max}")
     shot = _Shot(p, r_max, keep_samples)
     outcome = shot.classify(r_max)
     return outcome, shot.samples()
@@ -586,18 +565,16 @@ class _Shot:
 
     The first step is r0; the rest are sized by SciPy's error norm and controller;
     stage s of the last attempt is kept as its derivative triple (U[s],
-    V[s], W[s]) = (Q_r, Q_rr, Q_rrr).  The shot reads the probe radii of
-    the flat test at r_max and at each doubling up to WIDEN * r_max into
-    ``seen`` as its steps pass them, so it can be continued to a larger
-    radius; a classification shot keeps those steps, with copies of U, V,
-    W, in ``unread`` until _flat reads them.  A shot that keeps samples
-    keeps every step's (r_old, r, y_old, F) in ``steps`` (None otherwise).
-    It stops at its first event, with r and y the event's.
+    V[s], W[s]) = (Q_r, Q_rr, Q_rrr).  A shot that keeps samples keeps
+    every step's (r_old, r, y_old, F) in ``steps`` (None otherwise).  It
+    stops at its first event, with r and y the event's; a shot that
+    reached its radius unsettled can be continued to a larger one.
     ``nfev`` counts right-hand-side calls and ``rejected`` rejected step
     attempts.
     """
 
     def __init__(self, p: ProfileParams, r_max: float, keep_samples: bool = False):
+        self.p = p
         self.qrrr, self.trial, self.extend = _stepper(p)
         self.qs, self.mu = q_star(p.n), _require_mu(p)
         self.series = _series(p, self.mu)
@@ -609,17 +586,14 @@ class _Shot:
             raise ProfileError(f"Q_rrr leaves the float range at r0={self.r0!r}") from None
         self.U, self.V, self.W = ([0.0] * len(_A) for _ in range(3))
         self.nfev, self.rejected = 1, 0
-        self.pending = list(_probes(r_max))
-        self.seen: dict[float, tuple[float, float, float]] = {}
-        self.unread: list[tuple[list[float], tuple]] = []  # (probe radii, step) not yet read
         self.steps: list[tuple] | None = [] if keep_samples else None
 
     def _start(self, r_max: float) -> tuple[float, tuple[float, float, float]]:
         """The start radius r0 and the series' (Q, Q_r, Q_rr) there.
 
         r0 is where the last two terms of each series fall below ATOL, at most
-        r_max/20, below every probe radius; it halves until Q(r0) > Q_star and
-        the bound keeps Q_r < 0 on (0, r0], so no event lies in [0, r0].
+        r_max/20; it halves until Q(r0) > Q_star and the bound keeps Q_r < 0
+        on (0, r0], so no event lies in [0, r0].
         """
         C, mu = self.series, self.mu
         x = math.inf
@@ -664,28 +638,23 @@ class _Shot:
         self.r, self.y, self.w = r_new, y_new, self.W[_END]
         self.h = h * (min(1.0, factor) if rejected else factor)
 
-    def _interpolant(self, r_old, r, h, y_old, y, U, V, W):
-        """The interpolant of the step r_old..r (size h, start stages U, V, W), r -> (Q, Q_r,
-        Q_rr) on floats; it extends U, V, W by the interpolant's stages, and a sampling shot
-        keeps it."""
+    def dense(self):
+        """The last step's interpolant, r -> (Q, Q_r, Q_rr) on floats; it extends U, V, W by
+        the interpolant's stages, and a sampling shot keeps it."""
+        r_old, h, y_old, U, V, W = self.r_old, self.h_old, self.y_old, self.U, self.V, self.W
         self.extend(r_old, *y_old, h, U, V, W)
         self.nfev += len(_A) - _END - 1
         K = np.array((U, V, W)).T
-        dy = np.subtract(y, y_old)
+        dy = np.subtract(self.y, y_old)
         F = np.vstack((dy, h * K[0] - dy, 2.0 * dy - h * (K[_END] + K[0]), h * (_D @ K)))
         if self.steps is not None:
-            self.steps.append((r_old, r, y_old, F))
-        reads = [(r_old, r, y0, rows) for y0, rows in zip(y_old, F[::-1].T.tolist())]
+            self.steps.append((r_old, self.r, y_old, F))
+        reads = [(r_old, self.r, y0, rows) for y0, rows in zip(y_old, F[::-1].T.tolist())]
         return lambda t: tuple(_dense(t, *read) for read in reads)
-
-    def dense(self):
-        """The last step's interpolant, r -> (Q, Q_r, Q_rr) on floats; a sampling shot keeps it."""
-        return self._interpolant(self.r_old, self.r, self.h_old, self.y_old, self.y,
-                                 self.U, self.V, self.W)
 
     def classify(self, r_end: float) -> ShotOutcome:
         """Integrate on to r_end and classify the shot there."""
-        qs, pending, steps = self.qs, self.pending, self.steps
+        qs = self.qs
         while self.r < r_end:
             q_old, qr_old, _ = self.y
             self.step(r_end)
@@ -703,35 +672,31 @@ class _Shot:
                 self.r = min(rf, rt)
                 self.y = at(self.r)
                 return _event_outcome(rf, rt, at(rt) if turn else None, qs)
-            radii = []
-            while pending and pending[-1] <= self.r:
-                radii.append(pending.pop())
-            if steps is not None:
-                at = self.dense()
-                self.seen.update((x, at(x)) for x in radii)
-            elif radii:  # the flat test reads them; a shot that ends in an event never does
-                self.unread.append((radii, (self.r_old, self.r, self.h_old, self.y_old, self.y,
-                                            self.U.copy(), self.V.copy(), self.W.copy())))
-        return self._flat(r_end)
+            if self.steps is not None:
+                self.dense()
+        return self._flat()
 
-    def _flat(self, r_end: float) -> ShotOutcome:
-        """Classify a shot that reached r_end with no event, from its probes."""
-        seen, (Qe, Qre, Qrre) = self.seen, self.y
-        for radii, step in self.unread:
-            at = self._interpolant(*step)
-            seen.update((x, at(x)) for x in radii)
-        self.unread.clear()
-        Qrr_tail = [abs(seen[r][2]) for r in _tail(r_end)]
-        settled = (abs(Qre) <= FLAT_TOL and Qe > self.qs
-                   and abs(Qrre) <= FLAT_TOL
-                   and max(Qrr_tail) <= Qrr_tail[0] + 10 * FLAT_TOL)
-        if not settled:
-            raise Indeterminate(
-                f"no event fired by r_max={r_end} and the endpoint is not flat "
-                f"(Q_r={Qre:.3e}); enlarge r_max", self,
-            )
-        q_tau = _aitken_limit(float(seen[r_end / 4.0][0]), float(seen[r_end / 2.0][0]), float(Qe))
-        return ShotOutcome(ShotClass.FLAT, Q_tau=float(q_tau))
+    def _flat(self) -> ShotOutcome:
+        """Classify a shot that reached its radius r with no event, from its end state alone.
+
+        Flat: |Q_r| and |Q_rr| at most FLAT_TOL, Q > Q_star, and the growing
+        mode's part of q = Q - Q_tau at most the decaying mode's.  To leading
+        order in 1/(k r), k = sqrt(L(Q_tau)) and s = (d-1)/(2r), the modes have
+        q'/q = -k - s and k - s, so the growing part is (Q_r + (k + s) q)/(2k).
+        Q_tau is _tail_limit's, or Q where that gives none (L(Q) <= 0: an
+        algebraic tail, with no growing mode).
+        """
+        r, (Q, Qr, Qrr) = self.r, self.y
+        if abs(Qr) <= FLAT_TOL and abs(Qrr) <= FLAT_TOL and Q > self.qs:
+            q_tau = _tail_limit(self.p, r, self.y)
+            if q_tau is None:
+                return ShotOutcome(ShotClass.FLAT, Q_tau=Q)
+            k, q = math.sqrt(_decay_rate(self.p, q_tau)), Q - q_tau
+            grow = (Qr + (k + 0.5 * (self.p.d - 1.0) / r) * q) / (2.0 * k)
+            if abs(grow) <= abs(q - grow):
+                return ShotOutcome(ShotClass.FLAT, Q_tau=q_tau)
+        raise Indeterminate(f"no event fired by r_max={r} and the endpoint is not flat "
+                            f"(Q_r={Qr:.3e}); enlarge r_max", self)
 
     def widen(self, r_cap: float) -> ShotOutcome:
         """Continue an unsettled shot, doubling its radius up to r_cap."""
@@ -781,14 +746,6 @@ def _hermite(s: ShotSamples, r):
                        + t * h * ((1.0 + 3.0 * t) * s.Q_r[k] + 0.5 * t * h * s.Q_rr[k]))
 
     return end(i, t, 1.0 - t, h) + end(i + 1, 1.0 - t, t, -h)
-
-
-def _aitken_limit(a1: float, a2: float, a3: float) -> float:
-    """Accelerated limit of Q from its values at three successive dyadic radii."""
-    den = a1 - 2.0 * a2 + a3
-    if abs(den) < 1e-15:
-        return a3
-    return a3 - (a3 - a2) ** 2 / den
 
 
 # Near mu_c a crossing shot follows the critical profile and leaves it at a
@@ -887,13 +844,17 @@ def find_mu_c(
     identically at any larger radius.  The final shot must again not cross
     the floor: a flat endpoint at r_max is no proof that the shot stays
     above it further out.
+
+    Q_tau is read off the final shot's end state by _tail_limit, or where
+    that gives none (L(Q) <= 0: an algebraic tail) taken as the Aitken limit
+    of Q at r/4, r/2 and r, which is exact for a power-law tail.
     """
-    if not math.isfinite(bisect_tol):
-        raise ValueError("bisect_tol must be finite")
-    if not 2.0 * WIDEN * r_max < math.inf:  # the final shot's probe radii
-        raise ValueError(f"r_max must keep {2.0 * WIDEN:g} * r_max finite, got {r_max}")
-    report = structure_report(p)
+    if not 0.0 <= bisect_tol < math.inf:
+        raise ValueError("bisect_tol must be nonnegative and finite")
     cap = WIDEN * r_max
+    if not (0.0 < r_max and cap < math.inf):
+        raise ValueError(f"r_max must be positive with {WIDEN:g} * r_max finite, got {r_max}")
+    report = structure_report(p)
 
     def shoot(mu: float, r: float, keep_samples: bool):
         try:
@@ -917,8 +878,12 @@ def find_mu_c(
         raise ProfileError("critical shot is not monotone nonincreasing")
 
     r_end = samples.r[-1]
-    q_tau = _aitken_limit(*_hermite(samples, r_end / np.array([4.0, 2.0])).tolist(),
-                          float(samples.Q[-1]))
+    q_tau = _tail_limit(p, float(r_end), (samples.Q[-1], samples.Q_r[-1], samples.Q_rr[-1]))
+    if q_tau is None:
+        a1, a2 = _hermite(samples, r_end / np.array([4.0, 2.0])).tolist()
+        a3 = float(samples.Q[-1])
+        den = a1 - 2.0 * a2 + a3
+        q_tau = a3 if abs(den) < 1e-15 else a3 - (a3 - a2) ** 2 / den
     if not (report.Q_star < q_tau < 1.0):
         raise ProfileError(f"limit {q_tau} escaped (Q_star, 1)")
 
@@ -926,17 +891,40 @@ def find_mu_c(
 
 
 def _decay_rate(p: ProfileParams, q_tau: float) -> float:
-    """L = Q_tau^{-n} - n/(c Q_tau): the squared linearized tail rate."""
+    """L = Q_tau^{-n} - n/(c Q_tau): the squared linearized tail rate, positive below Q1."""
     return q_tau ** (-p.n) - p.n / (p.c * q_tau)
 
 
+def _tail_limit(p: ProfileParams, r: float, y) -> float | None:
+    """Q_tau off a tail's state y = (Q, Q_r, Q_rr) at r, or None.
+
+    Near Q_tau the ODE linearises to Delta_r q = L(Q_tau) q, with q = Q - Q_tau,
+    Delta_r q = q'' + (d-1) q'/r and L = _decay_rate (Hairer, Norsett & Wanner,
+    Solving ODEs I).  So Q_tau is the fixed point of q -> Q - Delta_r Q / L(q),
+    iterated from Q until a step is within 4 ulps; L is positive at the result.
+    None where an iterate leaves (Q_star, Q1), outside which L is not positive
+    (so where L(Q) <= 0), or where TAIL_ITERS evaluations of L do not settle.
+    """
+    Q, Qr, Qrr = map(float, y)
+    lap, qs, q, last = Qrr + (p.d - 1.0) * Qr / r, q_star(p.n), Q, math.nan
+    for _ in range(TAIL_ITERS):
+        L = _decay_rate(p, q) if q > qs else math.nan
+        if not L > 0.0:
+            return None
+        if abs(q - last) <= 4.0 * math.ulp(q):
+            return q
+        q, last = Q - lap / L, q
+    return None
+
+
 def decay_check(sol: ProfileSolution) -> DecayFit | None:
-    """Fit the exponential tail envelope when the decay criterion holds.
+    """The exponential tail envelope M exp(-k r) when the decay criterion holds.
 
     Returns nothing when Q_tau >= (c/n)^{1/(n-1)}; that is a valid outcome,
-    not an error.  The envelope is fitted on samples whose distance to
-    Q_tau lies inside (1e-6, 1e-2); the wider window (1e-10, 1e-2) must
-    hold at least 20 samples or the tail is deemed too short.
+    not an error.  The rate is that of the linearised tail, k = sqrt(L(Q_tau));
+    only M is fitted, on samples whose distance to Q_tau lies inside
+    (1e-6, 1e-2).  The wider window (1e-10, 1e-2) must hold at least 20
+    samples or the tail is deemed too short.
     """
     p = sol.params
     if not sol.Q_tau < _q1(p):
@@ -954,13 +942,9 @@ def decay_check(sol: ProfileSolution) -> DecayFit | None:
     fit = (delta > 1e-6) & (delta < 1e-2)
     if int(fit.sum()) < 2:
         raise TailTooShort("fit window holds fewer than 2 samples")
-    r_fit = sol.samples.r[fit]
-    slope, intercept = np.polyfit(r_fit, np.log(delta[fit]), 1)
-    k = -float(slope)
-    if not k > 0:
-        raise ProfileError("fitted envelope rate is not positive")
+    r_fit, k = sol.samples.r[fit], math.sqrt(L)
     return DecayFit(
-        M=float(np.exp(intercept)), k=k, L=float(L),
+        M=float(np.exp(np.mean(np.log(delta[fit]) + k * r_fit))), k=k, L=float(L),
         r_window=(float(r_fit[0]), float(r_fit[-1])), n_samples=int(fit.sum()),
     )
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import magma_lab.cli
@@ -333,6 +333,7 @@ _SHOOT = ["shoot", "--d", "3", "--n", "2.5", "--c", "1.7"]
         _SHOOT + ["--mu", "-1e30"],
         ["shoot", "--d", "1e-300", "--n", "2.5", "--c", "1.7"],
         _SHOOT + ["--r-max", "3e306"],
+        _SHOOT + ["--r-max", "1e307"],
         _SHOOT + ["--bisect-tol", "nan"],
         _SHOOT + ["--bisect-tol", "inf"],
         ["diagnose", "dispersion", "--n-points", "32", "--n", "3", "--mode", "1",
@@ -346,7 +347,8 @@ _SHOOT = ["shoot", "--d", "3", "--n", "2.5", "--c", "1.7"]
     ids=["cg-breakdown", "dt-inf", "t-end-inf", "steps-overflow", "s-monitor-nan",
          "r-max-nan", "r-max-inf", "r-max-0", "r-max-neg", "r-max-huge", "mu-neg-inf",
          "mu-huge", "d-tiny",
-         "r-max-huge-search", "bisect-tol-nan", "bisect-tol-inf", "dispersion-positivity",
+         "r-max-huge-search", "r-max-cap-overflow", "bisect-tol-nan", "bisect-tol-inf",
+         "dispersion-positivity",
          "d-huge", "d-huge-search", "d-huge-1e300", "d-1e15", "d-1e15-search"],
 )
 def test_degenerate_values_end_in_exit_code(request, tmp_path, argv):
@@ -357,30 +359,64 @@ def test_degenerate_values_end_in_exit_code(request, tmp_path, argv):
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode in (0, 1, 2, 3)
-    if proc.returncode == 0:
-        assert "verdict" in parsed(proc.stdout)
+    if proc.returncode == 0:  # each command reports under its own key
+        key = {"evolve": "verdict", "shoot": "classification" if "--mu" in argv else "mu_c"}
+        assert key[argv[0]] in parsed(proc.stdout)
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) <= 1  # no warning printed ahead of the error
     if request.node.callspec.id.startswith("d-huge"):  # a NumPy warning used to precede it
         assert proc.returncode == 2
         assert proc.stderr.startswith("numerical failure: ProfileError: the series at r = 0 "
                                       "leaves the float range at d=1e+30")
+    if request.node.callspec.id.startswith("r-max-huge"):  # finite radii, and a finite cap
+        assert proc.returncode == 0
+    if request.node.callspec.id == "r-max-cap-overflow":
+        assert proc.stderr.startswith("config error: r_max must be positive with 32 * r_max finite")
     if request.node.callspec.id.startswith("d-1e15"):  # a stiff shot used to run for minutes
         assert proc.returncode == 2
         assert proc.stderr.startswith("numerical failure: Indeterminate: integrator failed: over ")
 
 
-def test_infinite_dimension_is_refused():
-    # d = inf made every step NaN, and the shot never ended: a separate
-    # interpreter with a timeout runs cli.main
-    argv = ["shoot", "--d", "inf", "--n", "2.5", "--c", "1.7", "--mu", "-0.02"]
+def _main_in_child(argv: list[str]) -> subprocess.CompletedProcess:
+    """cli.main(argv) in a separate interpreter with a 60 s timeout."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", f"import sys, magma_lab.cli; sys.exit(magma_lab.cli.main({argv!r}))"],
         capture_output=True, text=True, env=env, timeout=60,
     )
+
+
+def test_infinite_dimension_is_refused():
+    # d = inf made every step NaN, and the shot never ended
+    proc = _main_in_child(["shoot", "--d", "inf", "--n", "2.5", "--c", "1.7", "--mu", "-0.02"])
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == "config error: dimension d must be positive and finite\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_SHOOT + ["--bisect-tol", "-1"], "bisect_tol must be nonnegative and finite"),
+    (["evolve", "--n-points", "16", "--n", "2", "--dt", "1e-300", "--t-end", "1e-3"],
+     "t_end/dt must be at most 100000 steps"),
+    (["diagnose", "dispersion", "--n-points", "16", "--n", "2", "--mode", "1",
+      "--periods", "1e9"], "periods * steps_per_period must be at most 100000 steps"),
+], ids=["bisect-tol-negative", "evolve-steps", "dispersion-periods"])
+def test_unbounded_work_is_refused(tmp_path, argv, message):
+    # a negative bisect_tol ran as 0; the two runs asked for 1e297 and 6.4e10
+    # steps and were still running after 60 s
+    proc = _main_in_child(argv + ["-o", str(tmp_path / "run")])
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"config error: {message}\n"
+
+
+def test_overflowing_state_ends_in_a_verdict_without_warnings(tmp_path):
+    # the initial monitor was nan, which no threshold caught, and NumPy
+    # printed eight RuntimeWarnings before the run ended on an elliptic failure
+    proc = _main_in_child(["evolve", "--n-points", "16", "--n", "2", "--dt", "1e-3",
+                           "--t-end", "1e-3", "--init", "modes:base=1e308",
+                           "-o", str(tmp_path / "run")])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    info = parsed(proc.stdout)
+    assert (info["verdict"], info["t_event"]) == ("threshold_exceeded", "0.0")
 
 
 def test_negative_value_in_exponent_notation(tmp_path):
@@ -437,6 +473,44 @@ def test_shoot_argv_fuzz(argv):
     assert code in (0, 1, 2, 3), (code, err)
     if code == 0:
         assert "classification" in parsed(out)
+    assert "Traceback" not in err and len(err.splitlines()) <= 1, err
+    assert [str(w.message) for w in caught] == []
+
+
+_SEARCH_RANGES = {  # a search's own options: negative, 0 or tiny tolerances, tiny or huge radii
+    "--bisect-tol": st.one_of(st.floats(-1e3, -1e-300), st.just(0.0), st.floats(1e-300, 1e-14)),
+    "--r-max": st.one_of(st.floats(1e-300, 1e-2), st.floats(1e290, 1e308)),
+}
+
+
+@st.composite
+def _search_argv(draw):
+    """shoot --d --n --c in range, then --bisect-tol and --r-max, each drawn or left out."""
+    argv = ["shoot"]
+    for flag, values in [(f, _SHOOT_RANGES[f]) for f in ("--d", "--n", "--c")] + [
+            *_SEARCH_RANGES.items()]:
+        if flag in _SEARCH_RANGES and draw(st.booleans()):
+            continue
+        value = draw(_spelled(values))
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    return argv
+
+
+@settings(max_examples=12)
+@given(_search_argv())
+@example(_SHOOT + ["--bisect-tol", "-1"])  # ran as 0
+@example(_SHOOT + ["--bisect-tol", "0", "--r-max", "1e-300"])
+@example(_SHOOT + ["--bisect-tol", "1e-300", "--r-max", "1e300"])
+@example(_SHOOT + ["--r-max", "1e307"])  # the widening cap overflows
+def test_shoot_search_argv_fuzz(argv):
+    # any search command line ends in an exit code with at most one line on
+    # stderr: no traceback and no warning ahead of the error
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(argv)
+    assert code in (0, 1, 2, 3), (code, err)
+    if code == 0:
+        assert "mu_c" in parsed(out)
     assert "Traceback" not in err and len(err.splitlines()) <= 1, err
     assert [str(w.message) for w in caught] == []
 

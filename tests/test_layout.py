@@ -169,9 +169,8 @@ def test_the_first_shot_generates_the_stepper():
 
 
 def test_one_shot_method_builds_every_interpolant():
-    # the eager reads (event roots, sampling shots) and the probe reads that
-    # wait for the flat test extend a step through one method, so the two
-    # cannot drift apart
+    # event roots and a sampling shot's kept steps extend a step through one
+    # method, so the two cannot drift apart
     tree = ast.parse((Path(magma_lab.__file__).parent / "profile.py").read_text())
     [shot] = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "_Shot"]
     methods = [node for node in shot.body if isinstance(node, ast.FunctionDef)]
@@ -182,4 +181,5 @@ def test_one_shot_method_builds_every_interpolant():
                    for node in ast.walk(method))
 
     [builder] = [m.name for m in methods if reads(m, "extend")]
-    assert sorted(m.name for m in methods if reads(m, builder)) == ["_flat", "dense"]
+    assert builder == "dense"
+    assert [m.name for m in methods if reads(m, builder)] == ["classify"]
