@@ -36,21 +36,8 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import ConservedEnergyParams, energy_series, fit_dispersion, track_peak
-from .evolution import (
-    EvolveConfig,
-    _default_monitor_index,
-    _monitor_row,
-    evolve,
-)
-from .grid import (
-    Field,
-    SnapshotFormatError,
-    TorusGrid,
-    _hs_weight,
-    field_stats,
-    read_snapshot,
-    write_snapshot,
-)
+from .evolution import EvolveConfig, _state_row, evolve, monitor_index
+from .grid import Field, SnapshotFormatError, TorusGrid, field_stats, read_snapshot, write_snapshot
 from .profile import (
     ProfileError,
     ProfileParams,
@@ -93,10 +80,13 @@ def _c_ints(s: str) -> list[int]:
 
 
 def _c_floats(s: str) -> list[float]:
-    """Comma list of floats, or lo:hi:count for a uniform range."""
+    """Comma list of floats, or lo:hi:count for a uniform range of at most 10,000."""
     if ":" in s:
         lo, hi, num = s.split(":")
-        return [float(x) for x in np.linspace(float(lo), float(hi), int(num))]
+        if not 0 <= int(num) <= 10_000:  # linspace would allocate any count it is given
+            raise ValueError(f"a range takes 0 to 10000 values, got {num}")
+        with np.errstate(all="ignore"):  # an infinite step gives nan, which readers refuse
+            return [float(x) for x in np.linspace(float(lo), float(hi), int(num))]
     return [float(v) for v in s.split(",") if v != ""]
 
 
@@ -346,7 +336,8 @@ def _snapshot_pair(
     """The snap_<i>.bin snapshot and its .json sidecar, as _load_run_snapshots
     reads them back."""
     stem = f"snap_{i:06d}"
-    sidecar = {"t": float(t), "step": i, "monitor": monitor, "config_hash": cfg_hash}
+    sidecar = {"t": float(t), "step": i, "monitor": monitor if math.isfinite(monitor) else None,
+               "config_hash": cfg_hash}  # JSON has no inf or nan
     return [
         (stem + ".bin", lambda path: write_snapshot(fld, path)),
         (stem + ".json", _json(sidecar)),
@@ -478,9 +469,7 @@ def _cmd_sweep(cfg: dict, ns: argparse.Namespace) -> tuple[list[_Artifact], _Rep
 def _cmd_embed(cfg: dict, ns: argparse.Namespace) -> tuple[list[_Artifact], _Report]:
     grid = _make_grid(cfg["n_points"], cfg["lengths"])
     fld = _embed_profile(cfg["profile"], grid)
-
-    weight = _hs_weight(grid, _default_monitor_index(grid))
-    monitor, mass, _ = _monitor_row(grid, fld.values, weight)
+    monitor, mass, _ = _state_row(fld, monitor_index(None, grid))
     stats = field_stats(fld)
     return _snapshot_pair(0, 0.0, fld, monitor, _config_hash(cfg)), [
         ("peak", stats.max), ("min", stats.min), ("mass", mass),

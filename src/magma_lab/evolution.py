@@ -10,11 +10,14 @@ fixed step is used.  The four elliptic solves of a step start CG from an
 earlier stage plus that stage's offset, extrapolated by the backward
 differences of its last ORDER values (Fischer, CMAME 1998), so only
 iteration counts change; guesses are rfft coefficients (``TorusGrid.rfft``),
-as the solver takes them.  Every step evaluates the dichotomy monitor
-hs_norm(phi - 1, s) + sup|1/phi|; threshold crossings (a monitor that is
-not finite among them), positivity loss and elliptic breakdowns are
-reported as verdicts, never exceptions or NumPy warnings.  A run is
-refused up front when it would take more than MAX_STEPS steps.
+as the solver takes them.  Each accepted state is one ``Field``: it is
+logged, stored as a snapshot and continued by the next call.  Its row is
+the dichotomy monitor hs_norm(phi - 1, s) + field_stats(phi).inv_sup at
+s = monitor_index(cfg, grid), measure_mass(phi) and min phi, the same row
+``magma-lab embed`` writes; threshold crossings (a monitor that is not
+finite among them), positivity loss and elliptic breakdowns are reported
+as verdicts, never exceptions or NumPy warnings.  A run is refused up
+front when it would take more than MAX_STEPS steps.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from enum import Enum
 import numpy as np
 
 from .elliptic import NotConverged, _solve_raw
-from .grid import Field, TorusGrid, _hs_norm_raw, _hs_weight
+from .grid import Field, TorusGrid, field_stats, hs_norm
 
 __all__ = [
     "EvolveConfig",
@@ -116,24 +119,18 @@ class EvolveResult:
     report: BlowupReport
 
 
-def monitor_index(cfg: EvolveConfig, grid: TorusGrid) -> float:
-    if cfg.s_monitor is not None:
+def monitor_index(cfg: EvolveConfig | None, grid: TorusGrid) -> float:
+    """The monitor's Sobolev index: ``cfg.s_monitor`` if set, else (and for
+    ``cfg=None``) d/2 + floor(d/2) + 3."""
+    if cfg is not None and cfg.s_monitor is not None:
         return cfg.s_monitor
-    return _default_monitor_index(grid)
-
-
-def _default_monitor_index(grid: TorusGrid) -> float:
     return grid.d / 2 + grid.d // 2 + 3
 
 
-def _monitor_row(
-    grid: TorusGrid, vals: np.ndarray, weight: np.ndarray
-) -> tuple[float, float, float]:
-    """The monitor hs_norm(phi - 1, s) + sup|1/phi|, measure_mass and min of
-    finite samples ``vals``, given the ``_hs_weight`` of s."""
-    dev, lo = vals - 1.0, float(vals.min())
-    monitor = _hs_norm_raw(grid, dev, weight) + (np.inf if lo <= 0.0 else 1.0 / lo)
-    return monitor, float(dev.sum()) * grid.cell_volume, lo
+def _state_row(phi: Field, s: float) -> tuple[float, float, float]:
+    """The monitor hs_norm(phi - 1, s) + sup|1/phi|, the mass and min phi."""
+    st = field_stats(phi)
+    return hs_norm(phi - 1.0, s) + st.inv_sup, measure_mass(phi), st.min
 
 
 def _rhs_raw(
@@ -229,14 +226,14 @@ def measure_mass(phi: Field) -> float:
 
 
 def _record(
-    rows: list[tuple], t: float, vals: np.ndarray, grid: TorusGrid, weight: np.ndarray,
-    limit: float, cg: int,
+    rows: list[tuple], t: float, phi: Field | None, s: float, limit: float, cg: int
 ) -> Verdict | None:
     """Append (t, monitor, mass, min_phi, cg) of a state and return its
-    verdict, if any; a non-finite state records monitor +inf, and a monitor
-    that is not at most ``limit`` (nan, or above it) exceeds the threshold."""
-    if np.all(np.isfinite(vals)):
-        rows.append((t, *_monitor_row(grid, vals, weight), cg))
+    verdict, if any; a state that is not finite (None) records monitor +inf,
+    and a monitor that is not at most ``limit`` (nan, or above it) exceeds
+    the threshold."""
+    if phi is not None:
+        rows.append((t, *_state_row(phi, s), cg))
     else:
         rows.append((t, np.inf, np.nan, -np.inf, cg))
     _, mon, _, lo, _ = rows[-1]
@@ -270,12 +267,11 @@ def evolve(phi0: Field, cfg: EvolveConfig) -> EvolveResult:
     ref, old_key, guess_hat, tables = _carried.pop() if _carried else (None,) * 4
     if ref is None or ref() is not phi0 or old_key != key:
         guess_hat, tables = None, [[], [], [], []]
-    s = monitor_index(cfg, grid)
-    weight, limit = _hs_weight(grid, s), min(cfg.blowup_threshold, np.finfo(float).max)
+    s, limit = monitor_index(cfg, grid), min(cfg.blowup_threshold, np.finfo(float).max)
     rows: list[tuple[float, float, float, float, int]] = []
+    phi: Field | None = phi0  # the last accepted state; None once it is not finite
     snapshots: list[tuple[float, Field]] = [(0.0, phi0)]
-    vals = phi0.values
-    verdict = _record(rows, 0.0, vals, grid, weight, limit, 0)
+    verdict = _record(rows, 0.0, phi, s, limit, 0)
     t_event: float | None = 0.0
     n_full = int(np.floor(cfg.t_end / cfg.dt + 1e-9))
     n_steps = n_full + int(cfg.t_end - n_full * cfg.dt > 1e-12 * cfg.dt)
@@ -286,7 +282,8 @@ def evolve(phi0: Field, cfg: EvolveConfig) -> EvolveResult:
         dt = cfg.dt if full else cfg.t_end - n_full * cfg.dt
         t_event = cfg.t_end if step == n_steps else step * cfg.dt
         try:
-            new, cg, ks = _step_raw(grid, vals, dt, cfg, guess_hat, tables if full else ((),) * 4)
+            new, cg, ks = _step_raw(grid, phi.values, dt, cfg, guess_hat,
+                                    tables if full else ((),) * 4)
         except PositivityLost:
             verdict = Verdict.POSITIVITY_LOST
             break
@@ -297,17 +294,21 @@ def evolve(phi0: Field, cfg: EvolveConfig) -> EvolveResult:
             for a, b, table in zip([guess_hat] + ks, ks, tables):
                 if a is not None:  # k1 of the first step has no offset
                     _push(table, b - a)
-        vals, guess_hat = new, ks[-1]
-        verdict = _record(rows, t_event, vals, grid, weight, limit, cg)
+        guess_hat = ks[-1]
+        try:
+            phi = Field(grid, new)
+        except ValueError:  # Field refuses samples that are not finite
+            phi = None
+        verdict = _record(rows, t_event, phi, s, limit, cg)
         if verdict is None and cfg.snapshot_every > 0 and step % cfg.snapshot_every == 0:
-            snapshots.append((t_event, Field(grid, vals)))
+            snapshots.append((t_event, phi))
     if verdict is None:
         verdict, t_event = Verdict.COMPLETED_TO_T_END, None
 
-    if snapshots[-1][0] != rows[-1][0] and np.all(np.isfinite(vals)):
-        snapshots.append((rows[-1][0], Field(grid, vals)))
+    if phi is not None and snapshots[-1][0] != rows[-1][0]:
+        snapshots.append((rows[-1][0], phi))
     if verdict is Verdict.COMPLETED_TO_T_END and n_steps == n_full > 0:
-        _carried.append((weakref.ref(snapshots[-1][1], _forget), key, guess_hat, tables))
+        _carried.append((weakref.ref(phi, _forget), key, guess_hat, tables))
     times, monitor, mass, min_phi, cg = (np.array(col) for col in zip(*rows))
     report = BlowupReport(
         verdict=verdict, t_event=t_event, final_monitor=monitor[-1], s_monitor=s,

@@ -13,7 +13,10 @@ Conventions used throughout the package:
 * ``TorusGrid.inner`` and ``hs_norm`` sum the half spectrum, counting each
   interior last-axis column twice for its conjugate mirror and the mean and
   Nyquist columns once; ``hs_norm(f, 0)`` equals the L2 norm of ``f`` over
-  the torus, i.e. the Parseval weight carries the domain volume.
+  the torus, i.e. the Parseval weight carries the domain volume;
+* ``hs_norm`` (weight (1 + |k|^2)^s) and ``field_stats`` (min, max,
+  sup|1/f|) are the only code for these statistics; the monitor is built on them;
+* ``TorusGrid`` refuses sides whose volume or cell volume is not a positive finite float.
 """
 
 from __future__ import annotations
@@ -68,6 +71,10 @@ class TorusGrid:
         for L in lengths:
             if not np.isfinite(L) or L <= 0:
                 raise ValueError(f"side lengths must be positive, got {L}")
+        # cell_volume <= volume, so this refuses a product that over- or underflows
+        if not (self.cell_volume > 0.0 and self.volume < np.inf):
+            raise ValueError(f"side lengths must give a positive finite volume and cell "
+                             f"volume, got {self.volume} and {self.cell_volume}")
 
     @classmethod
     def cubic(cls, d: int, n: int, length: float = 2.0 * np.pi) -> "TorusGrid":
@@ -91,11 +98,11 @@ class TorusGrid:
 
     @cached_property
     def cell_volume(self) -> float:
-        return float(np.prod(self.spacing))
+        return math.prod(self.spacing)
 
     @cached_property
     def volume(self) -> float:
-        return float(np.prod(self.lengths))
+        return math.prod(self.lengths)
 
     def axis_coordinates(self, axis: int) -> np.ndarray:
         n, L = self.n_points[axis], self.lengths[axis]
@@ -193,7 +200,7 @@ class Field:
             raise ValueError(
                 f"values shape {values.shape} does not match grid {self.grid.shape}"
             )
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValueError("field values must be finite")
         object.__setattr__(self, "values", _readonly(values.copy()))
 
@@ -254,22 +261,14 @@ def spectral_derivative(f: Field, axis: int) -> Field:
 
 
 def hs_norm(f: Field, s: float) -> float:
-    """Sobolev norm of index ``s``; reduces to the L2 norm at ``s = 0``."""
-    if s < 0:
-        raise ValueError("norm index must be nonnegative")
-    return _hs_norm_raw(f.grid, f.values, _hs_weight(f.grid, s))
-
-
-def _hs_weight(grid: TorusGrid, s: float) -> np.ndarray:
-    """The weight (1 + |k|^2)^s of the H^s norm on the rfft lattice."""
-    return (1.0 + grid.norm_k_squared) ** s
-
-
-def _hs_norm_raw(grid: TorusGrid, vals: np.ndarray, weight: np.ndarray) -> float:
-    """hs_norm of samples ``vals``, given its ``_hs_weight``."""
-    c = grid.rfft(vals) / grid.size
-    power = grid.rfft_weights * (c.real**2 + c.imag**2)
-    return float(np.sqrt(np.sum(weight * power) * grid.volume))
+    """Sobolev norm of index ``s``, with the weight (1 + |k|^2)^s on the rfft
+    lattice; reduces to the L2 norm at ``s = 0``."""
+    if not 0 <= s < np.inf:
+        raise ValueError(f"norm index must be nonnegative and finite, got {s}")
+    g = f.grid
+    c = g.rfft(f.values) / g.size
+    power = g.rfft_weights * (c.real**2 + c.imag**2)
+    return float(np.sqrt(np.sum((1.0 + g.norm_k_squared) ** s * power) * g.volume))
 
 
 def field_stats(f: Field) -> FieldStats:

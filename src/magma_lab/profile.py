@@ -1039,10 +1039,11 @@ def embed_on_torus(
         )
 
     rho2 = np.zeros(grid.shape)
-    for x, c0, L in zip(grid.coordinates(), center, grid.lengths):
-        delta = np.abs(x - c0)
-        delta = np.minimum(delta, L - delta)
-        rho2 = rho2 + delta**2
+    with np.errstate(over="ignore"):  # a square past the float range lies outside: 1 there
+        for x, c0, L in zip(grid.coordinates(), center, grid.lengths):
+            delta = np.abs(x - c0)
+            delta = np.minimum(delta, L - delta)
+            rho2 = rho2 + delta**2
     rho = np.sqrt(rho2)
 
     r_prof = rho / r_scale

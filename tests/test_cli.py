@@ -22,6 +22,10 @@ from magma_lab import (
     Field,
     SnapshotFormatError,
     TorusGrid,
+    field_stats,
+    hs_norm,
+    measure_mass,
+    monitor_index,
     read_profile_csv,
     read_snapshot,
     write_snapshot,
@@ -54,6 +58,17 @@ def critical_run(tmp_path_factory) -> tuple[Path, dict[str, str]]:
     ])
     assert code == 0
     return out_dir, parsed(out)
+
+
+@pytest.fixture(scope="module")
+def embed_profiles(tmp_path_factory) -> dict[int, Path]:
+    """Critical profile archives of d = 1 and d = 2 (n = 2.5, c = 1.7), by dimension."""
+    out = {}
+    for d in (1, 2):
+        out[d] = tmp_path_factory.mktemp(f"profile{d}")
+        argv = ["shoot", "--d", str(d), "--n", "2.5", "--c", "1.7", "--bisect-tol", "1e-8"]
+        assert run_cli(argv + ["-o", str(out[d])])[0] == 0
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -343,13 +358,18 @@ _SHOOT = ["shoot", "--d", "3", "--n", "2.5", "--c", "1.7"]
         ["shoot", "--d", "1e300", "--n", "2.5", "--c", "1.7", "--mu", "-0.02"],
         ["shoot", "--d", "1e15", "--n", "2.5", "--c", "1.7", "--mu", "-0.02"],
         ["shoot", "--d", "1e15", "--n", "2.5", "--c", "1.7"],
+        ["evolve", "--n-points", "8,8", "--lengths", "1e200", "--n", "2", "--dt", "0.1",
+         "--t-end", "0.2"],
+        ["evolve", "--n-points", "8,8", "--lengths", "1e-200,1e-200", "--n", "2", "--dt", "0.1",
+         "--t-end", "0.2", "--init", "modes:base=1;amp=0.5,k=1:0"],
     ],
     ids=["cg-breakdown", "dt-inf", "t-end-inf", "steps-overflow", "s-monitor-nan",
          "r-max-nan", "r-max-inf", "r-max-0", "r-max-neg", "r-max-huge", "mu-neg-inf",
          "mu-huge", "d-tiny",
          "r-max-huge-search", "r-max-cap-overflow", "bisect-tol-nan", "bisect-tol-inf",
          "dispersion-positivity",
-         "d-huge", "d-huge-search", "d-huge-1e300", "d-1e15", "d-1e15-search"],
+         "d-huge", "d-huge-search", "d-huge-1e300", "d-1e15", "d-1e15-search",
+         "volume-huge", "volume-tiny"],
 )
 def test_degenerate_values_end_in_exit_code(request, tmp_path, argv):
     # a separate interpreter with a timeout: some of these used to hang
@@ -375,6 +395,10 @@ def test_degenerate_values_end_in_exit_code(request, tmp_path, argv):
     if request.node.callspec.id.startswith("d-1e15"):  # a stiff shot used to run for minutes
         assert proc.returncode == 2
         assert proc.stderr.startswith("numerical failure: Indeterminate: integrator failed: over ")
+    if request.node.callspec.id.startswith("volume"):  # phi = 1 logged nan; hs_norm read 0
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("config error: side lengths must give a positive finite "
+                                      "volume and cell volume, got ")
 
 
 def _main_in_child(argv: list[str]) -> subprocess.CompletedProcess:
@@ -417,6 +441,23 @@ def test_overflowing_state_ends_in_a_verdict_without_warnings(tmp_path):
     assert (proc.returncode, proc.stderr) == (0, "")
     info = parsed(proc.stdout)
     assert (info["verdict"], info["t_event"]) == ("threshold_exceeded", "0.0")
+
+
+def test_sidecar_writes_a_monitor_that_is_not_finite_as_null(tmp_path):
+    # it was written as Infinity, which is not JSON (RFC 8259)
+    out_dir = tmp_path / "run"
+    code, out, _ = run_cli(["evolve", "--n-points", "8", "--lengths", "1e-200", "--n", "2",
+                            "--dt", "0.1", "--t-end", "0.2", "--init", "modes:base=1;amp=0.1,k=1",
+                            "-o", str(out_dir)])
+    assert code == 0
+    assert (parsed(out)["verdict"], parsed(out)["final_monitor"]) == ("threshold_exceeded", "inf")
+
+    def refuse(constant):
+        raise AssertionError(f"{constant} is not JSON")
+
+    sidecar = json.loads((out_dir / "snap_000000.json").read_text(), parse_constant=refuse)
+    assert sidecar["monitor"] is None and sidecar["t"] == 0.0
+    assert [t for t, _ in _load_run_snapshots(str(out_dir))] == [0.0]
 
 
 def test_negative_value_in_exponent_notation(tmp_path):
@@ -607,6 +648,77 @@ def test_embed_cli(critical_run, tmp_path):
     assert float(info["min"]) >= 1.0 - 1e-12
     meta = json.loads((out_dir / "snap_000000.json").read_text())
     assert meta["t"] == 0.0 and np.isfinite(meta["monitor"])
+
+
+def test_embed_reports_the_public_monitor_and_mass(embed_profiles, tmp_path):
+    # the sidecar's monitor and the reported mass are the public functions of
+    # the embedded field, bit for bit, at the default index; evolve's log rows
+    # are checked the same way in test_evolution.py
+    out_dir = tmp_path / "embedded"
+    code, out, _ = run_cli(["embed", "--profile", str(embed_profiles[2]), "--n-points", "64,64",
+                            "--lengths", "150", "-o", str(out_dir)])
+    assert code == 0
+    fld, info = read_snapshot(out_dir / "snap_000000.bin"), parsed(out)
+    sidecar = json.loads((out_dir / "snap_000000.json").read_text())
+    s, stats = monitor_index(None, fld.grid), field_stats(fld)
+    assert s == 5.0  # d/2 + floor(d/2) + 3 at d = 2
+    assert sidecar["monitor"] == hs_norm(fld - 1.0, s) + stats.inv_sup
+    assert float(info["mass"]) == measure_mass(fld)
+    assert (float(info["peak"]), float(info["min"])) == (stats.max, stats.min)
+
+
+def test_embed_on_a_huge_1d_torus_prints_no_warning(embed_profiles, tmp_path):
+    # past a side of about 1.3e154 the squared distances overflowed, and NumPy
+    # printed "RuntimeWarning: overflow encountered in square"; those points
+    # lie outside the profile, where the field is 1
+    out_dir = tmp_path / "huge"
+    proc = _main_in_child(["embed", "--profile", str(embed_profiles[1]), "--n-points", "64",
+                           "--lengths", "1e300", "-o", str(out_dir)])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    vals = read_snapshot(out_dir / "snap_000000.bin").values
+    assert np.flatnonzero(vals != 1.0).tolist() == [32]  # the center, at L/2
+    assert vals[32] == float(parsed(proc.stdout)["peak"])
+
+
+_SIDE = st.one_of(st.floats(10.0, 1e3), st.floats(1e-300, 1e-3), st.floats(1e3, 1e308))
+
+
+@st.composite
+def _embed_argv(draw):
+    """embed's --n-points (1 to 3 axes of at most 64 points) and --lengths (left
+    out, a comma list or a lo:hi:count range) with moderate, tiny or huge sides."""
+    points = draw(st.lists(st.one_of(st.sampled_from([4, 8, 16, 32, 64]), st.integers(-2, 64)),
+                           min_size=1, max_size=3))
+    argv = ["--n-points", ",".join(map(str, points))]
+    kind = draw(st.sampled_from(["none", "list", "range"]))
+    if kind == "list":
+        argv += ["--lengths=" + ",".join(map(repr, draw(st.lists(_SIDE, min_size=1, max_size=3))))]
+    elif kind == "range":
+        lo, hi, num = draw(_SIDE), draw(_SIDE), draw(st.integers(-1, 4))
+        argv += [f"--lengths={lo!r}:{hi!r}:{num}"]
+    return argv
+
+
+@settings(max_examples=40)
+@given(st.sampled_from([1, 2]), _embed_argv())
+@example(2, ["--n-points", "64,64", "--lengths", "1e308"])  # mass inf, two RuntimeWarnings
+@example(2, ["--n-points", "64,64", "--lengths", "1e-200,1e-200"])  # volume 0
+@example(1, ["--n-points", "64", "--lengths", "1e300"])  # RuntimeWarning: overflow in square
+@example(1, ["--n-points", "64", "--lengths=1:inf:3"])  # RuntimeWarning from linspace
+@example(1, ["--n-points", "64", "--lengths=0:1:10000000000000"])  # MemoryError, a traceback
+def test_embed_argv_fuzz(embed_profiles, tmp_path_factory, d, argv):
+    # any embed command line ends in an exit code with at most one line on
+    # stderr: no traceback and no warning ahead of the error
+    out_dir = tmp_path_factory.getbasetemp() / "embed-fuzz"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(["embed", "--profile", str(embed_profiles[d]), *argv,
+                                  "-o", str(out_dir)])
+    assert code in (0, 1, 2, 3), (code, err)
+    if code == 0:
+        assert list(parsed(out)) == ["peak", "min", "mass"]
+    assert "Traceback" not in err and len(err.splitlines()) <= 1, err
+    assert [str(w.message) for w in caught] == []
 
 
 def test_embed_domain_too_small(critical_run, tmp_path):

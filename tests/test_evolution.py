@@ -65,7 +65,7 @@ def test_monitor_index_defaults_and_override():
     cases = {1: 3.5, 2: 5.0, 3: 5.5, 7: 9.5}
     for d, want in cases.items():
         g = TorusGrid.cubic(d, 4)
-        assert monitor_index(_cfg(), g) == pytest.approx(want)
+        assert monitor_index(_cfg(), g) == monitor_index(None, g) == pytest.approx(want)
     g1 = TorusGrid.cubic(1, 16)
     assert monitor_index(_cfg(s_monitor=2.25), g1) == 2.25
 
@@ -302,8 +302,8 @@ def test_stage_guesses_cut_cg_work_2d(monkeypatch):
 
 @pytest.mark.parametrize("phi0", [_criterion7_phi0(1), _bump_2d()], ids=["1d", "2d"])
 def test_logged_monitor_matches_the_public_pieces(phi0):
-    # evolve computes each row from the samples with the H^s weight of the
-    # run; the logged columns equal the public functions bit for bit
+    # the logged columns equal the public functions of the snapshots bit for
+    # bit; test_cli.py checks embed's sidecar and report the same way
     cfg = _cfg(n_exponent=2.5, dt=0.02, t_end=0.1, snapshot_every=1)
     result = evolve(phi0, cfg)
     rep, s = result.report, monitor_index(cfg, phi0.grid)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +38,35 @@ def test_grid_validation():
         TorusGrid((2,), (1.0,))
     with pytest.raises(ValueError):
         TorusGrid((8,), (-1.0,))
+
+
+@pytest.mark.parametrize("n_points, lengths", [
+    ((8, 8), (1e200, 1e200)),  # volume inf: phi = 1 logged mass and monitor nan
+    ((64, 64), (1e308, 1e308)),  # an embedded profile reported mass inf
+    ((8, 8), (1e-200, 1e-200)),  # volume 0: hs_norm of any field read 0
+    ((4, 4, 4), (1e-120, 1e-120, 1e-120)),  # volume 1e-360 underflows
+], ids=["huge", "huge-embed", "tiny", "tiny-3d"])
+def test_grid_refuses_a_volume_outside_the_float_range(n_points, lengths):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the refusal is the only message
+        with pytest.raises(ValueError, match="positive finite volume and cell volume"):
+            TorusGrid(n_points, lengths)
+
+
+def test_snapshot_of_a_refused_volume_is_a_format_error(tmp_path):
+    path = tmp_path / "huge.bin"
+    write_snapshot(Field.constant(TorusGrid((8, 8), (1.0, 1.0)), 1.0), path)
+    raw = bytearray(path.read_bytes())
+    raw[40:56] = struct.pack("<2d", 1e200, 1e200)  # the lengths follow the two point counts
+    path.write_bytes(bytes(raw))
+    with pytest.raises(SnapshotFormatError, match="positive finite volume"):
+        read_snapshot(path)
+
+
+def test_grid_keeps_extreme_sides_whose_volumes_are_floats():
+    for lengths in [(1e300,), (1e-300,), (1e150, 1e150), (1e-100, 1e-100)]:
+        g = TorusGrid((8,) * len(lengths), lengths)
+        assert 0.0 < g.cell_volume < g.volume < np.inf
 
 
 def test_grid_geometry():
@@ -123,8 +153,9 @@ def test_hs_norm_analytic_values():
     assert hs_norm(f, 1.0) == pytest.approx(np.sqrt(2.0 * np.pi), rel=1e-12)
     one = Field.constant(g, 1.0)
     assert hs_norm(one, 3.5) == pytest.approx(np.sqrt(2.0 * np.pi), rel=1e-12)
-    with pytest.raises(ValueError):
-        hs_norm(f, -1.0)
+    for s in (-1.0, np.nan, np.inf):  # nan and inf used to return nan and inf
+        with pytest.raises(ValueError, match="norm index must be nonnegative and finite"):
+            hs_norm(f, s)
 
 
 def test_hs_norm_matches_grid_l2():

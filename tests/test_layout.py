@@ -57,10 +57,9 @@ def test_private_names_cross_modules_only_where_pinned():
         if isinstance(node, ast.ImportFrom) and node.level == 1
         for alias in node.names if re.match(r"_(?!_)", alias.name))
     assert imported == [
-        ("cli", "evolution", "_default_monitor_index"), ("cli", "evolution", "_monitor_row"),
-        ("cli", "grid", "_hs_weight"), ("cli", "profile", "_c_bar"), ("cli", "profile", "_csv"),
-        ("cli", "profile", "_fmt"), ("evolution", "elliptic", "_solve_raw"),
-        ("evolution", "grid", "_hs_norm_raw"), ("evolution", "grid", "_hs_weight"),
+        ("cli", "evolution", "_state_row"), ("cli", "profile", "_c_bar"),
+        ("cli", "profile", "_csv"), ("cli", "profile", "_fmt"),
+        ("evolution", "elliptic", "_solve_raw"),
     ]
 
 
