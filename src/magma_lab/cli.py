@@ -66,8 +66,8 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
     def _parse_optional(self, arg_string):
-        try:
-            float(arg_string)  # a value, also where argparse's own test misses it ("-1e5")
+        try:  # a value, also where argparse's own test misses it ("-1e5", "-1:3:2", "-1,2")
+            [float(v) for v in re.split("[,:]", arg_string)]
             return None
         except ValueError:
             return super()._parse_optional(arg_string)
@@ -221,8 +221,13 @@ def _locate(message: str, origins: dict[str, str]) -> str:
     return message
 
 
+def _json_config(config: dict) -> dict:
+    """config as JSON reads it back, each float that is not finite as "inf", "-inf" or "nan"."""
+    return json.loads(json.dumps(config, default=str), parse_constant=lambda c: str(float(c)))
+
+
 def _config_hash(config: dict) -> str:
-    blob = json.dumps(config, sort_keys=True, default=str).encode()
+    blob = json.dumps(_json_config(config), sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
 
 
@@ -255,7 +260,7 @@ def _write_run(out_dir: str, command: str, config: dict, files: list[_Artifact])
             with open(path, "w", newline="") as fh:
                 fh.write(content)
     manifest = dict(
-        command=command, config=config, config_hash=_config_hash(config),
+        command=command, config=_json_config(config), config_hash=_config_hash(config),
         created_utc=datetime.now(timezone.utc).isoformat(timespec="seconds"),
         outputs=[name for name, _ in files], version=__version__,
     )

@@ -29,21 +29,20 @@ Q^{-n} - n/(c Q) is _decay_rate; so mu_2 is stationary where F1 vanishes
 on it (mu_1 = mu_2), mu_3 where dF3/dQ does, and structure_report finds
 each minimum as that root in (Q_star, Q1).
 
-Q is even and analytic at r = 0, so every shot starts from its Taylor
-series there, _series: N_TERMS coefficients in r^2 carry it to a start
-radius r0, typically 2-4, with no integration.  From r0 it runs _Shot, a
-DOP853 stepper on Python floats at RTOL, ATOL with SciPy's error norm and
-step-size control, on one right-hand side, _QRRR, as straight-line code
-generated from SciPy's tableau with SciPy's operations in their order.
-One method, _Shot.dense, builds a step's 7th-order interpolant, and one
-evaluator, _dense, reads every value a shot reports past r0 off it in
-SciPy's order.  A classification shot builds it only on the step of an
-event, and brentq reads the root off it on floats.  A sampling shot (the
-final shot of find_mu_c, ``shoot --mu``) builds one on every step and
-reads its samples past r0 one component at a time, each step's
-coefficients repeated over its run of samples; its samples up to r0 come
-off the series, _series_at.  SciPy's solve_ivp and dense-output classes
-are the tests' oracle.
+Q is even and analytic at r = 0, so every shot starts from its Taylor series
+there, _series: N_TERMS coefficients in r^2 carry it to a start radius r0,
+typically 2-4, with no integration.  From r0 it runs _Shot, a DOP853 stepper on
+Python floats at RTOL, ATOL with SciPy's error norm and a predictive step-size
+controller, on one right-hand side, _QRRR, as straight-line code generated from
+SciPy's tableau with SciPy's operations in their order.  One method,
+_Shot.dense, builds a step's 7th-order interpolant, and one evaluator, _dense,
+reads every value a shot reports past r0 off it in SciPy's order.  A
+classification shot builds it only on the step of an event, and brentq reads
+each root off the one component it solves for.  A sampling shot (the final shot
+of find_mu_c, ``shoot --mu``) builds one on every step and reads its samples
+past r0 one component at a time, each step's coefficients repeated over its run
+of samples; its samples up to r0 come off the series, _series_at.  SciPy's
+solve_ivp and dense-output classes are the tests' oracle.
 
 A shot's tail is read off its end state (r, Q, Q_r, Q_rr) alone: the flat
 test, find_mu_c's Q_tau (_tail_limit, the fixed point of the linearised
@@ -563,14 +562,16 @@ def _dense(t, r_old, r, y_old, rows):
 class _Shot:
     """A shot: the series up to r0, then DOP853 steps of (Q, Q_r, Q_rr) on Python floats.
 
-    The first step is r0; the rest are sized by SciPy's error norm and controller;
-    stage s of the last attempt is kept as its derivative triple (U[s],
-    V[s], W[s]) = (Q_r, Q_rr, Q_rrr).  A shot that keeps samples keeps
-    every step's (r_old, r, y_old, F) in ``steps`` (None otherwise).  It
-    stops at its first event, with r and y the event's; a shot that
-    reached its radius unsettled can be continued to a larger one.
-    ``nfev`` counts right-hand-side calls and ``rejected`` rejected step
-    attempts.
+    The first step is r0.  An attempt of SciPy error norm err >= 1 is retried at max(0.2, 0.9
+    err^(-1/8)) times its step; after an accepted step h the next is h min(10, 0.9 err^(-1/8),
+    0.9 (h/h_old)(err_old/err^2)^(1/8)), Gustafsson's predictive controller as in RADAU5
+    (Hairer & Wanner, Solving ODEs II, IV.8), where h_old is the last accepted step as taken,
+    clipped at r_bound or not, and err_old its err, at least 1e-2.  The first step has no
+    h_old, err = 0 gives 10 h, a step after a rejection does not grow, and widen keeps h_old
+    and err_old.  Stage s of the last attempt is kept as (U[s], V[s], W[s]) = (Q_r, Q_rr,
+    Q_rrr); a sampling shot keeps every step's (r_old, r, y_old, F) in ``steps`` (None
+    otherwise).  A shot stops at its first event, with r and y the event's, or can be continued
+    past its radius; ``nfev`` counts RHS calls and ``rejected`` rejected attempts.
     """
 
     def __init__(self, p: ProfileParams, r_max: float, keep_samples: bool = False):
@@ -585,7 +586,7 @@ class _Shot:
         except ArithmeticError:  # r0 * r0 underflowed, or Q_rrr left the float range
             raise ProfileError(f"Q_rrr leaves the float range at r0={self.r0!r}") from None
         self.U, self.V, self.W = ([0.0] * len(_A) for _ in range(3))
-        self.nfev, self.rejected = 1, 0
+        self.nfev, self.rejected, self.err_old = 1, 0, 0.0
         self.steps: list[tuple] | None = [] if keep_samples else None
 
     def _start(self, r_max: float) -> tuple[float, tuple[float, float, float]]:
@@ -611,7 +612,7 @@ class _Shot:
         raise ProfileError(f"mu={mu!r}: no start radius keeps the series above Q_star and falling")
 
     def step(self, r_bound: float) -> None:
-        """Take one accepted step, ending at r_bound at the latest."""
+        """Take one accepted step, ending at r_bound at the latest, and size the next."""
         r, y = self.r, self.y
         min_step = 10.0 * (math.nextafter(r, math.inf) - r)
         h = max(self.h, min_step)
@@ -634,13 +635,15 @@ class _Shot:
             rejected = True
             self.rejected += 1
         factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.125)
-        self.r_old, self.y_old, self.h_old = r, y, h
+        if err and self.err_old:  # Gustafsson's prediction off the last accepted step too
+            factor = min(factor, 0.9 * h / self.h_old * (self.err_old / err / err) ** 0.125)
+        self.r_old, self.y_old, self.h_old, self.err_old = r, y, h, max(err, 1e-2)
         self.r, self.y, self.w = r_new, y_new, self.W[_END]
         self.h = h * (min(1.0, factor) if rejected else factor)
 
     def dense(self):
-        """The last step's interpolant, r -> (Q, Q_r, Q_rr) on floats; it extends U, V, W by
-        the interpolant's stages, and a sampling shot keeps it."""
+        """The last step's interpolant, r -> (Q, Q_r, Q_rr) on floats, or (r, c) -> component
+        c alone; it extends U, V, W by the interpolant's stages, and a sampling shot keeps it."""
         r_old, h, y_old, U, V, W = self.r_old, self.h_old, self.y_old, self.U, self.V, self.W
         self.extend(r_old, *y_old, h, U, V, W)
         self.nfev += len(_A) - _END - 1
@@ -650,7 +653,8 @@ class _Shot:
         if self.steps is not None:
             self.steps.append((r_old, self.r, y_old, F))
         reads = [(r_old, self.r, y0, rows) for y0, rows in zip(y_old, F[::-1].T.tolist())]
-        return lambda t: tuple(_dense(t, *read) for read in reads)
+        return lambda t, c=None: (tuple(_dense(t, *r) for r in reads) if c is None
+                                  else _dense(t, *reads[c]))
 
     def classify(self, r_end: float) -> ShotOutcome:
         """Integrate on to r_end and classify the shot there."""
@@ -667,8 +671,8 @@ class _Shot:
                 def root(g):
                     return brentq(g, self.r_old, self.r, xtol=_EVENT_TOL, rtol=_EVENT_TOL)
 
-                rf = root(lambda r: at(r)[0] - qs) if floor else math.inf
-                rt = root(lambda r: at(r)[1]) if turn else math.inf
+                rf = root(lambda r: at(r, 0) - qs) if floor else math.inf
+                rt = root(lambda r: at(r, 1)) if turn else math.inf
                 self.r = min(rf, rt)
                 self.y = at(self.r)
                 return _event_outcome(rf, rt, at(rt) if turn else None, qs)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -465,6 +466,42 @@ def test_negative_value_in_exponent_notation(tmp_path):
     code, out, err = run_cli(_SHOOT + ["--mu", "-1e5", "-o", str(tmp_path / "shot")])
     assert code == 0, err
     assert parsed(out)["classification"] == "crossed_floor"
+
+
+def test_a_range_that_starts_with_a_minus_sign_is_a_value(embed_profiles, tmp_path):
+    # argparse alone took "-1:3:2" and "-1e308:1e308:3" for options, and both
+    # runs exited 1 with "expected one argument" before any range check
+    code, out, err = run_cli(["sweep", "--d", "-1:3:2", "--n", "2.5", "--c", "1.7",
+                              "--bisect-tol", "1e-6", "-o", str(tmp_path / "sweep")])
+    assert (code, err, parsed(out)["failures"]) == (0, "", "1")
+    rows = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
+    assert rows[1].endswith(",ValueError: dimension d must be positive and finite")
+    code, out, err = run_cli(["embed", "--profile", str(embed_profiles[1]), "--n-points",
+                              "64,64,64", "--lengths", "-1e308:1e308:3", "-o", str(tmp_path / "e")])
+    assert (code, out, err) == (1, "", "config error: side lengths must be positive, got nan\n")
+
+
+def test_manifest_writes_a_config_value_that_is_not_finite_as_a_string(tmp_path):
+    # --threshold inf was written as Infinity, which is not JSON (RFC 8259)
+    out_dir = tmp_path / "run"
+    code, _, err = run_cli(["evolve", "--n-points", "8", "--n", "2", "--dt", "0.1",
+                            "--t-end", "0.2", "--threshold", "inf", "-o", str(out_dir)])
+    assert (code, err) == (0, "")
+
+    def refuse(constant):
+        raise AssertionError(f"{constant} is not JSON")
+
+    manifest = json.loads((out_dir / "manifest.json").read_text(), parse_constant=refuse)
+    assert manifest["config"]["threshold"] == "inf"
+    assert manifest["config_hash"] == _config_hash(manifest["config"])
+    sidecar = json.loads((out_dir / "snap_000000.json").read_text(), parse_constant=refuse)
+    assert sidecar["config_hash"] == manifest["config_hash"]
+    # the hash sees each value that is not finite as its string, and a finite
+    # config as it always did
+    assert (_config_hash({"a": [np.inf, -np.inf], "b": np.nan})
+            == _config_hash({"a": ["inf", "-inf"], "b": "nan"}))
+    cfg = {"n_points": (8, 8), "lengths": [1e308, 0.1], "mu": -0.0, "init": None}
+    assert _config_hash(cfg) == hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()
 
 
 def _spelled(values):

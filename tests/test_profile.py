@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import DOP853, OdeSolution, quad, solve_ivp
 from scipy.integrate._ivp import dop853_coefficients
-from scipy.integrate._ivp.rk import Dop853DenseOutput
+from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY, Dop853DenseOutput, rk_step
 from scipy.optimize import brentq
 
 import magma_lab.cli
@@ -54,10 +54,10 @@ from magma_lab.profile import ATOL, FLAT_TOL, RTOL, WIDEN, _Shot
 R0 = 1e-6  # the quadratic start Q = 1 + mu r^2/2 of an oracle that does not use the series
 
 EXAMPLE = ProfileParams(d=3.0, n=2.5, c=1.7)
-# a shot that is flat at r_max = 60: mu sits in the window, about 150 ulps wide,
-# where |Q_r| and |Q_rr| at 60 stay within FLAT_TOL and the growing mode of the
-# tail is not yet larger than the decaying one
-_FLAT = ProfileParams(d=3.0, n=2.5, c=1.9, mu=-0.009785371279269595)
+# a shot that is flat at r_max = 60: mu sits in the middle of the window, about
+# 260 ulps wide, where |Q_r| and |Q_rr| at 60 stay within FLAT_TOL and the
+# growing mode of the tail is not yet larger than the decaying one
+_FLAT = ProfileParams(d=3.0, n=2.5, c=1.9, mu=-0.009785371279269562)
 
 
 @pytest.fixture(scope="module")
@@ -371,9 +371,58 @@ def _from_the_center(p, r_end):
                      dense_output=True)
 
 
-def _scipy_shot(p, r_max, start=None):
-    """The oracle: the same shot by solve_ivp's DOP853, with the two terminal events,
-    from start, by default the library's series start.
+class _PredictiveDOP853(DOP853):
+    """SciPy's DOP853 with Gustafsson's predictive step-size controller: SciPy's
+    RungeKutta._step_impl, except that after an accepted step that follows another
+    accepted step the factor is also at most SAFETY (h/h_old)(err_old/err^2)^(1/8),
+    with err_old the earlier step's error norm, at least 1e-2 (RADAU5's ERRACC)."""
+
+    h_old = err_old = None
+
+    def _step_impl(self):
+        t, y = self.t, self.y
+        min_step = 10 * np.abs(np.nextafter(t, self.direction * np.inf) - t)
+        if self.h_abs > self.max_step:
+            h_abs = self.max_step
+        elif self.h_abs < min_step:
+            h_abs = min_step
+        else:
+            h_abs = self.h_abs
+        step_rejected = False
+        while True:
+            if h_abs < min_step:
+                return False, self.TOO_SMALL_STEP
+            t_new = t + h_abs * self.direction
+            if self.direction * (t_new - self.t_bound) > 0:
+                t_new = self.t_bound
+            h = t_new - t
+            h_abs = np.abs(h)
+            y_new, f_new = rk_step(self.fun, t, y, self.f, h, self.A, self.B, self.C, self.K)
+            scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
+            error_norm = self._estimate_error_norm(self.K, h, scale)
+            if error_norm < 1:
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** self.error_exponent)
+            step_rejected = True
+        if error_norm == 0:
+            factor = MAX_FACTOR
+        else:
+            factor = min(MAX_FACTOR, SAFETY * error_norm ** self.error_exponent)
+            if self.err_old is not None:
+                factor = min(factor, SAFETY * h_abs / self.h_old
+                             * (self.err_old / error_norm / error_norm) ** -self.error_exponent)
+        if step_rejected:
+            factor = min(1, factor)
+        self.h_old, self.err_old = h_abs, max(error_norm, 1e-2)
+        self.h_previous, self.y_old, self.t, self.y = h, y, t_new, y_new
+        self.h_abs, self.f = h_abs * factor, f_new
+        return True, None
+
+
+def _scipy_shot(p, r_max, start=None, method=_PredictiveDOP853):
+    """The oracle: the same shot by solve_ivp with method, by default DOP853 with the
+    library's step-size controller, with the two terminal events, from start, by
+    default the library's series start.
 
     Returns the outcome (classified by the library's rules) and a dense output:
     solve_ivp's, and below the series start _from_the_center's.
@@ -381,7 +430,7 @@ def _scipy_shot(p, r_max, start=None):
     prof = magma_lab.profile
     qs = q_star(p.n)
     r0, y0, h0 = _series_start(p, r_max) if start is None else start
-    sol = solve_ivp(_odes(p), (r0, r_max), y0, method="DOP853", first_step=h0,
+    sol = solve_ivp(_odes(p), (r0, r_max), y0, method=method, first_step=h0,
                     rtol=RTOL, atol=ATOL, events=_events(p), dense_output=True)
     assert sol.status >= 0, sol.message
     (rf, rt), y_turn = sol.t_events, sol.y_events[1]
@@ -474,14 +523,15 @@ _NEAR_CRITICAL = [
 
 @pytest.mark.parametrize("params, r_max, cls, subcase, radius", _NEAR_CRITICAL)
 def test_near_critical_classification_table(params, r_max, cls, subcase, radius):
-    # The pinned radii are solve_ivp's from the quadratic start at R0.  The
-    # library starts from the series at r0 instead, and this close to mu_c
-    # that moves the radius far more than rounding: solve_ivp itself with
-    # RTOL scaled by 1 + 1e-12 moves it by up to 2.5e-6 relative.  So the
-    # library is held to solve_ivp from its own start, which takes the same
-    # steps but rounds differently.
+    # The pinned radii are solve_ivp's, with SciPy's own DOP853, from the
+    # quadratic start at R0.  The library starts from the series at r0 and
+    # sizes its steps by the predictive controller instead, and this close
+    # to mu_c that moves the radius far more than rounding: solve_ivp itself
+    # with RTOL scaled by 1 + 1e-12 moves it by up to 2.5e-6 relative.  So
+    # the library is held to the predictive oracle from its own start, which
+    # takes the same steps but rounds differently.
     p = ProfileParams(*params)
-    want, _ = _scipy_shot(p, r_max, _quadratic_start(p.mu))
+    want, _ = _scipy_shot(p, r_max, _quadratic_start(p.mu), method="DOP853")
     assert want.classification is ShotClass[cls]
     assert want.subcase == subcase
     assert (want.r_star if cls == "CROSSED" else want.tau) == pytest.approx(radius, rel=1e-8)
@@ -635,19 +685,56 @@ def test_search_bracket_holds_when_classification_is_not_monotone():
             assert abs(hi - _MU_C) < 1e-10
 
 
-def test_stepper_takes_scipys_steps():
-    # From the same start and first step, the same error norm and step
-    # controller as SciPy's DOP853: the same steps are accepted and rejected.
+def test_stepper_takes_the_predictive_oracles_steps():
+    # From the same start and first step, the same error norm as SciPy's
+    # DOP853 and the same predictive controller as the oracle: the same
+    # steps are accepted and rejected.
     p = replace(EXAMPLE, mu=-0.021)
     qrrr = magma_lab.profile._stepper(p)[0]
     ours = _Shot(p, 200.0)
-    ref = DOP853(lambda r, y: (y[1], y[2], qrrr(r, *y)), ours.r0, ours.y, 200.0,
-                 rtol=RTOL, atol=ATOL, first_step=ours.h)
+    ref = _PredictiveDOP853(lambda r, y: (y[1], y[2], qrrr(r, *y)), ours.r0, ours.y, 200.0,
+                            rtol=RTOL, atol=ATOL, first_step=ours.h)
     for _ in range(80):
         ours.step(200.0)
         ref.step()
         assert ours.nfev == ref.nfev
     assert ours.r == pytest.approx(ref.t, rel=1e-3)
+
+
+@pytest.mark.parametrize("below, nfev, rejected", [(1e-6, 640, 3), (1e-8, 748, 3)])
+def test_predictive_controller_rejects_few_steps_near_mu_c(critical3, below, nfev, rejected):
+    # a shot just below mu_c leaves the critical profile with derivatives that
+    # grow about e-fold per unit r; SciPy's controller rejected 14 of 62 and
+    # 15 of 71 attempts on these two shots (748 and 856 RHS calls)
+    shot = _Shot(replace(EXAMPLE, mu=critical3[0] - below), 200.0)
+    assert shot.classify(200.0).classification is ShotClass.CROSSED
+    assert (shot.nfev, shot.rejected) == (nfev, rejected)
+
+
+def test_a_widened_shot_keeps_its_step_size_controller():
+    # stopped at one of its own step ends and widened, a shot takes the steps
+    # of the same shot run straight through: widen keeps h, h_old and err_old
+    p = replace(EXAMPLE, mu=-0.021)
+    whole, ends = _Shot(p, 200.0), []
+    step = whole.step
+
+    def recording(r_bound):
+        step(r_bound)
+        ends.append((whole.r, whole.rejected, whole.h / whole.h_old, whole.err_old))
+
+    whole.step = recording
+    want = whole.classify(200.0)
+    (_, before, _, _), (r_stop, after, _, _), (_, _, grow, err) = ends[12:15]
+    assert before == after  # no attempt of the step to r_stop was rejected
+    assert grow < 0.9 * err ** -0.125  # the prediction sizes the step after that
+    assert whole.r < 2.0 * r_stop  # widen's first radius clips no step
+    shot = _Shot(p, 200.0)
+    with pytest.raises(Indeterminate):
+        shot.classify(r_stop)
+    assert shot.r == r_stop and shot.err_old >= 1e-2
+    assert shot.widen(WIDEN * 200.0) == want
+    assert (shot.nfev, shot.rejected) == (whole.nfev, whole.rejected)
+    assert _bits((shot.r, *shot.y)) == _bits((whole.r, *whole.y))
 
 
 def test_dop853_tableau_from_scipy():
@@ -935,8 +1022,8 @@ def _end_state(p, r_max):
     return shot, (flat if shot.r == r_max else None)
 
 
-# knife edges with a flat window at 60: (params at its mu, r_max)
-_EDGES = [(_FLAT, 60.0), (ProfileParams(d=4.0, n=2.5, c=1.7, mu=-0.015999713301511283), 60.0)]
+# knife edges with a flat window at 60: (params at the middle of the window, r_max)
+_EDGES = [(_FLAT, 60.0), (ProfileParams(d=4.0, n=2.5, c=1.7, mu=-0.015999713301505812), 60.0)]
 
 
 @settings(max_examples=40)
@@ -953,10 +1040,11 @@ def test_end_state_flat_test_never_passes_a_shot_the_probes_see_departing(edge, 
 
 
 def test_flat_test_turns_away_a_departing_shot():
-    # 100 ulps above _FLAT the growing mode at 60 already outweighs the
-    # decaying one: the probes call the end flat, the end state does not,
-    # and the shot continued from there turns within a few units of r
-    p = replace(_FLAT, mu=_FLAT.mu + 100 * np.spacing(abs(_FLAT.mu)))
+    # 135 ulps above _FLAT, just past the window, the growing mode at 60
+    # already outweighs the decaying one: the probes call the end flat, the
+    # end state does not, and the shot continued from there turns within a
+    # few units of r
+    p = replace(_FLAT, mu=_FLAT.mu + 135 * np.spacing(abs(_FLAT.mu)))
     for q, flat in ((_FLAT, True), (p, False)):
         shot, got = _end_state(q, 60.0)
         assert got is flat and _probe_flat(shot)
