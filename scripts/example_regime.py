@@ -4,8 +4,9 @@ The script reproduces the full solitary-wave workflow at one parameter
 point: locate the minima of the three structure-function curves, verify
 the two bracketing shot classifications, search the bracket for the
 critical curvature mu_c (a safeguarded bisection that probes where the
-radii of crossing shots predict it), fit the exponential tail, and
-report the rescaling that normalizes the far field to 1.
+radii of crossing shots predict it), fit the amplitude M of the tail
+M exp(-k r) whose rate is k = sqrt(L(Q_tau)), and report the rescaling
+that normalizes the far field to 1.
 
 Run:
     python3 scripts/example_regime.py
@@ -61,8 +62,7 @@ def main() -> None:
     scaled = rescale(sol, 1.0 / sol.Q_tau)
     print(f"c_bar    = {scaled.scaling.c_bar:.12f}  (supersonic iff > n = {p.n})")
     if fit is not None:
-        print(f"tail     ~ {fit.M:.4f} * exp(-{fit.k:.6f} r)  "
-              f"[linearized rate sqrt(L) = {fit.L**0.5:.6f}]")
+        print(f"tail     ~ {fit.M:.4f} * exp(-{fit.k:.6f} r)  [rate k = sqrt(L(Q_tau))]")
     else:
         print("tail     : decay criterion fails, no envelope fitted")
 

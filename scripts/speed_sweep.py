@@ -2,8 +2,8 @@
 
 For fixed (d, n) the script sweeps c across [1.55, n), searches for the
 critical curvature at each point, and records the limit Q_tau, the
-rescaled speed c_bar = Q_tau^{1-n} c and the fitted tail rate k.  Near
-the corner c -> n the linearized tail rate vanishes, so the fitted k
+rescaled speed c_bar = Q_tau^{1-n} c and the tail rate k = sqrt(L(Q_tau))
+of the linearized tail.  Near the corner c -> n that rate vanishes, so k
 collapses and classification radii grow; the sweep shows both trends.
 
 Run:
@@ -39,7 +39,7 @@ def main() -> None:
     args = ap.parse_args()
 
     speeds = np.linspace(1.55, args.n - args.margin, args.points)
-    rows = ["c,mu_c,Q_tau,Q1,c_bar,k,sqrtL"]
+    rows = ["c,mu_c,Q_tau,Q1,c_bar,k"]
     for c in speeds:
         p = ProfileParams(d=args.d, n=args.n, c=float(c))
         try:
@@ -51,11 +51,7 @@ def main() -> None:
             continue
         c_bar = rescale(sol, 1.0 / sol.Q_tau).scaling.c_bar
         k = fit.k if fit is not None else float("nan")
-        sqrtL = fit.L**0.5 if fit is not None else float("nan")
-        rows.append(
-            f"{c:.6f},{mu_c:.12e},{sol.Q_tau:.12f},{Q1:.12f},"
-            f"{c_bar:.12f},{k:.6f},{sqrtL:.6f}"
-        )
+        rows.append(f"{c:.6f},{mu_c:.12e},{sol.Q_tau:.12f},{Q1:.12f},{c_bar:.12f},{k:.6f}")
         print(f"c = {c:.4f}  mu_c = {mu_c:+.8f}  Q_tau = {sol.Q_tau:.8f}  "
               f"c_bar = {c_bar:.6f}  k = {k:.4f}")
 

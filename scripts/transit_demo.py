@@ -3,7 +3,7 @@
 The critical profile at (d, n, c), normalized so its far field is 1,
 should translate rigidly along the last axis with the rescaled speed
 c_bar = Q_tau^{1-n} c.  The script embeds the profile on a periodic box
-sized in units of the fitted tail width, evolves one quarter-domain
+sized in units of the tail width 1/k, evolves one quarter-domain
 transit with the pseudospectral stepper, and compares the tracked peak
 speed and the final shape against the prediction.
 
@@ -38,7 +38,7 @@ def main() -> None:
     ap.add_argument("--n", type=float, default=2.5)
     ap.add_argument("--c", type=float, default=1.7)
     ap.add_argument("--widths", type=float, default=44.0,
-                    help="box side in units of the fitted tail width")
+                    help="box side in units of the tail width 1/k")
     ap.add_argument("--n-side", type=int, default=128)
     ap.add_argument("--steps", type=int, default=320)
     ap.add_argument("--snap-every", type=int, default=40)

@@ -151,7 +151,6 @@ TRACK_OPTS: dict[str, _Opt] = {
 ENERGY_OPTS: dict[str, _Opt] = {
     "run": _Opt(str, required=True, help="evolve run directory with snapshots"),
     "n": _Opt(float, required=True, help="nonlinearity exponent in [2, 3]"),
-    "m": _Opt(float, 0.0, help="gradient weight of the energy (exact invariant at 0)"),
 }
 
 
@@ -331,7 +330,7 @@ def _embed_profile(path: str, grid: TorusGrid) -> Field:
     sol = read_profile_csv(os.path.join(path, "profile.csv") if os.path.isdir(path) else path)
     try:
         return embed_on_torus(sol, grid)
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:  # a Q_tau whose rescaling overflows
         raise ValueError(f"{path}: {exc}") from None
 
 
@@ -503,7 +502,7 @@ def _cmd_diag_track(cfg: dict, ns: argparse.Namespace) -> tuple[list[_Artifact],
 
 def _cmd_diag_energy(cfg: dict, ns: argparse.Namespace) -> tuple[list[_Artifact], _Report]:
     snapshots = _load_run_snapshots(cfg["run"])
-    params = ConservedEnergyParams(n=cfg["n"], m=cfg["m"])
+    params = ConservedEnergyParams(n=cfg["n"])
     times, energies = energy_series(snapshots, params)
     scale = max(abs(float(energies[0])), 1e-300)
     drift = float(np.max(np.abs(energies - energies[0]))) / scale

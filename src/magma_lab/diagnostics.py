@@ -3,12 +3,11 @@
 These evaluate observables on fields and snapshot sequences; they never
 mutate evolution state.  The energy functional
 
-    E[phi] = integral  0.5 |phi^{-m} grad phi|^2 + V(phi),
-    V''(phi) = phi^{-(n+m)},  V(1) = V'(1) = 0,
+    E[phi] = integral  0.5 |grad phi|^2 + V(phi),
+    V''(phi) = phi^{-n},  V(1) = V'(1) = 0,
 
-is an exact invariant of the flow for m = 0 (any dimension); for m > 0 it
-is evaluated as a diagnostic only.  The antiderivative V has a removable
-singularity at n + m = 2, handled by an explicit branch.
+is an exact invariant of the flow in any dimension.  The antiderivative V
+has a removable singularity at n = 2, handled by an explicit branch.
 """
 
 from __future__ import annotations
@@ -35,20 +34,17 @@ __all__ = [
 @dataclass(frozen=True)
 class ConservedEnergyParams:
     n: float
-    m: float = 0.0
 
     def __post_init__(self) -> None:
         if not 2.0 <= self.n <= 3.0:
             raise ValueError("exponent n must lie in [2, 3]")
-        if not 0.0 <= self.m <= 1.0:
-            raise ValueError("gradient weight m must lie in [0, 1]")
 
 
-def _potential(phi: np.ndarray, s: float) -> np.ndarray:
-    """V with V'' = phi^{-s}, V(1) = V'(1) = 0, for s = n + m in [2, 4], s = 2 its limit."""
-    if abs(s - 2.0) <= 1e-9:
+def _potential(phi: np.ndarray, n: float) -> np.ndarray:
+    """V with V'' = phi^{-n}, V(1) = V'(1) = 0, for n in [2, 3], n = 2 its limit."""
+    if abs(n - 2.0) <= 1e-9:
         return (phi - 1.0) - np.log(phi)
-    return (phi ** (2.0 - s) - 1.0 + (s - 2.0) * (phi - 1.0)) / ((s - 1.0) * (s - 2.0))
+    return (phi ** (2.0 - n) - 1.0 + (n - 2.0) * (phi - 1.0)) / ((n - 1.0) * (n - 2.0))
 
 
 def conserved_energy(phi: Field, params: ConservedEnergyParams) -> float:
@@ -58,9 +54,7 @@ def conserved_energy(phi: Field, params: ConservedEnergyParams) -> float:
     grad_sq = np.zeros(phi.grid.shape)
     for axis in range(phi.grid.d):
         grad_sq += spectral_derivative(phi, axis).values ** 2
-    density = 0.5 * vals ** (-2.0 * params.m) * grad_sq + _potential(
-        vals, params.n + params.m
-    )
+    density = 0.5 * grad_sq + _potential(vals, params.n)
     return float(density.sum()) * phi.grid.cell_volume
 
 
@@ -100,6 +94,8 @@ def fit_dispersion(
     that ends in any other verdict than completed_to_t_end raises
     RuntimeError.
     """
+    if not 2.0 <= n_exponent <= 3.0:  # before it sets the period
+        raise ValueError("n_exponent must lie in [2, 3]")
     if len(mode) != grid.d:
         raise ValueError("mode must have one integer per axis")
     if all(m == 0 for m in mode):
@@ -114,16 +110,19 @@ def fit_dispersion(
         raise ValueError(f"periods * steps_per_period must be at most {MAX_STEPS} steps")
 
     k_vec = grid.mode_wavevector(mode)
-    k_sq = sum(kj**2 for kj in k_vec)
-    omega_formula = n_exponent * k_vec[-1] / (1.0 + k_sq)
-    if omega_formula == 0.0:
-        raise ValueError("mode has no component along the driven axis")
-
-    period = 2.0 * np.pi / abs(omega_formula)
-    dt = period / steps_per_period
-    n_steps = int(round(periods * steps_per_period))
+    with np.errstate(over="ignore"):  # |k|^2 or t_end past the float range: refused below
+        k_sq = sum(kj**2 for kj in k_vec)
+        omega_formula = n_exponent * k_vec[-1] / (1.0 + k_sq)
+        if omega_formula == 0.0:
+            raise ValueError("mode has no component along the driven axis")
+        period = 2.0 * np.pi / abs(omega_formula)
+        dt = period / steps_per_period
+        n_steps = int(round(periods * steps_per_period))
+        t_end = n_steps * dt
+    if not t_end <= 1e150:  # np.polyfit below sums the squared times
+        raise ValueError(f"the run would last {t_end:.3g}, past the 1e150 the phase fit allows")
     cfg = EvolveConfig(
-        n_exponent=n_exponent, dt=dt, t_end=n_steps * dt, blowup_threshold=np.inf,
+        n_exponent=n_exponent, dt=dt, t_end=t_end, blowup_threshold=np.inf,
         elliptic_tol=1e-12, snapshot_every=1,
     )
 

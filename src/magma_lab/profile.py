@@ -275,7 +275,6 @@ class StructureReport:
     mu1_min: float
     mu2_min: float
     mu3_min: float
-    intersection_gap: float
 
 
 def _q1(p: ProfileParams) -> float:
@@ -323,11 +322,8 @@ def structure_report(p: ProfileParams) -> StructureReport:
     if not (mu3_min < mu1_min < mu2_min < 0.0):
         raise OrderingViolated(f"expected mu3_min < mu1_min < mu2_min < 0, got "
                                f"{mu3_min}, {mu1_min}, {mu2_min}")
-    return StructureReport(
-        Q_star=qs, Q1=Q1, Q2=Q2, Q3=Q3,
-        mu1_min=mu1_min, mu2_min=mu2_min, mu3_min=mu3_min,
-        intersection_gap=abs(float(mu_curve(1, Q2, p)) - mu2_min),
-    )
+    return StructureReport(Q_star=qs, Q1=Q1, Q2=Q2, Q3=Q3,
+                           mu1_min=mu1_min, mu2_min=mu2_min, mu3_min=mu3_min)
 
 
 # -- shot integration -------------------------------------------------------
@@ -365,9 +361,6 @@ class ShotSamples:
 class DecayFit:
     M: float
     k: float
-    L: float
-    r_window: tuple[float, float]
-    n_samples: int
 
 
 @dataclass(frozen=True)
@@ -946,11 +939,8 @@ def decay_check(sol: ProfileSolution) -> DecayFit | None:
     fit = (delta > 1e-6) & (delta < 1e-2)
     if int(fit.sum()) < 2:
         raise TailTooShort("fit window holds fewer than 2 samples")
-    r_fit, k = sol.samples.r[fit], math.sqrt(L)
-    return DecayFit(
-        M=float(np.exp(np.mean(np.log(delta[fit]) + k * r_fit))), k=k, L=float(L),
-        r_window=(float(r_fit[0]), float(r_fit[-1])), n_samples=int(fit.sum()),
-    )
+    k, r_fit = math.sqrt(L), sol.samples.r[fit]
+    return DecayFit(M=float(np.exp(np.mean(np.log(delta[fit]) + k * r_fit))), k=k)
 
 
 # -- rescaling and embedding ------------------------------------------------
@@ -959,7 +949,6 @@ def decay_check(sol: ProfileSolution) -> DecayFit | None:
 class Rescaling:
     """Scale factors of the symmetry Q -> q0*Q, r -> q0^{n/2} r."""
 
-    q0_bar: float
     c_bar: float
     r_scale: float
     mu_bar: float
@@ -982,7 +971,6 @@ def rescale(sol: ProfileSolution, q0_bar: float) -> RescaledProfile:
         raise ValueError("scale factor must be positive")
     p = sol.params
     scaling = Rescaling(
-        q0_bar=q0_bar,
         c_bar=_c_bar(p, q0_bar),
         r_scale=q0_bar ** (p.n / 2.0),
         mu_bar=q0_bar ** (1.0 - p.n) * _require_mu(p),
@@ -1037,7 +1025,7 @@ def embed_on_torus(
         # no envelope fit: bound the wrapped tail by its value at the
         # end of the samples (the tail decreases toward Q_tau)
         discrepancy = q0 * (float(sol.samples.Q[-1]) - sol.Q_tau)
-    if discrepancy >= 1e-8:
+    if not discrepancy < 1e-8:  # nan too
         raise DomainTooSmall(
             f"tail misses 1 by {discrepancy:.3e} at half-domain distance"
         )
@@ -1168,12 +1156,11 @@ def read_profile_csv(path) -> ProfileSolution:
             raise ValueError(f"sample row {int(np.argmin(rising)) + 2}: r does not increase")
         params = ProfileParams(d=meta["d"], n=meta["n"], c=meta["c"], mu=meta["mu_c"])
         samples = ShotSamples(r=data[:, 0], Q=data[:, 1], Q_r=data[:, 2], Q_rr=data[:, 3])
-        decay = None
-        if math.isfinite(meta["k"]):
-            decay = DecayFit(
-                M=meta["M"], k=meta["k"], L=_decay_rate(params, meta["Q_tau"]),
-                r_window=(float("nan"), float("nan")), n_samples=0,
-            )
+        k, M = meta["k"], meta["M"]
+        if not (math.isnan(k) and math.isnan(M) or 0.0 < k < math.inf and 0.0 < M < math.inf):
+            raise ValueError(f"profile metadata k={k!r}, M={M!r}: both must be nan "
+                             f"(no fit) or positive and finite")
+        decay = None if math.isnan(k) else DecayFit(M=M, k=k)
     except (ValueError, ArithmeticError) as exc:  # UnicodeDecodeError is a ValueError
         raise ValueError(f"{path}: {exc}") from None
     return ProfileSolution(

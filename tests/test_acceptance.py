@@ -225,7 +225,7 @@ def test_criterion_07_conservation():
     rep = result.report
     assert rep.verdict is Verdict.COMPLETED_TO_T_END
 
-    _, energies = energy_series(result.snapshots, ConservedEnergyParams(n=2.0, m=0.0))
+    _, energies = energy_series(result.snapshots, ConservedEnergyParams(n=2.0))
     drift = np.max(np.abs(energies - energies[0])) / abs(energies[0])
     assert drift <= 1e-8
 

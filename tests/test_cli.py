@@ -504,6 +504,23 @@ def test_manifest_writes_a_config_value_that_is_not_finite_as_a_string(tmp_path)
     assert _config_hash(cfg) == hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()
 
 
+def _fuzz_run(argv: list[str]) -> tuple[int, str]:
+    """run_cli(argv) with every warning caught: its exit code and stdout, once
+    the contract of every command line holds (an exit code 0 to 3, at most one
+    line on stderr, no traceback and no warning ahead of the error)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(argv)
+    assert code in (0, 1, 2, 3), (code, err)
+    assert "Traceback" not in err and len(err.splitlines()) <= 1, err
+    assert [str(w.message) for w in caught] == []
+    return code, out
+
+
+def _comma(values) -> str:
+    return ",".join(map(str, values))
+
+
 def _spelled(values):
     """A float from values, spelled as repr, in exponent notation or in %g."""
     return st.tuples(values, st.sampled_from([repr, "{:e}".format, "{:.17E}".format,
@@ -545,14 +562,9 @@ def _shoot_argv(draw):
 def test_shoot_argv_fuzz(argv):
     # any single-shot command line ends in an exit code with at most one line
     # on stderr: no traceback and no warning ahead of the error
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code, out, err = run_cli(argv)
-    assert code in (0, 1, 2, 3), (code, err)
+    code, out = _fuzz_run(argv)
     if code == 0:
         assert "classification" in parsed(out)
-    assert "Traceback" not in err and len(err.splitlines()) <= 1, err
-    assert [str(w.message) for w in caught] == []
 
 
 _SEARCH_RANGES = {  # a search's own options: negative, 0 or tiny tolerances, tiny or huge radii
@@ -583,14 +595,9 @@ def _search_argv(draw):
 def test_shoot_search_argv_fuzz(argv):
     # any search command line ends in an exit code with at most one line on
     # stderr: no traceback and no warning ahead of the error
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code, out, err = run_cli(argv)
-    assert code in (0, 1, 2, 3), (code, err)
+    code, out = _fuzz_run(argv)
     if code == 0:
         assert "mu_c" in parsed(out)
-    assert "Traceback" not in err and len(err.splitlines()) <= 1, err
-    assert [str(w.message) for w in caught] == []
 
 
 def test_missing_snapshot_file_is_io_error(tmp_path):
@@ -721,18 +728,22 @@ _SIDE = st.one_of(st.floats(10.0, 1e3), st.floats(1e-300, 1e-3), st.floats(1e3, 
 
 
 @st.composite
+def _lengths(draw) -> str:
+    """--lengths as a comma list or a lo:hi:count range of moderate, tiny or huge sides."""
+    if draw(st.booleans()):
+        return ",".join(map(repr, draw(st.lists(_SIDE, min_size=1, max_size=3))))
+    return f"{draw(_SIDE)!r}:{draw(_SIDE)!r}:{draw(st.integers(-1, 4))}"
+
+
+@st.composite
 def _embed_argv(draw):
     """embed's --n-points (1 to 3 axes of at most 64 points) and --lengths (left
-    out, a comma list or a lo:hi:count range) with moderate, tiny or huge sides."""
+    out, or drawn by _lengths)."""
     points = draw(st.lists(st.one_of(st.sampled_from([4, 8, 16, 32, 64]), st.integers(-2, 64)),
                            min_size=1, max_size=3))
-    argv = ["--n-points", ",".join(map(str, points))]
-    kind = draw(st.sampled_from(["none", "list", "range"]))
-    if kind == "list":
-        argv += ["--lengths=" + ",".join(map(repr, draw(st.lists(_SIDE, min_size=1, max_size=3))))]
-    elif kind == "range":
-        lo, hi, num = draw(_SIDE), draw(_SIDE), draw(st.integers(-1, 4))
-        argv += [f"--lengths={lo!r}:{hi!r}:{num}"]
+    argv = ["--n-points", _comma(points)]
+    if draw(st.booleans()):
+        argv += ["--lengths=" + draw(_lengths())]
     return argv
 
 
@@ -747,15 +758,146 @@ def test_embed_argv_fuzz(embed_profiles, tmp_path_factory, d, argv):
     # any embed command line ends in an exit code with at most one line on
     # stderr: no traceback and no warning ahead of the error
     out_dir = tmp_path_factory.getbasetemp() / "embed-fuzz"
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code, out, err = run_cli(["embed", "--profile", str(embed_profiles[d]), *argv,
-                                  "-o", str(out_dir)])
-    assert code in (0, 1, 2, 3), (code, err)
+    code, out = _fuzz_run(["embed", "--profile", str(embed_profiles[d]), *argv,
+                           "-o", str(out_dir)])
     if code == 0:
         assert list(parsed(out)) == ["peak", "min", "mass"]
-    assert "Traceback" not in err and len(err.splitlines()) <= 1, err
-    assert [str(w.message) for w in caught] == []
+
+
+_WILD = st.sampled_from(["1e-300", "1e300", "nan", "inf", "-inf", "-0.5", "0", "-0", "x", ""])
+_EXTREME = st.sampled_from(["1", "0.5", "0", "-1", "1e-300", "1e300", "1e308", "nan", "inf"])
+_POINTS = st.lists(st.one_of(st.sampled_from([4, 8, 16]), st.integers(-2, 16)),
+                   min_size=1, max_size=2).map(_comma)
+
+
+@st.composite
+def _init_spec(draw) -> str:
+    """constant: or modes: with extreme values; a mode's k has 1 or 2 components."""
+    if draw(st.booleans()):
+        return "constant:" + draw(_EXTREME)
+    modes = [f"amp={draw(_EXTREME)},k={':'.join(map(str, ks))}"
+             + (f",phase={draw(_EXTREME)}" if draw(st.booleans()) else "")
+             for ks in draw(st.lists(st.lists(st.integers(-3, 3), min_size=1, max_size=2),
+                                     max_size=2))]
+    return ";".join([f"modes:base={draw(_EXTREME)}", *modes])
+
+
+def _argv(draw, words: list[str], flags: dict[str, tuple], required: tuple[str, ...]):
+    """words, then each flag of flags (flag -> (valid values, wild values)) as
+    '--flag value' or '--flag=value'.  None, one or two flags, drawn first,
+    take a wild value; each other flag takes a valid one, and one not in
+    required may be left out."""
+    n_wild, argv = draw(st.integers(0, min(2, len(flags)))), list(words)
+    wild = draw(st.sets(st.sampled_from(sorted(flags)), min_size=n_wild, max_size=n_wild))
+    for flag, (valid, wilder) in flags.items():
+        if flag not in wild and flag not in required and draw(st.booleans()):
+            continue
+        value = draw(wilder if flag in wild else valid)
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    return argv
+
+
+@st.composite
+def _evolve_argv(draw) -> list[str]:
+    """evolve on 1 or 2 axes of at most 16 points, for at most 20 steps when dt
+    and t_end are valid; a wild dt or t_end (tiny, huge, nan, inf or negative)
+    either refuses the run or leaves it one step."""
+    axes, t_end = draw(st.integers(1, 2)), draw(st.floats(1e-3, 1.0))
+    dt = t_end / draw(st.integers(1, 20))
+    points = st.lists(st.sampled_from([4, 8, 16]), min_size=axes, max_size=axes).map(_comma)
+    k1, k2 = ":".join(["1"] * axes), ":".join(["-2"] * axes)
+    return _argv(draw, ["evolve"], {
+        "--n-points": (points, _POINTS),
+        "--lengths": (_spelled(st.floats(1.0, 100.0)), _lengths()),
+        "--n": (_spelled(st.floats(2.0, 3.0)), _ANY_NUMBER),
+        "--dt": (st.just(repr(dt)), _WILD),
+        "--t-end": (st.just(repr(t_end)), _WILD),
+        "--init": (st.sampled_from(["constant:1", f"modes:base=1;amp=0.2,k={k1}",
+                                    f"modes:base=1.5;amp=0.3,k={k2}"]), _init_spec()),
+        "--threshold": (_spelled(st.floats(1.0, 1e6)), _WILD),
+        "--s-monitor": (_spelled(st.floats(0.0, 8.0)), st.one_of(_WILD, st.just("1e3"))),
+        "--elliptic-tol": (st.sampled_from(["1e-10", "1e-6", "1e-13"]),
+                           st.one_of(_WILD, st.sampled_from(["1e-16", "0.5", "1e3"]))),
+        "--snapshot-every": (st.integers(0, 25).map(str), st.sampled_from(["-1", "x", "1.5"])),
+    }, required=("--n-points", "--n", "--dt", "--t-end"))
+
+
+@settings(max_examples=40)
+@given(_evolve_argv())
+def test_evolve_argv_fuzz(tmp_path_factory, argv):
+    # any evolve command line ends in an exit code with at most one line on
+    # stderr: no traceback and no warning ahead of the error
+    code, out = _fuzz_run(argv + ["-o", str(tmp_path_factory.getbasetemp() / "evolve-fuzz")])
+    if code == 0:
+        assert "verdict" in parsed(out)
+
+
+@st.composite
+def _dispersion_argv(draw) -> list[str]:
+    """diagnose dispersion on 1 or 2 axes of at most 16 points, for at most 64
+    steps when periods and steps per period are valid; the mode has a component
+    along the last axis."""
+    axes = draw(st.integers(1, 2))
+    points = st.lists(st.sampled_from([4, 8, 16]), min_size=axes, max_size=axes).map(_comma)
+    mode = st.tuples(st.lists(st.integers(-2, 2), min_size=axes - 1, max_size=axes - 1),
+                     st.sampled_from([-2, -1, 1, 2])).map(lambda m: _comma([*m[0], m[1]]))
+    return _argv(draw, ["diagnose", "dispersion"], {
+        "--n-points": (points, _POINTS),
+        "--lengths": (_spelled(st.floats(1.0, 100.0)), _lengths()),
+        "--n": (_spelled(st.floats(2.0, 3.0)), _ANY_NUMBER),
+        "--mode": (mode, st.one_of(st.lists(st.integers(-3, 3), max_size=3).map(_comma),
+                                   st.sampled_from(["9" * 30, "x"]))),
+        "--epsilon": (_spelled(st.floats(1e-5, 0.1)),
+                      st.one_of(_WILD, st.sampled_from(["0.99", "1"]))),
+        "--periods": (_spelled(st.floats(0.1, 4.0)), _WILD),
+        "--steps-per-period": (st.integers(1, 16).map(str),
+                               st.sampled_from(["0", "-1", "x", "1.5", "9" * 30])),
+    }, required=("--n-points", "--n", "--mode", "--steps-per-period"))
+
+
+@settings(max_examples=40)
+@given(_dispersion_argv())
+@example(["diagnose", "dispersion", "--n-points", "4,4", "--lengths", "10.0:10.0:1", "--n",
+          "1e-307", "--mode", "0,-2", "--epsilon", "0.0625", "--steps-per-period", "1"])
+@example(["diagnose", "dispersion", "--n-points", "4,4", "--lengths", "10.0,1.43e154",
+          "--n", "2.0", "--mode", "0,-2", "--epsilon", "0.0625", "--steps-per-period", "1"])
+def test_dispersion_argv_fuzz(tmp_path_factory, argv):
+    # any dispersion command line ends in an exit code with at most one line
+    # on stderr: no traceback and no warning ahead of the error.  An n far
+    # below [2, 3] made a period whose t_end overflowed, with a RuntimeWarning;
+    # a period near 1e154 overflowed the phase fit, with two warnings
+    code, out = _fuzz_run(argv + ["-o", str(tmp_path_factory.getbasetemp() / "disp-fuzz")])
+    if code == 0:
+        assert "omega_measured" in parsed(out)
+
+
+@pytest.fixture(scope="module")
+def fuzz_runs(tmp_path_factory) -> list[str]:
+    """A 20-step evolve run directory, a missing path, a file and an empty directory."""
+    root = tmp_path_factory.mktemp("fuzz-runs")
+    code, _, _ = run_cli(["evolve", "--n-points", "16", "--n", "2.5", "--dt", "0.05",
+                          "--t-end", "1", "--init", "modes:base=1;amp=0.2,k=1",
+                          "--snapshot-every", "2", "-o", str(root / "run")])
+    assert code == 0
+    (root / "file").write_text("not a run\n")
+    (root / "empty").mkdir()
+    return [str(root / name) for name in ("run", "absent", "file", "empty")]
+
+
+@pytest.mark.parametrize("command, key", [("track", "speed"), ("energy", "max_relative_drift")])
+@settings(max_examples=40)
+@given(data=st.data())
+def test_track_and_energy_argv_fuzz(fuzz_runs, tmp_path_factory, command, key, data):
+    # any track or energy command line ends in an exit code with at most one
+    # line on stderr: no traceback and no warning ahead of the error
+    run = data.draw(st.sampled_from(fuzz_runs))
+    argv = ["diagnose", command, "--run", run]
+    if command == "energy":
+        argv = _argv(data.draw, argv, {"--n": (_spelled(st.floats(2.0, 3.0)), _ANY_NUMBER)},
+                     required=())
+    code, out = _fuzz_run(argv + ["-o", str(tmp_path_factory.getbasetemp() / f"{command}-fuzz")])
+    if code == 0:
+        assert run == fuzz_runs[0] and key in parsed(out)
 
 
 def test_embed_domain_too_small(critical_run, tmp_path):
@@ -807,6 +949,18 @@ def test_diagnose_energy(evolve_run, tmp_path):
     assert float(info["max_relative_drift"]) < 1e-5
     lines = (out_dir / "energy.csv").read_text().splitlines()
     assert len(lines) == 1 + 11
+
+
+def test_energy_takes_no_gradient_weight(evolve_run, tmp_path):
+    # the energy has no weight m: --m and a config key m are refused
+    cfg = tmp_path / "energy.cfg"
+    cfg.write_text("m = 0\n")
+    energy = ["diagnose", "energy", "--run", str(evolve_run), "--n", "2"]
+    for argv in (energy + ["--m", "0"], energy + ["--config", str(cfg)]):
+        code, out, err = run_cli(argv)
+        assert (code, out, len(err.splitlines())) == (1, "", 1), err
+    code, out, _ = run_cli(["diagnose", "energy", "--help"])
+    assert code == 0 and "--n V" in out and "--m" not in out
 
 
 @pytest.mark.parametrize("text", ["{not json", '{"t": true}', "\udcff",
@@ -948,14 +1102,20 @@ _ROWS = "r,Q,Q_r,Q_rr\n0.0,1.0,0.0,-0.05\n1.0,0.98,-0.04,-0.03\n"
         ("profile", _META + "\nr,Q,Q_r,Q_rr\n0.0,1.0,0.0\n"),
         ("profile", _META + "\nr,Q,Q_r,Q_rr\n"),
         ("profile", _META.replace("Q_tau=0.7", "Q_tau=0.0") + "\n" + _ROWS),
-        ("profile", _META.replace("Q_tau=0.7", "Q_tau=1e-300").replace("k=nan", "k=1")
-         + "\n" + _ROWS),
+        ("profile", _META.replace("Q_tau=0.7", "Q_tau=1e-300")
+         .replace("k=nan, M=nan", "k=1.0, M=1.0") + "\n" + _ROWS),
+        ("profile", _META.replace("Q_tau=0.7", "Q_tau=1e-300") + "\n" + _ROWS),
+        ("profile", _META.replace("Q_tau=0.7", "Q_tau=1e300") + "\n" + _ROWS),
+        # an M that is nan or negative skipped the domain check, and embedded
+        ("profile", _META.replace("k=nan", "k=1.0") + "\n" + _ROWS),
+        ("profile", _META.replace("k=nan, M=nan", "k=1.0, M=-1.0") + "\n" + _ROWS),
         ("sidecar", '{"step": 0}\n'),
         ("sidecar", '{"t": null}\n'),
         ("sidecar", '{"t": NaN}\n'),
         ("sidecar", "[0.0]\n"),
     ],
     ids=["meta-only", "no-k", "no-c", "short-row", "no-rows", "zero-Q_tau", "tiny-Q_tau",
+         "tiny-Q_tau-no-fit", "huge-Q_tau", "nan-M", "negative-M",
          "no-t", "null-t", "nan-t", "list"],
 )
 def test_malformed_archive_is_exit_code_not_traceback(tmp_path, kind, text):
@@ -972,7 +1132,7 @@ def test_malformed_archive_is_exit_code_not_traceback(tmp_path, kind, text):
     for argv in argvs:
         code, _, err = run_cli(argv)
         assert code in (1, 3)
-        assert "Traceback" not in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
 
 
 def test_undecodable_input_names_the_file(tmp_path):

@@ -440,5 +440,5 @@ def test_conservation_run_completes_for_failing_seeds(seed):
     rep = result.report
     assert rep.verdict is Verdict.COMPLETED_TO_T_END
     assert np.max(np.abs(rep.mass - rep.mass[0])) <= 1e-10
-    _, energies = energy_series(result.snapshots, ConservedEnergyParams(n=2.0, m=0.0))
+    _, energies = energy_series(result.snapshots, ConservedEnergyParams(n=2.0))
     assert np.max(np.abs(energies - energies[0])) / abs(energies[0]) <= 1e-8

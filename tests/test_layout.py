@@ -5,6 +5,7 @@ command line."""
 from __future__ import annotations
 
 import ast
+import dataclasses
 import re
 import subprocess
 import sys
@@ -45,6 +46,46 @@ def test_public_api_is_pinned():
         obj = getattr(magma_lab, name)
         assert obj.__module__.startswith("magma_lab."), name
         assert getattr(sys.modules[obj.__module__], name) is obj, name
+
+
+PUBLIC_RECORDS = {
+    # grid
+    "TorusGrid": ("n_points", "lengths"),
+    "Field": ("grid", "values"),
+    "FieldStats": ("min", "max", "inv_sup"),
+    # elliptic
+    "EllipticProblem": ("a", "g", "tol", "max_iter"),
+    "CGInfo": ("iterations", "residual"),
+    # evolution
+    "EvolveConfig": ("n_exponent", "dt", "t_end", "s_monitor", "blowup_threshold",
+                     "elliptic_tol", "snapshot_every"),
+    "BlowupReport": ("verdict", "t_event", "final_monitor", "times", "monitor", "mass",
+                     "min_phi", "cg_iterations"),
+    "EvolveResult": ("snapshots", "report"),
+    # profile
+    "ProfileParams": ("d", "n", "c", "mu"),
+    "StructureReport": ("Q_star", "Q1", "Q2", "Q3", "mu1_min", "mu2_min", "mu3_min"),
+    "ShotOutcome": ("classification", "r_star", "tau", "subcase", "Q_tau"),
+    "ShotSamples": ("r", "Q", "Q_r", "Q_rr"),
+    "ProfileSolution": ("params", "samples", "Q_tau", "decay"),
+    "DecayFit": ("M", "k"),
+    "Rescaling": ("c_bar", "r_scale", "mu_bar"),
+    "RescaledProfile": ("scaling", "r", "Q"),
+    # diagnostics
+    "ConservedEnergyParams": ("n",),
+    "DispersionFit": ("mode", "k", "omega_formula", "omega_measured", "epsilon",
+                      "relative_error"),
+    "PeakTrack": ("times", "positions", "speed"),
+}
+
+
+def test_public_record_fields_are_pinned():
+    # a field that restates another, or an input, is a second copy of it; the
+    # public records hold these fields, in this order, and no others
+    records = {name: tuple(f.name for f in dataclasses.fields(obj))
+               for name in magma_lab.__all__
+               if dataclasses.is_dataclass(obj := getattr(magma_lab, name))}
+    assert records == PUBLIC_RECORDS
 
 
 def test_private_names_cross_modules_only_where_pinned():
