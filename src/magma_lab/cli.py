@@ -104,7 +104,7 @@ SHOOT_OPTS: dict[str, _Opt] = {
     "c": _Opt(float, required=True, help="wave speed in [1.55, n)"),
     "mu": _Opt(float, help="fire one shot at this curvature instead of searching"),
     "bisect_tol": _Opt(float, 1e-12, help="bracket width for the critical curvature"),
-    "r_max": _Opt(float, 200.0, help="integration radius for classification"),
+    "r_max": _Opt(float, 200.0, help="first radius of a shot, widened up to 32x when unsettled"),
 }
 
 EVOLVE_OPTS: dict[str, _Opt] = {
@@ -125,7 +125,7 @@ SWEEP_OPTS: dict[str, _Opt] = {
     "n": _Opt(_c_floats, required=True, help="exponents, e.g. 2,2.5,3"),
     "c": _Opt(_c_floats, required=True, help="wave speeds, e.g. 1.55:1.7:5"),
     "bisect_tol": _Opt(float, 1e-8, help="bracket width per grid point"),
-    "r_max": _Opt(float, 200.0, help="integration radius for classification"),
+    "r_max": _Opt(float, 200.0, help="first radius of a shot, widened up to 32x when unsettled"),
 }
 
 EMBED_OPTS: dict[str, _Opt] = {
@@ -330,7 +330,7 @@ def _embed_profile(path: str, grid: TorusGrid) -> Field:
     sol = read_profile_csv(os.path.join(path, "profile.csv") if os.path.isdir(path) else path)
     try:
         return embed_on_torus(sol, grid)
-    except (ValueError, ArithmeticError) as exc:  # a Q_tau whose rescaling overflows
+    except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 

@@ -11,7 +11,8 @@ shots fall into exactly one of three classes: the solution crosses the
 floor Q_* while strictly decreasing, hits a finite turning point, or
 decays monotonically to a positive limit Q_tau.  The critical curvature
 mu_c sits on the boundary between the first class and the rest and is
-located by a bisection that probes where crossing radii predict it.
+located by a bisection that probes where crossing radii predict it.  Every
+shot, single or searching, widens its radius through integrate_shot alone.
 
 The analysis rests on three structure functions F_i(Q, mu), each affine
 in mu as g_i(Q) + h_i(Q) mu:
@@ -106,15 +107,7 @@ class ProfileError(RuntimeError):
 
 
 class Indeterminate(ProfileError):
-    """A shot satisfied no classification tolerance; enlarge r_max.
-
-    ``shot`` is the shot when it reached r_max unsettled and can be
-    continued (find_mu_c does so), else None.
-    """
-
-    def __init__(self, message: str, shot: _Shot | None = None):
-        super().__init__(message)
-        self.shot = shot
+    """A shot was unsettled at WIDEN * r_max, or its integrator failed; enlarge r_max."""
 
 
 class BracketInvalid(ProfileError):
@@ -287,7 +280,8 @@ def _falling_root(f, lo: float, hi: float, name: str) -> float:
     from scipy.optimize import brentq
 
     xs = np.linspace(lo, hi, 60)
-    ys = f(xs)
+    with np.errstate(all="ignore"):  # a condition past the float range has no root here
+        ys = f(xs)
     pos = ys > 0.0
     flips = np.flatnonzero(pos[:-1] != pos[1:])
     if np.all(np.isfinite(ys)) and pos[0] and len(flips) == 1:
@@ -375,7 +369,7 @@ SUBCASE_TOL = 1e-9
 FLAT_TOL = 1e-9  # |Q_r| and |Q_rr| bound of a flat endpoint
 RTOL, ATOL = 1e-10, 1e-12  # DOP853 tolerances of every shot
 DR_SAMPLE = 0.01  # radial spacing of stored samples
-WIDEN = 32.0  # find_mu_c doubles an indeterminate shot's radius up to WIDEN * r_max
+WIDEN = 32.0  # integrate_shot doubles an unsettled shot's radius up to WIDEN * r_max
 N_TERMS = 16  # even Taylor coefficients of the series start, up to r^(2 N_TERMS - 2)
 MAX_NFEV = 200_000  # a shot past this many RHS calls is indeterminate; d = 50 needs 3,000
 TAIL_ITERS = 32  # _tail_limit's cap on fixed-point iterations; the grid's cells take 3-10
@@ -468,19 +462,27 @@ def integrate_shot(
     Q at r = 0 (_Shot._start: at most r_max/20, with Q > Q_star and Q_r < 0
     on (0, r0], so no event lies there) and is integrated by DOP853 at
     RTOL, ATOL.  Terminal events: Q falling to Q_star, and Q_r rising to
-    zero.  A shot that reaches r_max is classified from its end state
-    alone (_Shot._flat); one that is not flat there, or a shot past
-    MAX_NFEV RHS calls, raises Indeterminate.  A mu or d that takes the
-    series out of the float range, or an r_max so small that Q_rrr at r0
-    leaves it, raises ProfileError.
+    zero.  A shot that reaches its radius is classified from its end state
+    alone (_Shot._flat).  One still unsettled there continues from its last
+    state and step at twice the radius, then four times, up to WIDEN *
+    r_max; this is sound, since the events are terminal, so a class reached
+    at one radius is reached identically at any larger one.  A shot
+    unsettled at WIDEN * r_max, or past MAX_NFEV RHS calls, raises
+    Indeterminate.  A mu or d that takes the series out of the float range,
+    or an r_max so small that Q_rrr at r0 leaves it, raises ProfileError.
 
     The shot runs _Shot (module docstring); one that keeps samples reads
-    them every DR_SAMPLE, ending at the event or at r_max.
+    them every DR_SAMPLE, ending at the event or at its last radius.
     """
-    if not 0.0 < r_max < math.inf:
-        raise ValueError(f"r_max must be positive and finite, got {r_max}")
-    shot = _Shot(p, r_max, keep_samples)
-    outcome = shot.classify(r_max)
+    cap = WIDEN * r_max
+    if not (0.0 < r_max and cap < math.inf):
+        raise ValueError(f"r_max must be positive with {WIDEN:g} * r_max finite, got {r_max}")
+    shot, r = _Shot(p, r_max, keep_samples), r_max
+    while (outcome := shot.classify(r)) is None:
+        if r >= cap:
+            raise Indeterminate(f"no event fired by r_max={r} and the endpoint is not flat "
+                                f"(Q_r={shot.y[1]:.3e}); enlarge r_max")
+        r = min(2.0 * r, cap)
     return outcome, shot.samples()
 
 
@@ -488,19 +490,18 @@ def integrate_shot(
 # tableau, read by the first _Shot into (j, a_j) pairs with the zero entries
 # skipped.  Stage _END (weights b_j) is the step's end, stages _END+1.. feed
 # the interpolant, and _E pairs the weights (e5_j, e3_j) of the two error
-# estimates.  _load_dop853 binds these names, _C, _D (the interpolant's
-# weights) and brentq once per process, and generates _make_stepper: the
-# (j, a_j) loops' operations, in order, unrolled.
+# estimates.  _load_dop853 binds these names and _C, _D (the interpolant's
+# weights) once per process, and generates _make_stepper: the (j, a_j)
+# loops' operations, in order, unrolled.
 def _nonzero(*rows) -> tuple:
     return tuple((j, *map(float, a)) for j, a in enumerate(zip(*rows)) if any(a))
 
 
 @cache
 def _load_dop853() -> None:
-    """Bind the tableau and brentq, and generate _make_stepper."""
-    global _END, _A, _C, _E, _D, brentq
+    """Bind the tableau and generate _make_stepper."""
+    global _END, _A, _C, _E, _D
     from scipy.integrate._ivp import dop853_coefficients as t
-    from scipy.optimize import brentq
 
     _END, _C, _D = t.N_STAGES, t.C.tolist(), t.D
     _A = [_nonzero(row[:s]) for s, row in enumerate(t.A)]
@@ -560,11 +561,12 @@ class _Shot:
     0.9 (h/h_old)(err_old/err^2)^(1/8)), Gustafsson's predictive controller as in RADAU5
     (Hairer & Wanner, Solving ODEs II, IV.8), where h_old is the last accepted step as taken,
     clipped at r_bound or not, and err_old its err, at least 1e-2.  The first step has no
-    h_old, err = 0 gives 10 h, a step after a rejection does not grow, and widen keeps h_old
-    and err_old.  Stage s of the last attempt is kept as (U[s], V[s], W[s]) = (Q_r, Q_rr,
-    Q_rrr); a sampling shot keeps every step's (r_old, r, y_old, F) in ``steps`` (None
-    otherwise).  A shot stops at its first event, with r and y the event's, or can be continued
-    past its radius; ``nfev`` counts RHS calls and ``rejected`` rejected attempts.
+    h_old, err = 0 gives 10 h, a step after a rejection does not grow, and a shot classified
+    again on a larger radius keeps h_old and err_old.  Stage s of the last attempt is kept as
+    (U[s], V[s], W[s]) = (Q_r, Q_rr, Q_rrr); a sampling shot keeps every step's (r_old, r,
+    y_old, F) in ``steps`` (None otherwise).  A shot stops at its first event, with r and y the
+    event's, or can be continued past its radius; ``nfev`` counts RHS calls and ``rejected``
+    rejected attempts.  integrate_shot alone makes one.
     """
 
     def __init__(self, p: ProfileParams, r_max: float, keep_samples: bool = False):
@@ -649,8 +651,8 @@ class _Shot:
         return lambda t, c=None: (tuple(_dense(t, *r) for r in reads) if c is None
                                   else _dense(t, *reads[c]))
 
-    def classify(self, r_end: float) -> ShotOutcome:
-        """Integrate on to r_end and classify the shot there."""
+    def classify(self, r_end: float) -> ShotOutcome | None:
+        """Integrate on to r_end and classify the shot there; None if it is unsettled."""
         qs = self.qs
         while self.r < r_end:
             q_old, qr_old, _ = self.y
@@ -659,6 +661,8 @@ class _Shot:
             floor = q_old >= qs >= Q  # the events as solve_ivp detects them
             turn = qr_old <= 0.0 <= Qr
             if floor or turn:
+                from scipy.optimize import brentq
+
                 at = self.dense()
 
                 def root(g):
@@ -673,7 +677,7 @@ class _Shot:
                 self.dense()
         return self._flat()
 
-    def _flat(self) -> ShotOutcome:
+    def _flat(self) -> ShotOutcome | None:
         """Classify a shot that reached its radius r with no event, from its end state alone.
 
         Flat: |Q_r| and |Q_rr| at most FLAT_TOL, Q > Q_star, and the growing
@@ -681,7 +685,7 @@ class _Shot:
         order in 1/(k r), k = sqrt(L(Q_tau)) and s = (d-1)/(2r), the modes have
         q'/q = -k - s and k - s, so the growing part is (Q_r + (k + s) q)/(2k).
         Q_tau is _tail_limit's, or Q where that gives none (L(Q) <= 0: an
-        algebraic tail, with no growing mode).
+        algebraic tail, with no growing mode).  None where the shot is not flat.
         """
         r, (Q, Qr, Qrr) = self.r, self.y
         if abs(Qr) <= FLAT_TOL and abs(Qrr) <= FLAT_TOL and Q > self.qs:
@@ -692,19 +696,7 @@ class _Shot:
             grow = (Qr + (k + 0.5 * (self.p.d - 1.0) / r) * q) / (2.0 * k)
             if abs(grow) <= abs(q - grow):
                 return ShotOutcome(ShotClass.FLAT, Q_tau=q_tau)
-        raise Indeterminate(f"no event fired by r_max={r} and the endpoint is not flat "
-                            f"(Q_r={Qr:.3e}); enlarge r_max", self)
-
-    def widen(self, r_cap: float) -> ShotOutcome:
-        """Continue an unsettled shot, doubling its radius up to r_cap."""
-        r = self.r
-        while True:
-            r = min(2.0 * r, r_cap)
-            try:
-                return self.classify(r)
-            except Indeterminate as exc:
-                if exc.shot is None or r >= r_cap:
-                    raise
+        return None
 
     def samples(self) -> ShotSamples | None:
         """Samples at 0, every DR_SAMPLE and r: those up to r0 read off the series in one
@@ -756,6 +748,8 @@ FIT_FAILS = 2  # predicted probes in a row that fail to halve the bracket force 
 def _fit(shots, x, hi: float) -> tuple[float, float] | None:
     """Fit ln(mu_c - mu) = a + b x(r), mu_c in (newest mu, hi), to three crossing
     shots (mu, r) in rising mu; returns mu_c minus the newest mu, and b."""
+    from scipy.optimize import brentq
+
     (m1, r1), (m2, r2), (m3, r3) = shots
     x1, x2, x3 = x(r1), x(r2), x(r3)
     if not (m1 < m2 < m3 < hi and x1 < x2 < x3):
@@ -795,7 +789,6 @@ def _search(classify, lo: float, hi: float, tol: float) -> tuple[float, float]:
 
     A probe sits FIT_BACKOFF of _predict's distance below its mu_c and at least tol above lo,
     or bisects without a prediction and after FIT_FAILS probes in a row failed to halve."""
-    _load_dop853()
     crossed, r = classify(lo)
     if not crossed:
         raise BracketInvalid(f"shot at lo={lo} did not cross the floor")
@@ -834,13 +827,11 @@ def find_mu_c(
 
     Every search shot is a classification shot (integrate_shot with
     keep_samples=False) on r_max; the final shot at mu_c runs on 2*r_max
-    and keeps its samples.  A shot that is still descending at its radius
-    continues from its last state and step, doubling its radius up to
-    WIDEN * r_max before giving up.  This is sound: the classifying events
-    are terminal, so a decision reached at one radius is reached
-    identically at any larger radius.  The final shot must again not cross
-    the floor: a flat endpoint at r_max is no proof that the shot stays
-    above it further out.
+    and keeps its samples.  integrate_shot widens each one that is still
+    unsettled at its radius, up to WIDEN times that radius, so an r_max
+    for which WIDEN * 2 * r_max overflows is refused before any shot.  The
+    final shot must again not cross the floor: a flat endpoint at r_max is
+    no proof that the shot stays above it further out.
 
     Q_tau is read off the final shot's end state by _tail_limit, or where
     that gives none (L(Q) <= 0: an algebraic tail) taken as the Aitken limit
@@ -848,25 +839,17 @@ def find_mu_c(
     """
     if not 0.0 <= bisect_tol < math.inf:
         raise ValueError("bisect_tol must be nonnegative and finite")
-    cap = WIDEN * r_max
-    if not (0.0 < r_max and cap < math.inf):
-        raise ValueError(f"r_max must be positive with {WIDEN:g} * r_max finite, got {r_max}")
+    if not (0.0 < r_max and WIDEN * 2.0 * r_max < math.inf):
+        raise ValueError(f"r_max must be positive with {WIDEN:g} * r_max finite for r_max and "
+                         f"the final shot's 2 * r_max, got {r_max}")
     report = structure_report(p)
 
-    def shoot(mu: float, r: float, keep_samples: bool):
-        try:
-            return integrate_shot(replace(p, mu=mu), r_max=r, keep_samples=keep_samples)
-        except Indeterminate as exc:
-            if exc.shot is None:
-                raise
-            return exc.shot.widen(cap), exc.shot.samples()
-
     def classify(mu: float) -> tuple[bool, float | None]:
-        out = shoot(mu, r_max, False)[0]
+        out = integrate_shot(replace(p, mu=mu), r_max=r_max, keep_samples=False)[0]
         return out.classification is ShotClass.CROSSED, out.r_star
 
     _, mu_c = _search(classify, report.mu3_min * (1.0 + 1e-3), report.mu2_min, bisect_tol)
-    outcome, samples = shoot(mu_c, 2.0 * r_max, True)
+    outcome, samples = integrate_shot(replace(p, mu=mu_c), r_max=2.0 * r_max, keep_samples=True)
     if outcome.classification is ShotClass.CROSSED:
         raise Indeterminate(
             f"critical shot crossed the floor at r={outcome.r_star}; increase r_max"
@@ -1134,8 +1117,6 @@ def read_profile_csv(path) -> ProfileSolution:
         missing = [k for k in ("d", "n", "c", "mu_c", "Q_tau", "k", "M") if k not in meta]
         if missing:
             raise ValueError(f"profile metadata lacks {', '.join(missing)}")
-        if meta["Q_tau"] <= 0.0:  # nan is allowed: a single shot has no limit
-            raise ValueError("profile metadata Q_tau must be positive")
         if len(lines) < 2 or lines[1] != "r,Q,Q_r,Q_rr":
             raise ValueError("profile archive lacks the column header")
         rows = [line.split(",") for line in lines[2:] if line]
@@ -1155,6 +1136,10 @@ def read_profile_csv(path) -> ProfileSolution:
         if not rising.all():
             raise ValueError(f"sample row {int(np.argmin(rising)) + 2}: r does not increase")
         params = ProfileParams(d=meta["d"], n=meta["n"], c=meta["c"], mu=meta["mu_c"])
+        q_tau = meta["Q_tau"]  # nan is allowed: a single shot has no limit
+        # h3 rises through 0 only at Q_star on (0, 1); a tiny Q_tau overflows it
+        if not (math.isnan(q_tau) or 0.0 < q_tau < 1.0 and _h3(q_tau, params.n, 1.0) > 0.0):
+            raise ValueError(f"profile metadata Q_tau={q_tau!r} must lie in (Q_star, 1)")
         samples = ShotSamples(r=data[:, 0], Q=data[:, 1], Q_r=data[:, 2], Q_rr=data[:, 3])
         k, M = meta["k"], meta["M"]
         if not (math.isnan(k) and math.isnan(M) or 0.0 < k < math.inf and 0.0 < M < math.inf):
@@ -1163,6 +1148,4 @@ def read_profile_csv(path) -> ProfileSolution:
         decay = None if math.isnan(k) else DecayFit(M=M, k=k)
     except (ValueError, ArithmeticError) as exc:  # UnicodeDecodeError is a ValueError
         raise ValueError(f"{path}: {exc}") from None
-    return ProfileSolution(
-        params=params, samples=samples, Q_tau=meta["Q_tau"], decay=decay,
-    )
+    return ProfileSolution(params=params, samples=samples, Q_tau=q_tau, decay=decay)

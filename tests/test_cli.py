@@ -21,10 +21,12 @@ from hypothesis import strategies as st
 import magma_lab.cli
 from magma_lab import (
     Field,
+    ProfileParams,
     SnapshotFormatError,
     TorusGrid,
     field_stats,
     hs_norm,
+    integrate_shot,
     measure_mass,
     monitor_index,
     read_profile_csv,
@@ -348,6 +350,7 @@ _SHOOT = ["shoot", "--d", "3", "--n", "2.5", "--c", "1.7"]
         _SHOOT + ["--mu", "-inf"],
         _SHOOT + ["--mu", "-1e30"],
         ["shoot", "--d", "1e-300", "--n", "2.5", "--c", "1.7"],
+        _SHOOT + ["--r-max", "2e306"],
         _SHOOT + ["--r-max", "3e306"],
         _SHOOT + ["--r-max", "1e307"],
         _SHOOT + ["--bisect-tol", "nan"],
@@ -367,7 +370,8 @@ _SHOOT = ["shoot", "--d", "3", "--n", "2.5", "--c", "1.7"]
     ids=["cg-breakdown", "dt-inf", "t-end-inf", "steps-overflow", "s-monitor-nan",
          "r-max-nan", "r-max-inf", "r-max-0", "r-max-neg", "r-max-huge", "mu-neg-inf",
          "mu-huge", "d-tiny",
-         "r-max-huge-search", "r-max-cap-overflow", "bisect-tol-nan", "bisect-tol-inf",
+         "r-max-huge-search", "r-max-final-cap-overflow", "r-max-cap-overflow",
+         "bisect-tol-nan", "bisect-tol-inf",
          "dispersion-positivity",
          "d-huge", "d-huge-search", "d-huge-1e300", "d-1e15", "d-1e15-search",
          "volume-huge", "volume-tiny"],
@@ -389,10 +393,13 @@ def test_degenerate_values_end_in_exit_code(request, tmp_path, argv):
         assert proc.returncode == 2
         assert proc.stderr.startswith("numerical failure: ProfileError: the series at r = 0 "
                                       "leaves the float range at d=1e+30")
-    if request.node.callspec.id.startswith("r-max-huge"):  # finite radii, and a finite cap
+    if request.node.callspec.id == "r-max-huge-search":  # the largest caps that stay finite
         assert proc.returncode == 0
-    if request.node.callspec.id == "r-max-cap-overflow":
+    if request.node.callspec.id in ("r-max-huge", "r-max-final-cap-overflow", "r-max-cap-overflow"):
+        assert proc.returncode == 1
         assert proc.stderr.startswith("config error: r_max must be positive with 32 * r_max finite")
+    if request.node.callspec.id == "r-max-final-cap-overflow":  # 32 * 2 * 3e306 overflows
+        assert "the final shot's 2 * r_max, got 3e+306" in proc.stderr
     if request.node.callspec.id.startswith("d-1e15"):  # a stiff shot used to run for minutes
         assert proc.returncode == 2
         assert proc.stderr.startswith("numerical failure: Indeterminate: integrator failed: over ")
@@ -600,6 +607,62 @@ def test_shoot_search_argv_fuzz(argv):
         assert "mu_c" in parsed(out)
 
 
+def _cells(values):
+    """A sweep axis of at most 2 cells: a comma list, or a lo:hi:count range."""
+    return st.one_of(
+        st.lists(_spelled(values), min_size=1, max_size=2).map(_comma),
+        st.tuples(_spelled(values), _spelled(values), st.integers(0, 2)).map(
+            lambda r: ":".join(map(str, r))))
+
+
+_SWEEP_FLAGS = {  # flag -> valid values; the wild ones below, and a wild axis also holds <= 2 cells
+    "--d": _cells(_SHOOT_RANGES["--d"]),
+    "--n": _cells(_SHOOT_RANGES["--n"]),
+    "--c": _cells(st.floats(1.55, 1.95)),  # below every n
+    "--bisect-tol": _spelled(st.floats(1e-6, 1e-2)),
+    "--r-max": _spelled(_SHOOT_RANGES["--r-max"]),
+    "--jobs": st.just("1"),
+}
+_SWEEP_WILD = {
+    "--bisect-tol": st.one_of(_ANY_NUMBER, _spelled(_SEARCH_RANGES["--bisect-tol"])),
+    "--r-max": st.one_of(_ANY_NUMBER, _spelled(_SEARCH_RANGES["--r-max"])),
+    "--jobs": st.sampled_from(["-1", "0", "1.5", "x", "", "nan", "1e0", "-0"]),
+}
+_AXIS_WILD = st.one_of(_ANY_NUMBER, st.tuples(
+    _ANY_NUMBER, _ANY_NUMBER, st.sampled_from(["-1", "0", "2", "1.5", "x", "10001"])).map(
+        lambda r: ":".join(r)))
+
+
+@st.composite
+def _sweep_argv(draw):
+    """sweep --d --n --c [--bisect-tol] [--r-max] [--jobs], as '--flag value', '--flag=value'
+    or '-j value', each value valid for its flag but for at most one flag, whose value may be
+    anything; never more than one worker."""
+    wild, argv = draw(st.sampled_from([None, *_SWEEP_FLAGS])), ["sweep"]
+    for flag, values in _SWEEP_FLAGS.items():
+        if flag not in ("--d", "--n", "--c", wild) and draw(st.booleans()):
+            continue
+        value = draw(_SWEEP_WILD.get(flag, _AXIS_WILD) if flag == wild else values)
+        spelled = st.sampled_from([[f"{flag}={value}"], [flag, value]]
+                                  + [["-j", value]] * (flag == "--jobs"))
+        argv += draw(spelled)
+    return argv
+
+
+@settings(max_examples=12, deadline=None)
+@given(_sweep_argv())
+@example(["sweep", "--d", "2.2e-311", "--n", "2.5", "--c", "1.7"])  # mu_i overflowed with warnings
+def test_sweep_argv_fuzz(tmp_path_factory, argv):
+    # any sweep command line ends in an exit code with at most one line on
+    # stderr: no traceback and no warning ahead of the error; a failed cell
+    # is a row of sweep.csv
+    out_dir = tmp_path_factory.getbasetemp() / "sweep-fuzz"
+    code, out = _fuzz_run(argv + ["-o", str(out_dir)])
+    if code == 0:
+        rows = (out_dir / "sweep.csv").read_text().splitlines()
+        assert len(rows) == 1 + int(parsed(out)["rows"])
+
+
 def test_missing_snapshot_file_is_io_error(tmp_path):
     code, _, _ = run_cli([
         "evolve", "--n-points", "16", "--n", "2", "--dt", "0.1", "--t-end", "0.1",
@@ -650,13 +713,14 @@ def test_sweep_order_and_failure_rows(tmp_path):
 
 
 def test_unsettled_shot_names_the_public_error(tmp_path):
-    # a shot still descending at r_max used to be reported under the
+    # a shot still descending at 32 r_max used to be reported under the
     # library's private subclass name, `_Unsettled`
     code, _, err = run_cli([
         "shoot", "--d", "7", "--n", "2.8", "--c", "2.0", "--mu", "-0.005645811857816623",
+        "--r-max", "0.5",
     ])
     assert code == 2
-    assert err.startswith("numerical failure: Indeterminate: no event fired by r_max=200.0")
+    assert err.startswith("numerical failure: Indeterminate: no event fired by r_max=16.0")
     out_dir = tmp_path / "sweep"
     code, _, _ = run_cli([
         "sweep", "--d", "7", "--n", "2.8", "--c", "2.0", "--r-max", "0.5", "-o", str(out_dir),
@@ -664,6 +728,20 @@ def test_unsettled_shot_names_the_public_error(tmp_path):
     assert code == 0
     row = (out_dir / "sweep.csv").read_text().splitlines()[1].split(",")
     assert row[7].startswith("Indeterminate: no event fired by r_max=16.0")
+
+
+def test_single_shot_widens_as_a_search_shot_does():
+    # this shot is still descending at r = 200; the single shot exited 2
+    # there while find_mu_c's search continued it to its crossing
+    argv = ["shoot", "--d", "7", "--n", "2.8", "--c", "2.0", "--mu", "-0.005645811857816623"]
+    code, out, err = run_cli(argv)
+    assert (code, err) == (0, "")
+    assert parsed(out)["classification"] == "crossed_floor"
+    assert parsed(out)["r_star"] == "1279.0475027225377"
+    # a search shot: integrate_shot on r_max without samples
+    p = ProfileParams(d=7.0, n=2.8, c=2.0, mu=-0.005645811857816623)
+    outcome, _ = integrate_shot(p, r_max=200.0, keep_samples=False)
+    assert repr(outcome.r_star) == parsed(out)["r_star"]
 
 
 def test_embedding_a_single_shot_names_its_archive(tmp_path):
@@ -1106,6 +1184,9 @@ _ROWS = "r,Q,Q_r,Q_rr\n0.0,1.0,0.0,-0.05\n1.0,0.98,-0.04,-0.03\n"
          .replace("k=nan, M=nan", "k=1.0, M=1.0") + "\n" + _ROWS),
         ("profile", _META.replace("Q_tau=0.7", "Q_tau=1e-300") + "\n" + _ROWS),
         ("profile", _META.replace("Q_tau=0.7", "Q_tau=1e300") + "\n" + _ROWS),
+        # a Q_tau below Q_star was read, and its embedding overflowed with a warning
+        ("profile", _META.replace("Q_tau=0.7", "Q_tau=1e-20")
+         .replace("k=nan, M=nan", "k=1.0, M=1.0") + "\n" + _ROWS),
         # an M that is nan or negative skipped the domain check, and embedded
         ("profile", _META.replace("k=nan", "k=1.0") + "\n" + _ROWS),
         ("profile", _META.replace("k=nan, M=nan", "k=1.0, M=-1.0") + "\n" + _ROWS),
@@ -1115,14 +1196,14 @@ _ROWS = "r,Q,Q_r,Q_rr\n0.0,1.0,0.0,-0.05\n1.0,0.98,-0.04,-0.03\n"
         ("sidecar", "[0.0]\n"),
     ],
     ids=["meta-only", "no-k", "no-c", "short-row", "no-rows", "zero-Q_tau", "tiny-Q_tau",
-         "tiny-Q_tau-no-fit", "huge-Q_tau", "nan-M", "negative-M",
+         "tiny-Q_tau-no-fit", "huge-Q_tau", "below-Q_star", "nan-M", "negative-M",
          "no-t", "null-t", "nan-t", "list"],
 )
 def test_malformed_archive_is_exit_code_not_traceback(tmp_path, kind, text):
     if kind == "profile":
         (tmp_path / "profile.csv").write_text(text)
         argvs = [["embed", "--profile", str(tmp_path / "profile.csv"),
-                  "--n-points", "16", "-o", str(tmp_path / "out")]]
+                  "--n-points", "16", "--lengths", "1e300", "-o", str(tmp_path / "out")]]
     else:
         write_snapshot(Field.constant(TorusGrid.cubic(1, 16), 1.0),
                        tmp_path / "snap_000000.bin")
@@ -1130,9 +1211,12 @@ def test_malformed_archive_is_exit_code_not_traceback(tmp_path, kind, text):
         argvs = [["diagnose", "track", "--run", str(tmp_path)],
                  ["diagnose", "energy", "--run", str(tmp_path), "--n", "2"]]
     for argv in argvs:
-        code, _, err = run_cli(argv)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run_cli(argv)
         assert code in (1, 3)
         assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert [str(w.message) for w in caught] == []
 
 
 def test_undecodable_input_names_the_file(tmp_path):

@@ -223,3 +223,16 @@ def test_one_shot_method_builds_every_interpolant():
     [builder] = [m.name for m in methods if reads(m, "extend")]
     assert builder == "dense"
     assert [m.name for m in methods if reads(m, builder)] == ["classify"]
+
+
+def test_only_integrate_shot_makes_a_shot():
+    # integrate_shot is the one seam of every shot: it alone widens an
+    # unsettled shot, and a search cannot grow a shot loop of its own
+    package = Path(magma_lab.__file__).parent
+    makers = sorted(
+        (path.name, getattr(top, "name", None))
+        for path in package.glob("*.py")
+        for top in ast.parse(path.read_text()).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Name) and node.id == "_Shot")
+    assert makers == [("profile.py", "integrate_shot")]

@@ -542,12 +542,10 @@ def test_near_critical_classification_table(params, r_max, cls, subcase, radius)
 
 
 def _restarted(p, r_max):
-    """Classify as perfbench's shoot_grid check does: restart at each doubling."""
-    while True:
-        try:
-            return integrate_shot(p, r_max=r_max, keep_samples=False)[0]
-        except Indeterminate:
-            r_max *= 2.0
+    """Classify by a fresh shot at each doubling of the radius."""
+    while (out := _Shot(p, r_max).classify(r_max)) is None:
+        r_max *= 2.0
+    return out
 
 
 @pytest.mark.parametrize("params", [
@@ -556,20 +554,17 @@ def _restarted(p, r_max):
     (7.0, 2.8, 2.0, -0.0056458117378166235),
 ])
 def test_continued_shot_classifies_like_a_restarted_shot(params):
-    # find_mu_c continues an unsettled shot from its last state and step
+    # integrate_shot continues an unsettled shot from its last state and step
     p = ProfileParams(*params)
-    with pytest.raises(Indeterminate) as err:
-        integrate_shot(p, r_max=200.0, keep_samples=False)
-    _assert_alike(err.value.shot.widen(WIDEN * 200.0), _restarted(p, 200.0), rel=1e-5)
+    assert _Shot(p, 200.0).classify(200.0) is None
+    _assert_alike(integrate_shot(p, r_max=200.0, keep_samples=False)[0], _restarted(p, 200.0),
+                  rel=1e-5)
 
 
 def _crosses(p, mu, r_max=200.0):
     """Classify as find_mu_c does: an unsettled shot continues up to WIDEN * r_max."""
     shoot = magma_lab.profile.integrate_shot  # as find_mu_c calls it, so it can be counted
-    try:
-        out, _ = shoot(replace(p, mu=mu), r_max=r_max, keep_samples=False)
-    except Indeterminate as exc:
-        out = exc.shot.widen(WIDEN * r_max)
+    out, _ = shoot(replace(p, mu=mu), r_max=r_max, keep_samples=False)
     return out.classification is ShotClass.CROSSED
 
 
@@ -711,8 +706,9 @@ def test_predictive_controller_rejects_few_steps_near_mu_c(critical3, below, nfe
 
 
 def test_a_widened_shot_keeps_its_step_size_controller():
-    # stopped at one of its own step ends and widened, a shot takes the steps
-    # of the same shot run straight through: widen keeps h, h_old and err_old
+    # stopped at one of its own step ends and classified again on twice that
+    # radius, a shot takes the steps of the same shot run straight through: it
+    # keeps h, h_old and err_old
     p = replace(EXAMPLE, mu=-0.021)
     whole, ends = _Shot(p, 200.0), []
     step = whole.step
@@ -726,12 +722,11 @@ def test_a_widened_shot_keeps_its_step_size_controller():
     (_, before, _, _), (r_stop, after, _, _), (_, _, grow, err) = ends[12:15]
     assert before == after  # no attempt of the step to r_stop was rejected
     assert grow < 0.9 * err ** -0.125  # the prediction sizes the step after that
-    assert whole.r < 2.0 * r_stop  # widen's first radius clips no step
+    assert whole.r < 2.0 * r_stop  # the doubled radius clips no step
     shot = _Shot(p, 200.0)
-    with pytest.raises(Indeterminate):
-        shot.classify(r_stop)
+    assert shot.classify(r_stop) is None
     assert shot.r == r_stop and shot.err_old >= 1e-2
-    assert shot.widen(WIDEN * 200.0) == want
+    assert shot.classify(2.0 * r_stop) == want
     assert (shot.nfev, shot.rejected) == (whole.nfev, whole.rejected)
     assert _bits((shot.r, *shot.y)) == _bits((whole.r, *whole.y))
 
@@ -896,16 +891,15 @@ def _assert_samples_are_scipys(shot):
 
 
 def test_samples_are_odesolutions_to_the_bit():
-    # a shot stopped at a sample radius and then widened, so that one radius
+    # a shot stopped at a sample radius and then continued, so that one radius
     # is a step end (OdeSolution reads it off the earlier step) and the last
     # step is cut short by the floor event
     p = replace(EXAMPLE, mu=-0.021)
     grid = np.arange(magma_lab.profile.DR_SAMPLE, 10.0, magma_lab.profile.DR_SAMPLE)
     r_stop = float(grid[299])
     shot = _Shot(p, r_stop, keep_samples=True)
-    with pytest.raises(Indeterminate):
-        shot.classify(r_stop)
-    assert shot.widen(WIDEN * r_stop).classification is ShotClass.CROSSED
+    assert shot.classify(r_stop) is None
+    assert shot.classify(WIDEN * r_stop).classification is ShotClass.CROSSED
     assert r_stop in shot.samples().r
     assert shot.r < shot.steps[-1][1]  # the event cut the last step short
     _assert_samples_are_scipys(shot)
@@ -1014,10 +1008,8 @@ def _probe_flat(shot) -> bool:
 def _end_state(p, r_max):
     """A sampling shot of p run to r_max, and whether it ended flat there (None: an event)."""
     shot = _Shot(p, r_max, keep_samples=True)
-    try:
-        flat = shot.classify(r_max).classification is ShotClass.FLAT
-    except Indeterminate:
-        flat = False
+    out = shot.classify(r_max)
+    flat = out is not None and out.classification is ShotClass.FLAT
     return shot, (flat if shot.r == r_max else None)
 
 
@@ -1049,7 +1041,7 @@ def test_flat_test_turns_away_a_departing_shot():
     for q, flat in ((_FLAT, True), (p, False)):
         shot, got = _end_state(q, 60.0)
         assert got is flat and _probe_flat(shot)
-    assert shot.widen(64.0).classification is ShotClass.TURNED
+    assert shot.classify(64.0).classification is ShotClass.TURNED
 
 
 def test_integrate_shot_requires_mu_and_sane_radius():
@@ -1061,9 +1053,10 @@ def test_integrate_shot_requires_mu_and_sane_radius():
 
 
 def test_radius_whose_widening_cap_overflows_is_refused(monkeypatch):
-    # find_mu_c widens a shot up to WIDEN * r_max, which must be finite; a
-    # single shot needs only a finite radius
-    out, _ = integrate_shot(replace(EXAMPLE, mu=-0.021), r_max=1e307, keep_samples=False)
+    # integrate_shot widens a shot up to WIDEN * r_max, which must be finite;
+    # find_mu_c's final shot starts at 2 * r_max, so a search refuses up front
+    # an r_max whose WIDEN * 2 * r_max overflows
+    out, _ = integrate_shot(replace(EXAMPLE, mu=-0.021), r_max=5e306, keep_samples=False)
     assert out.classification is ShotClass.CROSSED
 
     def refuse(*args, **kwargs):
@@ -1071,7 +1064,10 @@ def test_radius_whose_widening_cap_overflows_is_refused(monkeypatch):
 
     monkeypatch.setattr(magma_lab.profile, "_Shot", refuse)
     with pytest.raises(ValueError, match="r_max"):
-        find_mu_c(EXAMPLE, r_max=1e307)
+        integrate_shot(replace(EXAMPLE, mu=-0.021), r_max=1e307)
+    for r_max in (3e306, 1e307):
+        with pytest.raises(ValueError, match="r_max"):
+            find_mu_c(EXAMPLE, r_max=r_max)
     for bisect_tol in (-1.0, -1e-300, math.nan, math.inf):
         with pytest.raises(ValueError, match="bisect_tol"):
             find_mu_c(EXAMPLE, bisect_tol=bisect_tol)
@@ -1088,8 +1084,9 @@ def test_classification_stable_under_tighter_rtol(monkeypatch):
 
 def test_indeterminate_when_radius_too_small(critical3):
     mu_c, _ = critical3
-    with pytest.raises(Indeterminate):
-        integrate_shot(replace(EXAMPLE, mu=mu_c), r_max=5.0)
+    # the critical shot turns near r = 36, past 32 * 0.5
+    with pytest.raises(Indeterminate, match="no event fired by r_max=16.0"):
+        integrate_shot(replace(EXAMPLE, mu=mu_c), r_max=0.5)
 
 
 def test_find_mu_c_example_regime(critical3, report3):
@@ -1236,11 +1233,9 @@ def test_hermite_reads_the_final_shot_between_samples(d):
     # the quintic Hermite of the stored (Q, Q_r, Q_rr) against the final
     # shot's own DOP853 interpolants midway between samples
     _, sol = find_mu_c(ProfileParams(d=d, n=2.5, c=1.7), bisect_tol=1e-8)
-    shot = _Shot(sol.params, 400.0, keep_samples=True)  # find_mu_c's final shot, again
-    try:
-        shot.classify(400.0)
-    except Indeterminate:
-        shot.widen(WIDEN * 200.0)
+    shot, r = _Shot(sol.params, 400.0, keep_samples=True), 400.0  # find_mu_c's final shot, again
+    while shot.classify(r) is None:  # widened as integrate_shot widens it
+        r *= 2.0
     s = shot.samples()
     assert _bits(s.r) == _bits(sol.samples.r) and _bits(s.Q) == _bits(sol.samples.Q)
     mid = 0.5 * (s.r[:-1] + s.r[1:])
