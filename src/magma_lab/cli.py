@@ -139,9 +139,6 @@ DISPERSION_OPTS: dict[str, _Opt] = {
     "lengths": _Opt(_c_floats, help="box side lengths (default 2*pi per axis)"),
     "n": _Opt(float, required=True, help="nonlinearity exponent in [2, 3]"),
     "mode": _Opt(_c_ints, required=True, help="integer mode per axis, e.g. 1,0"),
-    "epsilon": _Opt(float, 1e-4, help="perturbation amplitude"),
-    "periods": _Opt(float, 3.0, help="number of analytic periods to integrate"),
-    "steps_per_period": _Opt(int, 64, help="RK4 steps per analytic period"),
 }
 
 TRACK_OPTS: dict[str, _Opt] = {
@@ -423,7 +420,7 @@ def _cmd_evolve(cfg: dict, ns: argparse.Namespace) -> tuple[list[_Artifact], _Re
         files += _snapshot_pair(i, t, fld, monitor_at.get(float(t), float("nan")), cfg_hash)
     return files, [
         ("verdict", rep.verdict.value), ("t_event", rep.t_event),
-        ("final_monitor", rep.final_monitor), ("snapshots", str(len(result.snapshots))),
+        ("final_monitor", rep.monitor[-1]), ("snapshots", str(len(result.snapshots))),
     ]
 
 
@@ -456,12 +453,13 @@ def _cmd_sweep(cfg: dict, ns: argparse.Namespace) -> tuple[list[_Artifact], _Rep
         (d, n, c, cfg["bisect_tol"], cfg["r_max"])
         for d in cfg["d"] for n in cfg["n"] for c in cfg["c"]
     ]
-    if ns.jobs == 1:
+    jobs = min(ns.jobs, len(items), os.cpu_count() or 1)
+    if jobs <= 1:
         rows = [_sweep_task(item) for item in items]
     else:
         from multiprocessing import Pool
 
-        with Pool(processes=ns.jobs) as pool:
+        with Pool(processes=jobs) as pool:
             rows = pool.map(_sweep_task, items)
 
     failures = sum(1 for row in rows if row[-1])
@@ -482,10 +480,7 @@ def _cmd_embed(cfg: dict, ns: argparse.Namespace) -> tuple[list[_Artifact], _Rep
 
 def _cmd_diag_dispersion(cfg: dict, ns: argparse.Namespace) -> tuple[list[_Artifact], _Report]:
     grid = _make_grid(cfg["n_points"], cfg["lengths"])
-    fit = fit_dispersion(
-        grid, cfg["n"], tuple(cfg["mode"]), epsilon=cfg["epsilon"],
-        periods=cfg["periods"], steps_per_period=cfg["steps_per_period"],
-    )
+    fit = fit_dispersion(grid, cfg["n"], tuple(cfg["mode"]))
     return [("dispersion.json", _json(asdict(fit), indent=2))], [
         ("omega_formula", fit.omega_formula), ("omega_measured", fit.omega_measured),
         ("relative_error", fit.relative_error),
@@ -550,7 +545,7 @@ def _build_parser() -> _Parser:
                              help=opt.help)
         if cmd.handler is _cmd_sweep:  # not a config key: -j leaves config_hash alone
             sub.add_argument("--jobs", "-j", type=int, default=1,
-                             help="worker processes (default 1)")
+                             help="worker processes, at most one per cell and CPU (default 1)")
         sub.add_argument("--config", default=None, metavar="FILE",
                          help="key=value file supplying defaults for any option")
         sub.add_argument("--out", "-o", default=None, required=cmd.out_required,

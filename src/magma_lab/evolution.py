@@ -104,7 +104,6 @@ class EvolveConfig:
 class BlowupReport:
     verdict: Verdict
     t_event: float | None
-    final_monitor: float
     times: np.ndarray
     monitor: np.ndarray
     mass: np.ndarray
@@ -310,8 +309,7 @@ def evolve(phi0: Field, cfg: EvolveConfig) -> EvolveResult:
         _carried.append((weakref.ref(phi, _forget), key, guess_hat, tables))
     times, monitor, mass, min_phi, cg = (np.array(col) for col in zip(*rows))
     report = BlowupReport(
-        verdict=verdict, t_event=t_event, final_monitor=monitor[-1],
-        times=times, monitor=monitor, mass=mass, min_phi=min_phi,
-        cg_iterations=cg.astype(np.int64),
+        verdict=verdict, t_event=t_event, times=times, monitor=monitor, mass=mass,
+        min_phi=min_phi, cg_iterations=cg.astype(np.int64),
     )
     return EvolveResult(snapshots, report)

@@ -865,7 +865,9 @@ def find_mu_c(
         den = a1 - 2.0 * a2 + a3
         q_tau = a3 if abs(den) < 1e-15 else a3 - (a3 - a2) ** 2 / den
     if not (report.Q_star < q_tau < 1.0):
-        raise ProfileError(f"limit {q_tau} escaped (Q_star, 1)")
+        raise ProfileError(f"limit {q_tau} escaped (Q_star, 1) where the final shot ends at "
+                           f"r = {r_end:.6g}; lower bisect_tol={bisect_tol:g} to carry it "
+                           "further down its tail")
 
     return mu_c, ProfileSolution(params=replace(p, mu=mu_c), samples=samples, Q_tau=q_tau)
 
@@ -917,7 +919,9 @@ def decay_check(sol: ProfileSolution) -> DecayFit | None:
     window = (delta > 1e-10) & (delta < 1e-2)
     if int(window.sum()) < 20:
         raise TailTooShort(
-            f"only {int(window.sum())} samples within (1e-10, 1e-2) of Q_tau"
+            f"only {int(window.sum())} samples within (1e-10, 1e-2) of Q_tau, and the last, "
+            f"at r = {sol.samples.r[-1]:.6g}, has Q - Q_tau = {delta[-1]:.3g}; a smaller "
+            "bisect_tol carries the final shot further down its tail"
         )
     fit = (delta > 1e-6) & (delta < 1e-2)
     if int(fit.sum()) < 2:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
 
 from magma_lab import Field, TorusGrid
 
@@ -14,6 +15,13 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("magma")
+
+# a 1d or 2d torus of 4 to 32 points per axis with sides in [1, 20]
+SMALL_GRIDS = st.integers(1, 2).flatmap(lambda d: st.builds(
+    TorusGrid,
+    st.lists(st.integers(2, 16).map(lambda m: 2 * m), min_size=d, max_size=d).map(tuple),
+    st.lists(st.floats(1.0, 20.0), min_size=d, max_size=d).map(tuple),
+))
 
 
 def smooth_random_field(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -12,6 +13,7 @@ import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import magma_lab.cli
+import magma_lab.diagnostics
 from magma_lab import (
     Field,
     ProfileParams,
@@ -355,8 +358,6 @@ _SHOOT = ["shoot", "--d", "3", "--n", "2.5", "--c", "1.7"]
         _SHOOT + ["--r-max", "1e307"],
         _SHOOT + ["--bisect-tol", "nan"],
         _SHOOT + ["--bisect-tol", "inf"],
-        ["diagnose", "dispersion", "--n-points", "32", "--n", "3", "--mode", "1",
-         "--epsilon", "0.99", "--periods", "1", "--steps-per-period", "16"],
         ["shoot", "--d", "1e308", "--n", "2.5", "--c", "1.7", "--mu", "-0.02"],
         ["shoot", "--d", "1e308", "--n", "2.5", "--c", "1.7"],
         ["shoot", "--d", "1e300", "--n", "2.5", "--c", "1.7", "--mu", "-0.02"],
@@ -372,7 +373,6 @@ _SHOOT = ["shoot", "--d", "3", "--n", "2.5", "--c", "1.7"]
          "mu-huge", "d-tiny",
          "r-max-huge-search", "r-max-final-cap-overflow", "r-max-cap-overflow",
          "bisect-tol-nan", "bisect-tol-inf",
-         "dispersion-positivity",
          "d-huge", "d-huge-search", "d-huge-1e300", "d-1e15", "d-1e15-search",
          "volume-huge", "volume-tiny"],
 )
@@ -429,12 +429,10 @@ def test_infinite_dimension_is_refused():
     (_SHOOT + ["--bisect-tol", "-1"], "bisect_tol must be nonnegative and finite"),
     (["evolve", "--n-points", "16", "--n", "2", "--dt", "1e-300", "--t-end", "1e-3"],
      "t_end/dt must be at most 100000 steps"),
-    (["diagnose", "dispersion", "--n-points", "16", "--n", "2", "--mode", "1",
-      "--periods", "1e9"], "periods * steps_per_period must be at most 100000 steps"),
-], ids=["bisect-tol-negative", "evolve-steps", "dispersion-periods"])
+], ids=["bisect-tol-negative", "evolve-steps"])
 def test_unbounded_work_is_refused(tmp_path, argv, message):
-    # a negative bisect_tol ran as 0; the two runs asked for 1e297 and 6.4e10
-    # steps and were still running after 60 s
+    # a negative bisect_tol ran as 0; the run asked for 1e297 steps and was
+    # still running after 60 s
     proc = _main_in_child(argv + ["-o", str(tmp_path / "run")])
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == f"config error: {message}\n"
@@ -712,6 +710,56 @@ def test_sweep_order_and_failure_rows(tmp_path):
             assert "," not in row[7]
 
 
+@pytest.mark.parametrize("cells, cpus, processes", [
+    ("1.6,1.5", 8, [2]), ("1.6,1.5", 1, []), ("1.6", 8, []), ("1:2:0", 8, []),
+], ids=["two-cells", "one-cpu", "one-cell", "no-cells"])
+def test_sweep_jobs_are_capped(tmp_path, monkeypatch, cells, cpus, processes):
+    # -j asks for at most one worker process per cell and per CPU, and one
+    # worker runs in process; Pool(processes=64) was started for any sweep
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            asked.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def map(self, task, items):
+            return [task(item) for item in items]
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    code, out, err = run_cli(["sweep", "--d", "1", "--n", "2.5", "--c", cells, "-j", "64",
+                              "-o", str(tmp_path / "sweep")])
+    assert (code, err) == (0, "")
+    assert asked == processes
+    assert parsed(out)["rows"] == str(0 if ":" in cells else len(cells.split(",")))
+
+
+_COARSE = ["--d", "2.76528", "--n", "2.683353", "--c", "1.55", "--bisect-tol"]
+
+
+@pytest.mark.parametrize("tol, message", [
+    ("5e-3", "ProfileError: limit -0.37642838796282185 escaped (Q_star, 1) where the final "
+             "shot ends at r = 6.87141; lower bisect_tol=0.005 to carry it further down its tail"),
+    ("1e-3", "TailTooShort: only 0 samples within (1e-10, 1e-2) of Q_tau, and the last, at "
+             "r = 8.77811, has Q - Q_tau = 0.0124; a smaller bisect_tol carries the final shot "
+             "further down its tail"),
+])
+def test_coarse_bisect_tol_is_named(tmp_path, tol, message):
+    # a mu_c this far above the critical curvature gives a final shot that
+    # turns early, so its tail reads mean nothing; the error names the option
+    code, out, err = run_cli(["shoot", *_COARSE, tol])
+    assert (code, out, err) == (2, "", f"numerical failure: {message}\n")
+    code, _, _ = run_cli(["sweep", *_COARSE, tol, "-o", str(tmp_path / "sweep")])
+    row = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()[1]
+    assert code == 0 and row.endswith("," + message.replace(",", ";"))
+
+
 def test_unsettled_shot_names_the_public_error(tmp_path):
     # a shot still descending at 32 r_max used to be reported under the
     # library's private subclass name, `_Unsettled`
@@ -912,9 +960,8 @@ def test_evolve_argv_fuzz(tmp_path_factory, argv):
 
 @st.composite
 def _dispersion_argv(draw) -> list[str]:
-    """diagnose dispersion on 1 or 2 axes of at most 16 points, for at most 64
-    steps when periods and steps per period are valid; the mode has a component
-    along the last axis."""
+    """diagnose dispersion on 1 or 2 axes of at most 16 points; the mode has a
+    component along the last axis."""
     axes = draw(st.integers(1, 2))
     points = st.lists(st.sampled_from([4, 8, 16]), min_size=axes, max_size=axes).map(_comma)
     mode = st.tuples(st.lists(st.integers(-2, 2), min_size=axes - 1, max_size=axes - 1),
@@ -925,26 +972,24 @@ def _dispersion_argv(draw) -> list[str]:
         "--n": (_spelled(st.floats(2.0, 3.0)), _ANY_NUMBER),
         "--mode": (mode, st.one_of(st.lists(st.integers(-3, 3), max_size=3).map(_comma),
                                    st.sampled_from(["9" * 30, "x"]))),
-        "--epsilon": (_spelled(st.floats(1e-5, 0.1)),
-                      st.one_of(_WILD, st.sampled_from(["0.99", "1"]))),
-        "--periods": (_spelled(st.floats(0.1, 4.0)), _WILD),
-        "--steps-per-period": (st.integers(1, 16).map(str),
-                               st.sampled_from(["0", "-1", "x", "1.5", "9" * 30])),
-    }, required=("--n-points", "--n", "--mode", "--steps-per-period"))
+    }, required=("--n-points", "--n", "--mode"))
 
 
 @settings(max_examples=40)
 @given(_dispersion_argv())
 @example(["diagnose", "dispersion", "--n-points", "4,4", "--lengths", "10.0:10.0:1", "--n",
-          "1e-307", "--mode", "0,-2", "--epsilon", "0.0625", "--steps-per-period", "1"])
+          "1e-307", "--mode", "0,-2"])
 @example(["diagnose", "dispersion", "--n-points", "4,4", "--lengths", "10.0,1.43e154",
-          "--n", "2.0", "--mode", "0,-2", "--epsilon", "0.0625", "--steps-per-period", "1"])
+          "--n", "2.0", "--mode", "0,-2"])
 def test_dispersion_argv_fuzz(tmp_path_factory, argv):
     # any dispersion command line ends in an exit code with at most one line
     # on stderr: no traceback and no warning ahead of the error.  An n far
     # below [2, 3] made a period whose t_end overflowed, with a RuntimeWarning;
-    # a period near 1e154 overflowed the phase fit, with two warnings
-    code, out = _fuzz_run(argv + ["-o", str(tmp_path_factory.getbasetemp() / "disp-fuzz")])
+    # a period near 1e154 overflowed the phase fit, with two warnings.  Fewer
+    # steps per period keep each run short; t_end stays PERIODS periods
+    out_dir = tmp_path_factory.getbasetemp() / "disp-fuzz"
+    with mock.patch.object(magma_lab.diagnostics, "STEPS_PER_PERIOD", 16):
+        code, out = _fuzz_run(argv + ["-o", str(out_dir)])
     if code == 0:
         assert "omega_measured" in parsed(out)
 
@@ -1069,7 +1114,7 @@ def test_manifest_lists_every_artifact(command, critical_run, evolve_run, tmp_pa
         "track": ["diagnose", "track", "--run", str(evolve_run)],
         "energy": ["diagnose", "energy", "--run", str(evolve_run), "--n", "2"],
         "dispersion": ["diagnose", "dispersion", "--n-points", "16", "--n", "2",
-                       "--mode", "1", "--periods", "1", "--steps-per-period", "16"],
+                       "--mode", "1"],
     }[command]
     if argv is not None:
         assert run_cli(argv + ["-o", str(out_dir)])[0] == 0
@@ -1118,7 +1163,7 @@ def test_report_keys_in_order(case, critical_run, evolve_run, tmp_path, monkeypa
         "embed": ["embed", "--profile", str(critical_run[0]), "--n-points", "48,48,48",
                   "--lengths", "240"],
         "dispersion": ["diagnose", "dispersion", "--n-points", "16", "--n", "2",
-                       "--mode", "1", "--periods", "1", "--steps-per-period", "16"],
+                       "--mode", "1"],
         "track": ["diagnose", "track", "--run", str(evolve_run)],
         "energy": ["diagnose", "energy", "--run", str(evolve_run), "--n", "2"],
     }[case]
@@ -1242,20 +1287,36 @@ def test_diagnose_dispersion(tmp_path):
     out_dir = tmp_path / "disp"
     code, out, _ = run_cli([
         "diagnose", "dispersion", "--n-points", "64", "--n", "2", "--mode", "1",
-        "--periods", "2", "--steps-per-period", "48", "-o", str(out_dir),
+        "-o", str(out_dir),
     ])
     assert code == 0
     info = parsed(out)
     assert float(info["relative_error"]) < 1e-3
     payload = json.loads((out_dir / "dispersion.json").read_text())
-    assert payload["mode"] == [1]
     assert payload["omega_formula"] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("knob", ["epsilon", "periods", "steps_per_period"])
+@pytest.mark.parametrize("given_as", ["flag", "config"])
+def test_dispersion_sampling_is_fixed(tmp_path, knob, given_as):
+    # amplitude, periods and steps per period are constants of the measurement
+    argv = ["diagnose", "dispersion", "--n-points", "16", "--n", "2", "--mode", "1"]
+    if given_as == "flag":
+        named = "--" + knob.replace("_", "-")
+        argv += [named, "1"]
+    else:
+        named = f"unknown config key {knob!r}"
+        (tmp_path / "cfg").write_text(f"{knob} = 1\n")
+        argv += ["--config", str(tmp_path / "cfg")]
+    code, out, err = run_cli(argv + ["-o", str(tmp_path / "run")])
+    assert (code, out, len(err.splitlines())) == (1, "", 1)
+    assert named in err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize(
     "flag, value, name",
-    [("--steps-per-period", "0", "steps_per_period"), ("--periods", "nan", "periods"),
-     pytest.param("--mode", "9" * 400, "mode numbers", id="mode-overflow")],
+    [pytest.param("--mode", "9" * 400, "mode numbers", id="mode-overflow")],
 )
 def test_dispersion_rejects_degenerate_sampling(tmp_path, flag, value, name):
     # a separate interpreter, so a NumPy RuntimeWarning would reach stderr;

@@ -111,19 +111,15 @@ def test_fit_dispersion_validation():
     with pytest.raises(ValueError):
         fit_dispersion(g, 2.0, (0, 0))
     with pytest.raises(ValueError):
-        fit_dispersion(g, 2.0, (1, 1), epsilon=1.5)
-    with pytest.raises(ValueError):
         fit_dispersion(g, 2.0, (1, 0))  # no component along the driven axis
 
 
 def test_fit_dispersion_small_amplitude():
     g = TorusGrid((64,), (2.0 * np.pi,))
-    fit = fit_dispersion(g, 2.0, (1,), epsilon=1e-4, periods=2.0, steps_per_period=48)
+    fit = fit_dispersion(g, 2.0, (1,))
     assert fit.omega_formula == pytest.approx(1.0)
     assert fit.relative_error <= 1e-3
-    assert fit.mode == (1,)
-    assert fit.k == (1.0,)
-    fit2 = fit_dispersion(g, 2.5, (2,), epsilon=1e-4, periods=2.0, steps_per_period=48)
+    fit2 = fit_dispersion(g, 2.5, (2,))
     assert fit2.omega_formula == pytest.approx(2.5 * 2.0 / 5.0)
     assert fit2.relative_error <= 1e-3
 

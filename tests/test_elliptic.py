@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from conftest import SMALL_GRIDS
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from magma_lab import (
@@ -103,6 +104,20 @@ def test_self_adjointness_and_coercivity():
         assert abs(lhs - rhs) <= 1e-10 * scale
         quad = np.sum(apply_L(a, u).values * u.values)
         assert quad >= (1.0 - 1e-10) * np.sum(u.values**2)
+
+
+@settings(max_examples=100)
+@given(SMALL_GRIDS, st.floats(1e-6, 1.0), st.integers(0, 2**32 - 1))
+def test_apply_L_is_symmetric_and_coercive_for_any_coefficient(grid, ripple, seed):
+    # <u, L_a v> = <L_a u, v> and <u, L_a u> >= <u, u> for a rough a in [0.1, 10];
+    # a small ripple on a constant leaves the bound nearly tight
+    rng = np.random.default_rng(seed)
+    a = Field(grid, rng.uniform(0.1, 10.0, size=grid.shape))
+    u, v = (rng.normal() + ripple * rng.normal(size=grid.shape) for _ in range(2))
+    Lu, Lv = (apply_L(a, Field(grid, w)).values for w in (u, v))
+    scale = np.linalg.norm(u) * np.linalg.norm(Lv) + np.linalg.norm(Lu) * np.linalg.norm(v)
+    assert abs(np.vdot(u, Lv) - np.vdot(Lu, v)) <= 1e-12 * scale
+    assert np.vdot(u, Lu) >= (1.0 - 1e-12) * np.vdot(u, u)
 
 
 def test_warm_start_cheaper_than_cold():

@@ -211,7 +211,7 @@ def test_torus_paths_use_real_transforms_only(monkeypatch):
     res = evolve(phi, EvolveConfig(n_exponent=2.0, dt=0.01, t_end=0.03))
     assert res.report.verdict is Verdict.COMPLETED_TO_T_END
     assert len(res.report.times) == 4
-    fit = fit_dispersion(g, 2.0, (1,), periods=0.25)
+    fit = fit_dispersion(g, 2.0, (1,))
     assert fit.relative_error < 1e-2
 
 

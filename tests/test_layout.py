@@ -59,8 +59,8 @@ PUBLIC_RECORDS = {
     # evolution
     "EvolveConfig": ("n_exponent", "dt", "t_end", "s_monitor", "blowup_threshold",
                      "elliptic_tol", "snapshot_every"),
-    "BlowupReport": ("verdict", "t_event", "final_monitor", "times", "monitor", "mass",
-                     "min_phi", "cg_iterations"),
+    "BlowupReport": ("verdict", "t_event", "times", "monitor", "mass", "min_phi",
+                     "cg_iterations"),
     "EvolveResult": ("snapshots", "report"),
     # profile
     "ProfileParams": ("d", "n", "c", "mu"),
@@ -73,8 +73,7 @@ PUBLIC_RECORDS = {
     "RescaledProfile": ("scaling", "r", "Q"),
     # diagnostics
     "ConservedEnergyParams": ("n",),
-    "DispersionFit": ("mode", "k", "omega_formula", "omega_measured", "epsilon",
-                      "relative_error"),
+    "DispersionFit": ("omega_formula", "omega_measured", "relative_error"),
     "PeakTrack": ("times", "positions", "speed"),
 }
 
