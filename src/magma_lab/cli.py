@@ -352,6 +352,8 @@ def _load_run_snapshots(run_dir: str) -> list[tuple[float, Field]]:
     out = []
     for path in paths:
         fld, sidecar_path = read_snapshot(path), path[:-4] + ".json"
+        if out and fld.grid != out[0][1].grid:
+            raise SnapshotFormatError(f"{path}: grid differs from that of {paths[0]}")
         with open(sidecar_path) as fh:
             try:
                 sidecar = json.load(fh)

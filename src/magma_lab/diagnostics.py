@@ -158,6 +158,8 @@ def track_peak(snapshots: list[tuple[float, Field]]) -> PeakTrack:
     if len(snapshots) < 5:
         raise ValueError("need at least 5 snapshots to fit a speed")
     grid = snapshots[0][1].grid
+    if any(fld.grid != grid for _, fld in snapshots):
+        raise ValueError("snapshots do not share one grid")
     length = grid.lengths[-1]
     n_last = grid.n_points[-1]
     h = length / n_last

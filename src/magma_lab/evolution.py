@@ -47,15 +47,7 @@ __all__ = [
 
 ORDER = 5  # stage guesses sum up to 5 backward differences of past offsets
 MAX_STEPS = 100_000  # a longer run is refused: 20x criterion 7's 5,000 steps, ~100 s at 1d N=256
-# at most one (weakref to a run's final Field, (n, dt, tol), its k4, its
-# tables): what evolve continues when that Field comes back as phi0
-_carried: list[tuple] = []
-
-
-def _forget(ref: weakref.ref) -> None:
-    """Weakref callback: a Field died; drop its entry if the slot still holds it."""
-    if _carried and _carried[0][0] is ref:
-        _carried.clear()
+_carried = weakref.WeakKeyDictionary()  # a run's final Field -> ((n, dt, tol), k4, tables)
 
 
 class PositivityLost(RuntimeError):
@@ -251,20 +243,18 @@ def evolve(phi0: Field, cfg: EvolveConfig) -> EvolveResult:
     A full step starts the CG of stage s from k_{s-1} (k1 from the last
     step's k4) plus the offset k_s - k_{s-1}, extrapolated from the last
     ORDER full steps by _extrapolate; the solves still meet elliptic_tol.
-    The shortened last step starts from k_{s-1} alone.
-    A run that completes on a full step keeps its k4 and tables until its
-    final Field dies; a call whose phi0 is that very Field, with the same
-    n_exponent, dt and elliptic_tol, continues them, so a chain of calls
-    is bit for bit one long call.  Any other phi0 starts cold.
-    Threshold, positivity and elliptic failures are verdicts at the end
-    time of the failing step.  A monitor that is not finite exceeds any
-    threshold, an infinite one included.
+    The shortened last step starts from k_{s-1} alone.  A run that ends on
+    a full step keeps its k4 and tables, weakly keyed by its final Field,
+    for a call from that very Field at the same n_exponent, dt and
+    elliptic_tol: a chain of calls is bit for bit one call.  Any other phi0
+    starts cold.  Threshold, positivity and elliptic failures are verdicts
+    at the end time of the failing step.  A monitor that is not finite
+    exceeds any threshold, an infinite one included.
     """
     grid, key = phi0.grid, (cfg.n_exponent, cfg.dt, cfg.elliptic_tol)  # phi0 fixes the grid
-    # k4 and the backward differences of the stage offsets, moved out of the slot
-    ref, old_key, guess_hat, tables = _carried.pop() if _carried else (None,) * 4
-    if ref is None or ref() is not phi0 or old_key != key:
-        guess_hat, tables = None, [[], [], [], []]
+    old_key, *carried = _carried.pop(phi0, (None,) * 3)  # moved, not copied
+    _carried.clear()  # so at most one set of tables is alive
+    guess_hat, tables = carried if old_key == key else (None, [[], [], [], []])
     s, limit = monitor_index(cfg, grid), min(cfg.blowup_threshold, np.finfo(float).max)
     rows: list[tuple[float, float, float, float, int]] = []
     phi: Field | None = phi0  # the last accepted state; None once it is not finite
@@ -306,7 +296,7 @@ def evolve(phi0: Field, cfg: EvolveConfig) -> EvolveResult:
     if phi is not None and snapshots[-1][0] != rows[-1][0]:
         snapshots.append((rows[-1][0], phi))
     if verdict is Verdict.COMPLETED_TO_T_END and n_steps == n_full > 0:
-        _carried.append((weakref.ref(phi, _forget), key, guess_hat, tables))
+        _carried[phi] = (key, guess_hat, tables)
     times, monitor, mass, min_phi, cg = (np.array(col) for col in zip(*rows))
     report = BlowupReport(
         verdict=verdict, t_event=t_event, times=times, monitor=monitor, mass=mass,

@@ -1061,6 +1061,32 @@ def test_diagnose_track_missing_run(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("n_points, length", [("16", "3.0"), ("32", "3.0")],
+                         ids=["other-n-points", "other-length"])
+def test_snapshots_on_different_grids_are_refused(tmp_path, n_points, length):
+    # snapshots 0-2 of one run and 3-5 of another used to end in an
+    # IndexError from track_peak, or in a speed or an energy drift
+    runs = {}
+    for name, argv in [("a", ["--n-points", "32"]),
+                       ("b", ["--n-points", n_points, "--lengths", length])]:
+        runs[name] = tmp_path / name
+        code, _, _ = run_cli(["evolve", *argv, "--n", "2", "--dt", "0.01", "--t-end", "0.05",
+                              "--init", "modes:base=1;amp=0.2,k=1", "--snapshot-every", "1",
+                              "-o", str(runs[name])])
+        assert code == 0
+    mixed = tmp_path / "mixed"
+    mixed.mkdir()
+    for i in range(6):
+        for ext in (".bin", ".json"):
+            name = f"snap_{i:06d}{ext}"
+            shutil.copy(runs["a" if i < 3 else "b"] / name, mixed / name)
+    for argv in (["diagnose", "track", "--run", str(mixed)],
+                 ["diagnose", "energy", "--run", str(mixed), "--n", "2"]):
+        code, out, err = run_cli(argv + ["-o", str(tmp_path / "out")])
+        assert code == 3 and out == ""
+        assert err.splitlines() == [err.strip()] and "snap_000003.bin" in err
+
+
 def test_diagnose_energy(evolve_run, tmp_path):
     out_dir = tmp_path / "energy"
     code, out, _ = run_cli([

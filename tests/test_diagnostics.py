@@ -165,3 +165,8 @@ def test_track_peak_errors():
     few = _bump_snapshots(1.0, np.linspace(0.0, 0.3, 4))
     with pytest.raises(ValueError):
         track_peak(few)
+    times = np.linspace(0.0, 0.5, 6)
+    for other in (TorusGrid((16,), (2.0 * np.pi,)), TorusGrid((32,), (3.0,))):
+        mixed = _bump_snapshots(1.0, times[:3]) + _bump_snapshots(1.0, times[3:], grid=other)
+        with pytest.raises(ValueError, match="one grid"):
+            track_peak(mixed)
