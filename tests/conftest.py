@@ -40,6 +40,17 @@ def smooth_random_field(
     return Field(grid, vals)
 
 
+def criterion7_phi0(seed: int) -> Field:
+    """Criterion 7's initial data: five random-phase modes of amplitude 0.08/m."""
+    g = TorusGrid((256,), (2.0 * np.pi,))
+    rng = np.random.default_rng(seed)
+    x = g.axis_coordinates(0)
+    vals = np.ones(g.shape)
+    for m in range(1, 6):
+        vals += (0.08 / m) * np.cos(m * x + rng.uniform(0.0, 2.0 * np.pi))
+    return Field(g, vals)
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)

@@ -572,8 +572,9 @@ def test_shoot_argv_fuzz(argv):
         assert "classification" in parsed(out)
 
 
-_SEARCH_RANGES = {  # a search's own options: negative, 0 or tiny tolerances, tiny or huge radii
-    "--bisect-tol": st.one_of(st.floats(-1e3, -1e-300), st.just(0.0), st.floats(1e-300, 1e-14)),
+_SEARCH_RANGES = {  # a search's own options: negative, 0, tiny or coarse tolerances, tiny or huge radii
+    "--bisect-tol": st.one_of(st.floats(-1e3, -1e-300), st.just(0.0), st.floats(1e-300, 1e-14),
+                              st.floats(1e-6, 1e-2)),
     "--r-max": st.one_of(st.floats(1e-300, 1e-2), st.floats(1e290, 1e308)),
 }
 

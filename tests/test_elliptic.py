@@ -2,20 +2,26 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
-from conftest import SMALL_GRIDS
+from conftest import SMALL_GRIDS, criterion7_phi0
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from magma_lab import (
     EllipticProblem,
+    EvolveConfig,
     Field,
     NearDegenerateWarning,
     NonPositiveCoefficient,
     NotConverged,
     TorusGrid,
     apply_L,
+    elliptic,
+    evolution,
+    evolve,
     solve_L,
     solve_L_info,
     spectral_derivative,
@@ -228,17 +234,100 @@ def _count_transforms(monkeypatch) -> list[int]:
 @pytest.mark.parametrize("shape", [(256,), (64, 64)])
 def test_solve_transform_budget(shape, monkeypatch):
     # 2d per CG iteration, 2d for a warm start's initial residual, and 2d + 2
-    # for the re-check; the guess and the answer cross no extra transform
+    # for the re-check; the guess and the answer cross no extra transform.
+    # Cold or from a 1e-4 guess, these solves take too many iterations for
+    # the rounding bound to spare the re-check; from a 1e-9 guess in 2d it
+    # does, and the 2d transforms of the re-check are skipped
     grid = TorusGrid(shape, (2.0 * np.pi,) * len(shape))
     p = _graded_problem(grid, 1e-10)
     g_hat = np.fft.rfftn(p.g.values)
     x0h = np.fft.rfftn(solve_L(_graded_problem(grid, 1e-4)).values)
+    cases = [(None, 1), (x0h, 2)]
+    if grid.d == 2:
+        cases.append((np.fft.rfftn(solve_L(_graded_problem(grid, 1e-9)).values), 2 - 1))
     calls, d = _count_transforms(monkeypatch), grid.d
-    for guess, fixed in ((None, 1), (x0h, 2)):
+    for guess, fixed in cases:
         calls[0] = 0
         *_, info = _solve_raw(grid, p.a.values, g_hat, p.tol, None, guess)
         assert info.iterations > 0
         assert calls[0] == 2 * d * (info.iterations + fixed) + 2
+
+
+def _check_solve(grid, a, g_hat, tol, out) -> bool:
+    """Assert that the returned samples meet ``tol`` in a residual formed from
+    samples and that ``CGInfo.residual`` bounds it; True if the re-check was
+    skipped.  A re-checked solve reports its Parseval residual, which equals
+    the sample one up to rounding."""
+    x, x_hat, info = out
+    g = grid.irfft(g_hat)
+    res = np.linalg.norm(g - apply_L(Field(grid, a), Field(grid, x)).values) / np.linalg.norm(g)
+    assert res <= tol
+
+    def norm(uh):
+        return float(np.sqrt(grid.inner(uh, uh) / grid.size))
+
+    rechecked = norm(g_hat - (x_hat - _div_a_grad(grid, a, x_hat))) / norm(g_hat)
+    if info.residual == rechecked:
+        assert info.residual == pytest.approx(res, rel=1e-3)
+        return False
+    assert info.residual >= res
+    return True
+
+
+def _graded_phi0() -> Field:
+    """The base of _graded_problem's coefficient on a 32^2 torus: at n = 2.5
+    the first solve's coefficient is that problem's."""
+    g = TorusGrid((32, 32), (2.0 * np.pi, 2.0 * np.pi))
+    s = sum(np.cos((i + 1) * x + 0.3 * i) for i, x in enumerate(g.coordinates()))
+    return Field(g, np.broadcast_to(1.0 + 0.3 * s, g.shape).copy())
+
+
+_SHORT_RUNS = [  # (initial field, n, dt, steps), solved to 1e-10
+    (criterion7_phi0(1), 2.0, 1e-3, 40),
+    (_graded_phi0(), 2.5, 0.05, 10),
+]
+
+
+def test_every_solve_meets_its_tolerance(monkeypatch):
+    real, skipped = evolution._solve_raw, []
+
+    def checked(grid, a, g_hat, tol, max_iter, x0h=None):
+        out = real(grid, a, g_hat, tol, max_iter, x0h)
+        skipped.append(_check_solve(grid, a, g_hat, tol, out))
+        return out
+
+    monkeypatch.setattr(evolution, "_solve_raw", checked)
+    for phi0, n, dt, steps in _SHORT_RUNS:
+        skipped.clear()
+        cfg = EvolveConfig(n_exponent=n, dt=dt, t_end=steps * dt, elliptic_tol=1e-10)
+        evolve(phi0, cfg)
+        assert len(skipped) == 4 * steps
+        assert any(skipped)  # the bound is exercised, not only the re-check
+    for shape in ((256,), (128, 128)):
+        grid = TorusGrid(shape, (2.0 * np.pi,) * len(shape))
+        p = _graded_problem(grid, 1e-12)
+        g_hat = np.fft.rfftn(p.g.values)
+        _check_solve(grid, p.a.values, g_hat, p.tol, _solve_raw(grid, p.a.values, g_hat, p.tol, None))
+        with pytest.raises(NotConverged) as err:
+            _solve_raw(grid, p.a.values, g_hat, 1e-13, None)
+        assert err.value.residual > 1e-13
+
+
+def test_skipping_the_recheck_is_bit_identical(monkeypatch):
+    # GAP = inf refuses every bound, so every solve is re-checked as before
+    for phi0, n, dt, steps in _SHORT_RUNS:
+        cfg = EvolveConfig(n_exponent=n, dt=dt, t_end=steps * dt, elliptic_tol=1e-10)
+        skipping = evolve(phi0, cfg)
+        with monkeypatch.context() as m:
+            m.setattr(elliptic, "GAP", math.inf)
+            rechecking = evolve(phi0, cfg)
+        np.testing.assert_array_equal(
+            skipping.snapshots[-1][1].values, rechecking.snapshots[-1][1].values
+        )
+        for name in ("monitor", "cg_iterations"):
+            np.testing.assert_array_equal(
+                getattr(skipping.report, name), getattr(rechecking.report, name)
+            )
 
 
 @pytest.mark.parametrize("shape", [(256,), (64, 64)])

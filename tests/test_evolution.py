@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import SMALL_GRIDS, smooth_random_field
+from conftest import SMALL_GRIDS, criterion7_phi0, smooth_random_field
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -243,22 +243,11 @@ def _count_cg_iterations(monkeypatch) -> list[int]:
     return solved
 
 
-def _criterion7_phi0(seed: int) -> Field:
-    """Criterion 7's initial data: five random-phase modes of amplitude 0.08/m."""
-    g = TorusGrid((256,), (2.0 * np.pi,))
-    rng = np.random.default_rng(seed)
-    x = g.axis_coordinates(0)
-    vals = np.ones(g.shape)
-    for m in range(1, 6):
-        vals += (0.08 / m) * np.cos(m * x + rng.uniform(0.0, 2.0 * np.pi))
-    return Field(g, vals)
-
-
 def test_solve_restarts_after_failed_recheck():
     # at 1e-12 a recursive residual that passes but a true one that fails
     # used to send CG off on a stale direction: elliptic_failure at t = 0.042
     cfg = _cfg(dt=1e-3, t_end=0.1, elliptic_tol=1e-12)
-    rep = evolve(_criterion7_phi0(205), cfg).report
+    rep = evolve(criterion7_phi0(205), cfg).report
     assert rep.verdict is Verdict.COMPLETED_TO_T_END
 
 
@@ -274,7 +263,7 @@ def test_stuck_guessed_solve_restarts_cold(monkeypatch):
         return real(grid, a, g_hat, tol, max_iter, x0h)
 
     monkeypatch.setattr(evolution, "_solve_raw", stuck)
-    phi, cfg = _criterion7_phi0(1), _cfg(elliptic_tol=1e-12)
+    phi, cfg = criterion7_phi0(1), _cfg(elliptic_tol=1e-12)
     got = evolution._rhs_raw(phi.grid, phi.values, cfg, np.fft.rfftn(phi.values))
     cold = evolution._rhs_raw(phi.grid, phi.values, cfg, None)
     np.testing.assert_array_equal(got[0], cold[0])
@@ -286,7 +275,7 @@ def test_stage_guesses_cut_cg_work(monkeypatch):
     # 22.3 CG iterations per step here
     solved = _count_cg_iterations(monkeypatch)
     cfg = _cfg(dt=1e-3, t_end=0.2, elliptic_tol=1e-10)
-    rep = evolve(_criterion7_phi0(1), cfg).report
+    rep = evolve(criterion7_phi0(1), cfg).report
     assert rep.verdict is Verdict.COMPLETED_TO_T_END
     assert len(rep.cg_iterations) == 1 + 200
     assert rep.cg_iterations[4:].mean() <= 8.0  # steps 4-200, full history
@@ -313,7 +302,7 @@ def test_stage_guesses_cut_cg_work_2d(monkeypatch):
     assert solved[0] == int(rep.cg_iterations.sum())
 
 
-@pytest.mark.parametrize("phi0", [_criterion7_phi0(1), _bump_2d()], ids=["1d", "2d"])
+@pytest.mark.parametrize("phi0", [criterion7_phi0(1), _bump_2d()], ids=["1d", "2d"])
 def test_logged_monitor_matches_the_public_pieces(phi0):
     # the logged columns equal the public functions of the snapshots bit for
     # bit; test_cli.py checks embed's sidecar and report the same way
@@ -462,7 +451,7 @@ def test_extrapolate_reproduces_polynomial_offsets():
 
 def test_stage_guesses_leave_the_answer_alone():
     # step_rk4 carries no history from step to step, so it is the reference
-    for phi0, n, dt, steps, bound in ((_criterion7_phi0(1), 2.0, 1e-3, 50, 1e-10),
+    for phi0, n, dt, steps, bound in ((criterion7_phi0(1), 2.0, 1e-3, 50, 1e-10),
                                       (_bump_2d(), 2.5, 0.05, 20, 1e-12)):
         cfg = _cfg(n_exponent=n, dt=dt, t_end=steps * dt, elliptic_tol=1e-12)
         result = evolve(phi0, cfg)
@@ -479,7 +468,7 @@ def test_stage_guesses_leave_the_answer_alone():
 def test_conservation_run_completes_for_failing_seeds(seed):
     # seeds whose criterion-7 run ended in elliptic_failure before CG restarted
     cfg = _cfg(dt=1e-3, t_end=5.0, snapshot_every=250, elliptic_tol=1e-12)
-    result = evolve(_criterion7_phi0(seed), cfg)
+    result = evolve(criterion7_phi0(seed), cfg)
     rep = result.report
     assert rep.verdict is Verdict.COMPLETED_TO_T_END
     assert np.max(np.abs(rep.mass - rep.mass[0])) <= 1e-10
