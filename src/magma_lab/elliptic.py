@@ -19,6 +19,15 @@ transforms when the bound passes and 2d(i + 1) + 2 when it is re-checked,
 a warm one 2d more.  At 1e-10 the bound passes for 93.9% of the solves of
 the criterion-7 run and 99.9% of the criterion-8 2d transit; at 1e-12 in
 1d N=256 it never does.
+
+The iteration is bound by per-call overhead at small sizes, so it makes no
+temporary it can write in place: each transform's output is scaled in
+place, the first axis's term of div(a grad u) is the sum, and the residual,
+L_a p and the search direction are updated in place.  The preconditioner
+(once a solve) and the inner-product weights (once a grid) are complex, so
+no product casts a real operand.  The operations and their order are those
+of the plain formulas, so every output is bit for bit the same; inputs are
+never written.
 """
 
 from __future__ import annotations
@@ -44,6 +53,7 @@ __all__ = [
 LOW_CONTRAST_RATIO = 1e-3
 MAX_RESTARTS = 16  # converging solves at 1e-12 have needed up to 16 (README)
 GAP = 4.0  # measured residual gaps stayed below 0.19 eps (i + 1) ||L_a|| ||x||
+_EPS = float(np.finfo(float).eps)
 
 
 class NonPositiveCoefficient(ValueError):
@@ -97,10 +107,17 @@ class EllipticProblem:
 
 
 def _div_a_grad(grid: TorusGrid, a: np.ndarray, uh: np.ndarray) -> np.ndarray:
-    """rfft coefficients of div(a grad u), given those of u: 2d transforms."""
-    acc = np.zeros_like(uh)
+    """rfft coefficients of div(a grad u), given those of u: 2d transforms.
+    Each transform's output is scaled in place, and the first axis's term is
+    the sum: the operations of a sum from zeros, told apart from it only by
+    the sign of an exact zero."""
+    acc = None
     for ik in grid.rfft_deriv_multipliers:
-        acc += ik * grid.rfft(a * grid.irfft(ik * uh))
+        flux = grid.irfft(ik * uh)
+        flux *= a
+        term = grid.rfft(flux)
+        term *= ik
+        acc = term if acc is None else np.add(acc, term, out=acc)
     return acc
 
 
@@ -125,11 +142,14 @@ def _solve_raw(
         return np.zeros(grid.shape), np.zeros_like(g_hat), CGInfo(iterations=0, residual=0.0)
 
     def residual(uh: np.ndarray) -> np.ndarray:
-        return g_hat - (uh - _div_a_grad(grid, a, uh))
+        rh = _div_a_grad(grid, a, uh)
+        np.subtract(uh, rh, out=rh)
+        return np.subtract(g_hat, rh, out=rh)
 
-    precond = 1.0 / (1.0 + float(a.mean()) * grid.rfft_k_squared)
+    # complex, as its product with a complex array casts it: exact, once a solve
+    precond = (1.0 / (1.0 + float(a.sum()) / a.size * grid.rfft_k_squared)).astype(complex)
     # bounds the operator norm of L_a in the Parseval norm
-    norm_a = 1.0 + float(a.max()) * float(grid.rfft_k_squared.max())
+    norm_a = 1.0 + float(a.max()) * grid._k_squared_max
     xh = np.zeros_like(g_hat) if x0h is None else x0h.copy()
     rh = g_hat.copy() if x0h is None else residual(xh)
 
@@ -145,7 +165,7 @@ def _solve_raw(
             # bound fails the tolerance (a NaN bound fails it too)
             x = grid.irfft(xh)
             xt = grid.rfft(x)
-            gap = GAP * np.finfo(float).eps * (iterations + 1) * norm(xt)
+            gap = GAP * _EPS * (iterations + 1) * norm(xt)
             bound = res_norm + norm_a * (norm(xt - xh) + gap)
             if bound <= target:
                 return x, xt, CGInfo(iterations=iterations, residual=bound / norm_g)
@@ -164,9 +184,14 @@ def _solve_raw(
         iterations += 1
         z = precond * rh
         rz_next = grid.inner(rh, z)
-        p = z if p is None else z + (rz_next / rz) * p
+        if p is None:
+            p = z
+        else:
+            p *= rz_next / rz
+            p += z
         rz = rz_next
-        Ap = p - _div_a_grad(grid, a, p)
+        Ap = _div_a_grad(grid, a, p)
+        np.subtract(p, Ap, out=Ap)
         pAp = grid.inner(p, Ap)
         if not pAp > 0.0:  # breakdown: the recursive residual underflowed
             xt = grid.rfft(grid.irfft(xh))

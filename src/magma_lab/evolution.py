@@ -133,7 +133,8 @@ def _rhs_raw(
     if not vals.min() > 0.0:
         raise PositivityLost(f"min(phi) = {vals.min():.3e}")
     a = np.exp(cfg.n_exponent * np.log(vals))
-    g_hat = -grid.rfft_deriv_multipliers[-1] * grid.rfft(a)
+    g_hat = grid.rfft(a)
+    g_hat *= -grid.rfft_deriv_multipliers[-1]
     try:
         out, out_hat, info = _solve_raw(grid, a, g_hat, cfg.elliptic_tol, None, guess_hat)
     except NotConverged as exc:

@@ -128,13 +128,15 @@ class TorusGrid:
     def rfft_shape(self) -> tuple[int, ...]:
         return self.shape[:-1] + (self.n_points[-1] // 2 + 1,)
 
+    # The cached arrays below are shared by every transform on this grid, so
+    # they are read-only: an in-place slip raises instead of corrupting them.
     @cached_property
     def rfft_deriv_multipliers(self) -> tuple[np.ndarray, ...]:
         out = []
         for j in range(self.d):
             k = self.axis_wavenumbers(j)[: self.rfft_shape[j]]
             k[self.n_points[j] // 2] = 0.0
-            out.append(self._along(j, 1j * k))
+            out.append(_readonly(self._along(j, 1j * k)))
         return tuple(out)
 
     @cached_property
@@ -143,7 +145,11 @@ class TorusGrid:
         out = np.zeros(self.rfft_shape)
         for ik in self.rfft_deriv_multipliers:
             out = out + np.abs(ik) ** 2
-        return out
+        return _readonly(out)
+
+    @cached_property
+    def _k_squared_max(self) -> float:
+        return float(self.rfft_k_squared.max())
 
     @cached_property
     def rfft_weights(self) -> np.ndarray:
@@ -151,7 +157,16 @@ class TorusGrid:
         twice, for their conjugate mirrors; the mean and Nyquist columns once."""
         w = np.full(self.rfft_shape[-1], 2.0)
         w[0] = w[-1] = 1.0
-        return self._along(self.d - 1, w)
+        return _readonly(self._along(self.d - 1, w))
+
+    @cached_property
+    def _inner_weights(self) -> np.ndarray:
+        # complex, as a product with a complex array casts them: exact, once
+        return _readonly(self.rfft_weights.astype(complex))
+
+    @cached_property
+    def _axes(self) -> tuple[int, ...]:
+        return tuple(range(self.d))
 
     def rfft(self, vals: np.ndarray) -> np.ndarray:
         """rfft coefficients of samples on this grid."""
@@ -159,12 +174,12 @@ class TorusGrid:
 
     def irfft(self, coeffs: np.ndarray) -> np.ndarray:
         """Samples on this grid of rfft coefficients."""
-        return np.fft.irfftn(coeffs, s=self.shape, axes=tuple(range(self.d)))
+        return np.fft.irfftn(coeffs, s=self.shape, axes=self._axes)
 
     def inner(self, uh: np.ndarray, vh: np.ndarray) -> float:
         """Hermitian-weighted inner product of rfft coefficients: ``size``
         times the sample inner product of the real fields they stand for."""
-        return float(np.vdot(uh, self.rfft_weights * vh).real)
+        return float(np.vdot(uh, self._inner_weights * vh).real)
 
     @cached_property
     def norm_k_squared(self) -> np.ndarray:
@@ -173,7 +188,7 @@ class TorusGrid:
         for j in range(self.d):
             k = self.axis_wavenumbers(j)[: self.rfft_shape[j]]
             out = out + self._along(j, k) ** 2
-        return out
+        return _readonly(out)
 
     def mode_wavevector(self, mode: Sequence[int]) -> np.ndarray:
         try:

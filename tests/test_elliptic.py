@@ -347,6 +347,38 @@ def test_recheck_returns_checked_samples(shape):
     np.testing.assert_array_equal(x0h, kept)  # the caller's guess is left alone
 
 
+def _readonly_copy(arr: np.ndarray) -> np.ndarray:
+    out = np.array(arr)
+    out.flags.writeable = False
+    return out
+
+
+@pytest.mark.parametrize("shape", [(64,), (16, 16), (8, 8, 8)])
+def test_solves_never_write_into_their_inputs(shape, monkeypatch):
+    # the hot path scales and subtracts in place; read-only inputs make any
+    # write into a caller's array raise.  Cold, warm and already-converged
+    # starts, with the re-check spared by the rounding bound and (GAP = inf)
+    # always made.  evolve keeps both the guess and the answer in its
+    # difference tables, so they must not share memory either.
+    grid = TorusGrid(shape, (2.0 * np.pi,) * len(shape))
+    p = _graded_problem(grid, 1e-10)
+    a, g_hat = _readonly_copy(p.a.values), _readonly_copy(np.fft.rfftn(p.g.values))
+    guesses = [None] + [_readonly_copy(np.fft.rfftn(solve_L(_graded_problem(grid, tol)).values))
+                        for tol in (1e-4, 1e-11)]
+    assert not np.shares_memory(_div_a_grad(grid, a, guesses[1]), guesses[1])
+    for gap in (elliptic.GAP, math.inf):
+        monkeypatch.setattr(elliptic, "GAP", gap)
+        skipped = []
+        for guess in guesses:
+            out = _solve_raw(grid, a, g_hat, p.tol, None, guess)
+            skipped.append(_check_solve(grid, a, g_hat, p.tol, out))
+            for arr in out[:2]:
+                assert arr.flags.writeable
+                for given_arr in (a, g_hat, guess):
+                    assert given_arr is None or not np.shares_memory(arr, given_arr)
+        assert skipped == [gap < math.inf] * len(guesses)
+
+
 def test_sub_floor_tolerance_gives_up_after_restart_cap():
     # 1e-13 lies below the rounding floor: every re-check fails, and the
     # solve used to restart until the 2,560-iteration cap
@@ -384,3 +416,19 @@ def test_coefficient_apply_matches_sample_apply(shape, seed):
     got = uh - _div_a_grad(grid, a, uh)
     want = np.fft.rfftn(apply_L(Field(grid, a), Field(grid, u)).values)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@given(_EVEN_SHAPES, st.integers(min_value=0, max_value=2**31 - 1))
+@example([4, 6, 8], 0)
+def test_div_a_grad_is_the_textbook_sum_bit_for_bit(shape, seed):
+    # the hot path scales in place and starts its sum from the first term;
+    # the arithmetic and its order must stay those of this formula
+    grid = TorusGrid(tuple(shape), tuple(1.0 + j for j in range(len(shape))))
+    rng = np.random.default_rng(seed)
+    a = np.exp(0.5 * rng.normal(size=grid.shape))
+    uh = np.fft.rfftn(rng.normal(size=grid.shape))
+    want = np.zeros_like(uh)
+    for ik in grid.rfft_deriv_multipliers:
+        flux = np.fft.irfftn(ik * uh, s=grid.shape, axes=tuple(range(grid.d)))
+        want += ik * np.fft.rfftn(a * flux)
+    np.testing.assert_array_equal(_div_a_grad(grid, a, uh), want)

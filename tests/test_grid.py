@@ -96,6 +96,26 @@ def test_wavenumbers_and_modes():
     np.testing.assert_allclose(g2.mode_wavevector((1, -2)), [1.0, -2.0])
 
 
+@pytest.mark.parametrize("shape", [(8,), (8, 6), (4, 6, 8)])
+def test_cached_grid_arrays_are_read_only(shape):
+    # every transform on a grid shares these arrays, so an in-place write
+    # into one would corrupt every later solve on that grid
+    g = TorusGrid(shape, (2.0 * np.pi,) * len(shape))
+    cached = [*g.rfft_deriv_multipliers, g.rfft_k_squared, g.rfft_weights,
+              g.norm_k_squared, g._inner_weights]
+    for arr in cached:
+        kept = arr.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            arr *= 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            np.add(arr, 1.0, out=arr)
+        np.testing.assert_array_equal(arr, kept)
+    assert g._k_squared_max == g.rfft_k_squared.max()
+    np.testing.assert_array_equal(g._inner_weights, g.rfft_weights)
+
+
 def test_field_validation_and_ops():
     g = TorusGrid((8,), (2.0 * np.pi,))
     with pytest.raises(ValueError):
