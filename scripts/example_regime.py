@@ -55,7 +55,6 @@ def main() -> None:
 
     mu_c, sol = find_mu_c(p, bisect_tol=args.bisect_tol)
     fit = decay_check(sol)
-    sol = replace(sol, decay=fit)
     print(f"mu_c     = {mu_c:.15f}")
     print(f"Q_tau    = {sol.Q_tau:.15f}")
 

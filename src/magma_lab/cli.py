@@ -28,7 +28,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from typing import Callable, NamedTuple, Sequence
 
@@ -337,7 +337,7 @@ def _snapshot_pair(
     """The snap_<i>.bin snapshot and its .json sidecar, as _load_run_snapshots
     reads them back."""
     stem = f"snap_{i:06d}"
-    sidecar = {"t": float(t), "step": i, "monitor": monitor if math.isfinite(monitor) else None,
+    sidecar = {"t": float(t), "monitor": monitor if math.isfinite(monitor) else None,
                "config_hash": cfg_hash}  # JSON has no inf or nan
     return [
         (stem + ".bin", lambda path: write_snapshot(fld, path)),
@@ -388,7 +388,6 @@ def _cmd_shoot(cfg: dict, ns: argparse.Namespace) -> tuple[list[_Artifact], _Rep
         structure = structure_report(params)
         mu_c, sol = find_mu_c(params, bisect_tol=cfg["bisect_tol"], r_max=cfg["r_max"])
         fit = decay_check(sol)
-        sol = replace(sol, decay=fit)
         report = [
             ("Q_star", structure.Q_star), ("Q1", structure.Q1),
             ("mu1_min", structure.mu1_min), ("mu2_min", structure.mu2_min),
@@ -492,7 +491,7 @@ def _cmd_diag_dispersion(cfg: dict, ns: argparse.Namespace) -> tuple[list[_Artif
 def _cmd_diag_track(cfg: dict, ns: argparse.Namespace) -> tuple[list[_Artifact], _Report]:
     snapshots = _load_run_snapshots(cfg["run"])
     trace = track_peak(snapshots)
-    return [("peaks.csv", _csv("t,position", zip(trace.times, trace.positions)))], [
+    return [("peaks.csv", _csv("t,position", zip((t for t, _ in snapshots), trace.positions)))], [
         ("snapshots", str(len(snapshots))), ("speed", trace.speed),
     ]
 

@@ -142,8 +142,7 @@ class NoPeak(RuntimeError):
 
 @dataclass(frozen=True)
 class PeakTrack:
-    times: np.ndarray
-    positions: np.ndarray  # unwrapped along the last axis
+    positions: np.ndarray  # one per snapshot, unwrapped along the last axis
     speed: float
 
 
@@ -164,7 +163,6 @@ def track_peak(snapshots: list[tuple[float, Field]]) -> PeakTrack:
     n_last = grid.n_points[-1]
     h = length / n_last
 
-    times = []
     raw = []
     for t, fld in snapshots:
         vals = fld.values
@@ -178,13 +176,11 @@ def track_peak(snapshots: list[tuple[float, Field]]) -> PeakTrack:
         f_p = line[(i + 1) % n_last]
         den = f_m - 2.0 * f_0 + f_p
         delta = 0.5 * (f_m - f_p) / den if den != 0.0 else 0.0
-        times.append(t)
         raw.append((i + delta) * h)
 
     positions = [raw[0]]
     for p in raw[1:]:
         positions.append(p + length * round((positions[-1] - p) / length))
-    times_arr = np.array(times)
     pos_arr = np.array(positions)
-    speed = float(np.polyfit(times_arr, pos_arr, 1)[0])
-    return PeakTrack(times=times_arr, positions=pos_arr, speed=speed)
+    speed = float(np.polyfit(np.array([t for t, _ in snapshots]), pos_arr, 1)[0])
+    return PeakTrack(positions=pos_arr, speed=speed)

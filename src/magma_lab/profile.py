@@ -362,7 +362,7 @@ class ProfileSolution:
     params: ProfileParams          # mu is the critical curvature mu_c
     samples: ShotSamples
     Q_tau: float
-    decay: DecayFit | None = None
+    decay: DecayFit | None = None  # decay_check's fit; an archive derives it on read
 
 
 SUBCASE_TOL = 1e-9
@@ -1095,18 +1095,18 @@ def _csv(header: str, rows: Iterable[Iterable[object]]) -> str:
 
 
 def write_profile_csv(path, sol: ProfileSolution) -> None:
-    """Profile archive: one commented metadata line, then r,Q,Q_r,Q_rr rows."""
+    """Profile archive: a metadata line of d, n, c, mu_c, Q_tau, then r,Q,Q_r,Q_rr rows."""
     p, s = sol.params, sol.samples
-    k = sol.decay.k if sol.decay is not None else float("nan")
-    M = sol.decay.M if sol.decay is not None else float("nan")
     meta = (f"# d={_fmt(p.d)}, n={_fmt(p.n)}, c={_fmt(p.c)}, mu_c={_fmt(_require_mu(p))}, "
-            f"Q_tau={_fmt(sol.Q_tau)}, Q_star={_fmt(q_star(p.n))}, k={_fmt(k)}, M={_fmt(M)}")
+            f"Q_tau={_fmt(sol.Q_tau)}")
     with open(path, "w", newline="") as fh:
         fh.write(_csv(meta, [("r,Q,Q_r,Q_rr",), *zip(s.r, s.Q, s.Q_r, s.Q_rr)]))
 
 
 def read_profile_csv(path) -> ProfileSolution:
-    """Read a profile archive; bad content raises ValueError naming ``path``."""
+    """Read a profile archive; bad content raises ValueError naming ``path``.  The
+    decay fit is decay_check's, or None where it refuses or M is not positive and
+    finite; older archives' Q_star, k and M are ignored."""
     try:
         with open(path) as fh:
             lines = fh.read().splitlines()
@@ -1118,7 +1118,7 @@ def read_profile_csv(path) -> ProfileSolution:
             if key in meta:
                 raise ValueError(f"profile metadata gives {key!r} twice")
             meta[key] = float(value)
-        missing = [k for k in ("d", "n", "c", "mu_c", "Q_tau", "k", "M") if k not in meta]
+        missing = [k for k in ("d", "n", "c", "mu_c", "Q_tau") if k not in meta]
         if missing:
             raise ValueError(f"profile metadata lacks {', '.join(missing)}")
         if len(lines) < 2 or lines[1] != "r,Q,Q_r,Q_rr":
@@ -1145,11 +1145,12 @@ def read_profile_csv(path) -> ProfileSolution:
         if not (math.isnan(q_tau) or 0.0 < q_tau < 1.0 and _h3(q_tau, params.n, 1.0) > 0.0):
             raise ValueError(f"profile metadata Q_tau={q_tau!r} must lie in (Q_star, 1)")
         samples = ShotSamples(r=data[:, 0], Q=data[:, 1], Q_r=data[:, 2], Q_rr=data[:, 3])
-        k, M = meta["k"], meta["M"]
-        if not (math.isnan(k) and math.isnan(M) or 0.0 < k < math.inf and 0.0 < M < math.inf):
-            raise ValueError(f"profile metadata k={k!r}, M={M!r}: both must be nan "
-                             f"(no fit) or positive and finite")
-        decay = None if math.isnan(k) else DecayFit(M=M, k=k)
     except (ValueError, ArithmeticError) as exc:  # UnicodeDecodeError is a ValueError
         raise ValueError(f"{path}: {exc}") from None
-    return ProfileSolution(params=params, samples=samples, Q_tau=q_tau, decay=decay)
+    sol = ProfileSolution(params=params, samples=samples, Q_tau=q_tau)
+    try:
+        with np.errstate(over="ignore"):  # radii past the float range give M = inf
+            fit = decay_check(sol)  # None for a nan Q_tau too
+    except ProfileError:  # a short tail, or L(Q_tau) <= 0 by rounding just below Q1
+        return sol
+    return replace(sol, decay=fit) if fit is not None and 0.0 < fit.M < math.inf else sol

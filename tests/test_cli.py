@@ -32,6 +32,7 @@ from magma_lab import (
     integrate_shot,
     measure_mass,
     monitor_index,
+    q_star,
     read_profile_csv,
     read_snapshot,
     write_snapshot,
@@ -280,6 +281,7 @@ def test_evolve_artifacts(evolve_run):
         fld = read_snapshot(bin_path)
         assert fld.grid.shape == (32,)
         meta = json.loads(sidecar_path.read_text())
+        assert sorted(meta) == ["config_hash", "monitor", "t"]  # the name holds the ordinal
         assert meta["config_hash"] == manifest["config_hash"]
         assert np.isfinite(meta["monitor"])
     times = [json.loads(p.read_text())["t"] for p in sidecars]
@@ -851,6 +853,40 @@ def test_embed_on_a_huge_1d_torus_prints_no_warning(embed_profiles, tmp_path):
     assert vals[32] == float(parsed(proc.stdout)["peak"])
 
 
+def _with_fit_keys(archive: Path, out: Path, k: float, M: float) -> Path:
+    """The archive in the older format, whose metadata also held Q_star, k and M."""
+    meta, rest = archive.read_text().split("\n", 1)
+    n = read_profile_csv(archive).params.n
+    out.write_text(f"{meta}, Q_star={q_star(n)!r}, k={k!r}, M={M!r}\n{rest}")
+    return out
+
+
+def test_a_stored_fit_that_disagrees_with_the_rows_is_not_trusted(embed_profiles, tmp_path):
+    # the d = 2 tail misses 1 by about 1.6e-6 at side 80; the reader used to
+    # take k and M as written, and an archive edited to k=1.0 or M=1e-9 embedded
+    archive = embed_profiles[2] / "profile.csv"
+    fit = read_profile_csv(archive).decay
+    argv = ["embed", "--n-points", "32,32", "--lengths", "80,80", "-o", str(tmp_path / "out")]
+    want = run_cli(argv + ["--profile", str(archive)])
+    assert want[:2] == (2, "") and want[2].startswith("numerical failure: DomainTooSmall: ")
+    for k, M in [(1.0, fit.M), (fit.k, 1e-9)]:
+        edited = _with_fit_keys(archive, tmp_path / "edited.csv", k, M)
+        assert run_cli(argv + ["--profile", str(edited)]) == want
+
+
+def test_an_archive_with_fit_keys_reads_and_embeds_as_one_without(embed_profiles, tmp_path):
+    archive = embed_profiles[2] / "profile.csv"
+    fit = read_profile_csv(archive).decay
+    older = _with_fit_keys(archive, tmp_path / "older.csv", fit.k, fit.M)
+    assert read_profile_csv(older).decay == fit is not None
+    fields = []
+    for i, path in enumerate([archive, older]):
+        argv = ["embed", "--profile", str(path), "--n-points", "64,64", "--lengths", "150"]
+        assert run_cli(argv + ["-o", str(tmp_path / str(i))])[0] == 0
+        fields.append((tmp_path / str(i) / "snap_000000.bin").read_bytes())
+    assert fields[0] == fields[1]
+
+
 _SIDE = st.one_of(st.floats(10.0, 1e3), st.floats(1e-300, 1e-3), st.floats(1e3, 1e308))
 
 
@@ -1247,7 +1283,6 @@ _ROWS = "r,Q,Q_r,Q_rr\n0.0,1.0,0.0,-0.05\n1.0,0.98,-0.04,-0.03\n"
     "kind, text",
     [
         ("profile", _META + "\n"),
-        ("profile", _META.replace(", k=nan", "") + "\n" + _ROWS),
         ("profile", _META.replace(", c=1.7", "") + "\n" + _ROWS),
         ("profile", _META + "\nr,Q,Q_r,Q_rr\n0.0,1.0,0.0\n"),
         ("profile", _META + "\nr,Q,Q_r,Q_rr\n"),
@@ -1259,17 +1294,13 @@ _ROWS = "r,Q,Q_r,Q_rr\n0.0,1.0,0.0,-0.05\n1.0,0.98,-0.04,-0.03\n"
         # a Q_tau below Q_star was read, and its embedding overflowed with a warning
         ("profile", _META.replace("Q_tau=0.7", "Q_tau=1e-20")
          .replace("k=nan, M=nan", "k=1.0, M=1.0") + "\n" + _ROWS),
-        # an M that is nan or negative skipped the domain check, and embedded
-        ("profile", _META.replace("k=nan", "k=1.0") + "\n" + _ROWS),
-        ("profile", _META.replace("k=nan, M=nan", "k=1.0, M=-1.0") + "\n" + _ROWS),
         ("sidecar", '{"step": 0}\n'),
         ("sidecar", '{"t": null}\n'),
         ("sidecar", '{"t": NaN}\n'),
         ("sidecar", "[0.0]\n"),
     ],
-    ids=["meta-only", "no-k", "no-c", "short-row", "no-rows", "zero-Q_tau", "tiny-Q_tau",
-         "tiny-Q_tau-no-fit", "huge-Q_tau", "below-Q_star", "nan-M", "negative-M",
-         "no-t", "null-t", "nan-t", "list"],
+    ids=["meta-only", "no-c", "short-row", "no-rows", "zero-Q_tau", "tiny-Q_tau",
+         "tiny-Q_tau-no-fit", "huge-Q_tau", "below-Q_star", "no-t", "null-t", "nan-t", "list"],
 )
 def test_malformed_archive_is_exit_code_not_traceback(tmp_path, kind, text):
     if kind == "profile":

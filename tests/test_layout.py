@@ -74,7 +74,7 @@ PUBLIC_RECORDS = {
     # diagnostics
     "ConservedEnergyParams": ("n",),
     "DispersionFit": ("omega_formula", "omega_measured", "relative_error"),
-    "PeakTrack": ("times", "positions", "speed"),
+    "PeakTrack": ("positions", "speed"),
 }
 
 
@@ -235,3 +235,17 @@ def test_only_integrate_shot_makes_a_shot():
         for node in ast.walk(top)
         if isinstance(node, ast.Name) and node.id == "_Shot")
     assert makers == [("profile.py", "integrate_shot")]
+
+
+def test_only_decay_check_makes_a_decay_fit():
+    # decay_check is the one maker of a tail fit: an archive stores no k or M,
+    # and its reader cannot take a fit that disagrees with its rows
+    package = Path(magma_lab.__file__).parent
+    makers = sorted(
+        (path.name, getattr(top, "name", None))
+        for path in package.glob("*.py")
+        for top in ast.parse(path.read_text()).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and "DecayFit" in (getattr(node.func, "id", None), getattr(node.func, "attr", None)))
+    assert makers == [("profile.py", "decay_check")]

@@ -1289,11 +1289,24 @@ def test_profile_csv_round_trip(tmp_path, critical3):
 
 
 def test_profile_csv_without_decay(tmp_path, critical3):
+    # an archive stores no fit: the one read back is decay_check's of the
+    # rows, whatever the solution written held, and none where it has none:
+    # a tail too short; one ulp below Q1 at c = 2, where L(Q_tau) rounds to 0
+    # and decay_check refuses; radii past the float range, which fit M = inf
     _, sol = critical3
     path = tmp_path / "bare.csv"
     write_profile_csv(path, replace(sol, decay=None))
-    back = read_profile_csv(path)
-    assert back.decay is None
+    assert read_profile_csv(path).decay == decay_check(sol) is not None
+    path.write_text(_ARCHIVE)
+    assert read_profile_csv(path).decay is None
+    p = replace(sol.params, c=2.0)
+    edge = replace(sol, params=p, Q_tau=math.nextafter(magma_lab.profile._q1(p), 0.0), decay=None)
+    with pytest.raises(ProfileError, match="L <= 0"):
+        decay_check(edge)
+    far = replace(sol, samples=replace(sol.samples, r=1e306 + 1e304 * sol.samples.r), decay=None)
+    for archived in (edge, far):
+        write_profile_csv(path, archived)
+        assert read_profile_csv(path).decay is None
 
 
 def test_profile_csv_rejects_malformed(tmp_path, critical3):
@@ -1333,12 +1346,6 @@ def test_profile_csv_errors_name_the_file(tmp_path):
         (_ARCHIVE.rsplit("0.01,", 1)[0].encode(), "1 sample rows, fewer than 2"),
         (_ARCHIVE.replace("0.999998", "nan").encode(), "sample row 2: a value is not finite"),
         (_ARCHIVE.replace("-0.00021", "-inf").encode(), "sample row 2: a value is not finite"),
-        # a fit whose k or M is not positive and finite; embedding such an
-        # archive skipped its domain check
-        (_ARCHIVE.replace("M=0.12", "M=nan").encode(), "k=0.5, M=nan: both must be nan"),
-        (_ARCHIVE.replace("M=0.12", "M=-1.0").encode(), "k=0.5, M=-1.0: both must be nan"),
-        (_ARCHIVE.replace("k=0.5", "k=inf").encode(), "k=inf, M=0.12: both must be nan"),
-        (_ARCHIVE.replace("k=0.5", "k=nan").encode(), "k=nan, M=0.12: both must be nan"),
     ]:
         path.write_bytes(raw)
         with pytest.raises(ValueError, match=match) as err:
