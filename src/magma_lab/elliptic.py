@@ -46,7 +46,6 @@ __all__ = [
     "NotConverged",
     "NearDegenerateWarning",
     "apply_L",
-    "solve_L",
     "solve_L_info",
 ]
 
@@ -208,10 +207,6 @@ def apply_L(a: Field, u: Field) -> Field:
         raise ValueError("coefficient and argument live on different grids")
     grid = u.grid
     return Field(grid, u.values - grid.irfft(_div_a_grad(grid, a.values, grid.rfft(u.values))))
-
-
-def solve_L(p: EllipticProblem, x0: Field | None = None) -> Field:
-    return solve_L_info(p, x0)[0]
 
 
 def solve_L_info(p: EllipticProblem, x0: Field | None = None) -> tuple[Field, CGInfo]:

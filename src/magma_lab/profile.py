@@ -45,13 +45,13 @@ past r0 one component at a time, each step's coefficients repeated over its run
 of samples; its samples up to r0 come off the series, _series_at.  SciPy's
 solve_ivp and dense-output classes are the tests' oracle.
 
-A shot's tail is read off its end state (r, Q, Q_r, Q_rr) alone: the flat
-test, find_mu_c's Q_tau (_tail_limit, the fixed point of the linearised
-tail) and decay_check's rate k = sqrt(L(Q_tau)).  Where L(Q) <= 0 the tail
-is algebraic, and find_mu_c reads Q_tau through the one NumPy reader of
-stored samples, _hermite.  SciPy is imported on the first call that needs
-it (a shot, q_star, ode_residual's splines), not with the module, so
-``magma-lab diagnose``, ``embed`` and ``evolve`` never load it.
+A shot's tail is read off its end state (r, Q, Q_r, Q_rr) alone; _tail_limit
+alone decides its kind and limit, for the flat test, find_mu_c's Q_tau and
+decay_check's k = sqrt(L(Q_tau)): the linearised tail's fixed point on the
+exponential side (_tail_rate), else Q1 for d > 4 (the algebraic tail Q1 +
+A/r^2) or none.  _hermite alone reads stored samples between radii.  SciPy is
+imported on the first call that needs it (a shot, q_star, ode_residual's
+splines), not with the module, so ``diagnose``, ``embed`` and ``evolve`` never load it.
 """
 
 from __future__ import annotations
@@ -96,7 +96,6 @@ __all__ = [
     "rescale",
     "embed_on_torus",
     "ode_residual",
-    "qr2_identity_gap",
     "write_profile_csv",
     "read_profile_csv",
 ]
@@ -684,14 +683,14 @@ class _Shot:
         mode's part of q = Q - Q_tau at most the decaying mode's.  To leading
         order in 1/(k r), k = sqrt(L(Q_tau)) and s = (d-1)/(2r), the modes have
         q'/q = -k - s and k - s, so the growing part is (Q_r + (k + s) q)/(2k).
-        Q_tau is _tail_limit's, or Q where that gives none (L(Q) <= 0: an
-        algebraic tail, with no growing mode).  None where the shot is not flat.
+        Q_tau is _tail_limit's; an algebraic tail (Q_tau = Q1) has no growing
+        mode.  None where the shot is not flat or no limit reads.
         """
         r, (Q, Qr, Qrr) = self.r, self.y
         if abs(Qr) <= FLAT_TOL and abs(Qrr) <= FLAT_TOL and Q > self.qs:
             q_tau = _tail_limit(self.p, r, self.y)
-            if q_tau is None:
-                return ShotOutcome(ShotClass.FLAT, Q_tau=Q)
+            if q_tau is None or q_tau == _q1(self.p):  # unsettled, or algebraic: no growing mode
+                return None if q_tau is None else ShotOutcome(ShotClass.FLAT, Q_tau=q_tau)
             k, q = math.sqrt(_decay_rate(self.p, q_tau)), Q - q_tau
             grow = (Qr + (k + 0.5 * (self.p.d - 1.0) / r) * q) / (2.0 * k)
             if abs(grow) <= abs(q - grow):
@@ -833,9 +832,9 @@ def find_mu_c(
     final shot must again not cross the floor: a flat endpoint at r_max is
     no proof that the shot stays above it further out.
 
-    Q_tau is read off the final shot's end state by _tail_limit, or where
-    that gives none (L(Q) <= 0: an algebraic tail) taken as the Aitken limit
-    of Q at r/4, r/2 and r, which is exact for a power-law tail.
+    Q_tau is _tail_limit's read of the final shot's end state; where it
+    gives none, the shot ended before its tail could be read, and a
+    ProfileError names bisect_tol.
     """
     if not 0.0 <= bisect_tol < math.inf:
         raise ValueError("bisect_tol must be nonnegative and finite")
@@ -860,14 +859,8 @@ def find_mu_c(
     r_end = samples.r[-1]
     q_tau = _tail_limit(p, float(r_end), (samples.Q[-1], samples.Q_r[-1], samples.Q_rr[-1]))
     if q_tau is None:
-        a1, a2 = _hermite(samples, r_end / np.array([4.0, 2.0])).tolist()
-        a3 = float(samples.Q[-1])
-        den = a1 - 2.0 * a2 + a3
-        q_tau = a3 if abs(den) < 1e-15 else a3 - (a3 - a2) ** 2 / den
-    if not (report.Q_star < q_tau < 1.0):
-        raise ProfileError(f"limit {q_tau} escaped (Q_star, 1) where the final shot ends at "
-                           f"r = {r_end:.6g}; lower bisect_tol={bisect_tol:g} to carry it "
-                           "further down its tail")
+        raise ProfileError(f"the final shot's tail reads no limit at r = {r_end:.6g}; lower "
+                           f"bisect_tol={bisect_tol:g} to carry it further down its tail")
 
     return mu_c, ProfileSolution(params=replace(p, mu=mu_c), samples=samples, Q_tau=q_tau)
 
@@ -877,20 +870,30 @@ def _decay_rate(p: ProfileParams, q_tau: float) -> float:
     return q_tau ** (-p.n) - p.n / (p.c * q_tau)
 
 
+def _tail_rate(p: ProfileParams, q: float) -> float:
+    """L(q) where a tail can settle at q exponentially, q < Q1 and L(q) > 0, else nan; in
+    floats L rounds to 0 a few ulps below Q1, and to +2.2e-16 at Q1 for some (n, c)."""
+    L = _decay_rate(p, q)
+    return L if q < _q1(p) and L > 0.0 else math.nan
+
+
 def _tail_limit(p: ProfileParams, r: float, y) -> float | None:
-    """Q_tau off a tail's state y = (Q, Q_r, Q_rr) at r, or None.
+    """Q_tau off a tail's state y = (Q, Q_r, Q_rr) at r, or None; the one rule for a tail.
 
     Near Q_tau the ODE linearises to Delta_r q = L(Q_tau) q, with q = Q - Q_tau,
     Delta_r q = q'' + (d-1) q'/r and L = _decay_rate (Hairer, Norsett & Wanner,
-    Solving ODEs I).  So Q_tau is the fixed point of q -> Q - Delta_r Q / L(q),
-    iterated from Q until a step is within 4 ulps; L is positive at the result.
-    None where an iterate leaves (Q_star, Q1), outside which L is not positive
-    (so where L(Q) <= 0), or where TAIL_ITERS evaluations of L do not settle.
+    Solving ODEs I).  On the exponential side (_tail_rate) Q_tau is the fixed point
+    of q -> Q - Delta_r Q / L(q), iterated from Q until a step is within 4 ulps; None
+    where an iterate leaves that side or falls to Q_star, or TAIL_ITERS do not settle.
+    Off it, Delta_r q = L'(Q1) q^2/2 has q = A/r^2, A = 4(d-4) c Q1^2/(n(n-1)) > 0 for
+    d > 4 alone: there the tail is algebraic with the limit Q1; elsewhere, None.
     """
     Q, Qr, Qrr = map(float, y)
+    if not _tail_rate(p, Q) > 0.0:
+        return _q1(p) if p.d > 4.0 else None
     lap, qs, q, last = Qrr + (p.d - 1.0) * Qr / r, q_star(p.n), Q, math.nan
     for _ in range(TAIL_ITERS):
-        L = _decay_rate(p, q) if q > qs else math.nan
+        L = _tail_rate(p, q) if q > qs else math.nan
         if not L > 0.0:
             return None
         if abs(q - last) <= 4.0 * math.ulp(q):
@@ -902,18 +905,15 @@ def _tail_limit(p: ProfileParams, r: float, y) -> float | None:
 def decay_check(sol: ProfileSolution) -> DecayFit | None:
     """The exponential tail envelope M exp(-k r) when the decay criterion holds.
 
-    Returns nothing when Q_tau >= (c/n)^{1/(n-1)}; that is a valid outcome,
-    not an error.  The rate is that of the linearised tail, k = sqrt(L(Q_tau));
-    only M is fitted, on samples whose distance to Q_tau lies inside
-    (1e-6, 1e-2).  The wider window (1e-10, 1e-2) must hold at least 20
-    samples or the tail is deemed too short.
+    Returns nothing unless Q_tau is on the exponential side (_tail_rate), as for
+    the algebraic tail Q1 of d > 4: a valid outcome, not an error.  The rate is
+    that of the linearised tail, k = sqrt(L(Q_tau)); only M is fitted, on samples
+    whose distance to Q_tau lies inside (1e-6, 1e-2).  The wider window (1e-10,
+    1e-2) must hold at least 20 samples or the tail is deemed too short.
     """
-    p = sol.params
-    if not sol.Q_tau < _q1(p):
+    L = _tail_rate(sol.params, sol.Q_tau)
+    if not L > 0.0:
         return None
-    L = _decay_rate(p, sol.Q_tau)
-    if not L > 0:
-        raise ProfileError("decay criterion held but L <= 0")
 
     delta = sol.samples.Q - sol.Q_tau
     window = (delta > 1e-10) & (delta < 1e-2)
@@ -1063,25 +1063,6 @@ def ode_residual(samples: ShotSamples, p: ProfileParams) -> np.ndarray:
     return -Qr + d1 / p.c + d2 + (p.d - 1.0) * w1 * d3
 
 
-def qr2_identity_gap(samples: ShotSamples, p: ProfileParams) -> float:
-    """Max gap in the slope-energy identity along a shot.
-
-    0.5 Q^n Q_r^2 must equal F2(Q, mu) minus the quadrature of
-    [ (n/2) int Q_r^2/q^2 dq + (d-1) Q_r/r ] Q^n dQ along the trajectory.
-    """
-    from scipy.integrate import cumulative_trapezoid
-
-    r, Q, Qr = samples.r, samples.Q, samples.Q_r
-    inner = cumulative_trapezoid(Qr**3 / Q**2, r, initial=0.0)
-    correction = cumulative_trapezoid(
-        ((p.n / 2.0) * inner + (p.d - 1.0) * _qr_over_r(samples)) * Q**p.n * Qr,
-        r, initial=0.0,
-    )
-    lhs = 0.5 * Q**p.n * Qr**2
-    rhs = F2(Q, p) - correction
-    return float(np.max(np.abs(lhs - rhs)))
-
-
 # -- archive format ---------------------------------------------------------
 
 def _fmt(x: float) -> str:
@@ -1105,8 +1086,8 @@ def write_profile_csv(path, sol: ProfileSolution) -> None:
 
 def read_profile_csv(path) -> ProfileSolution:
     """Read a profile archive; bad content raises ValueError naming ``path``.  The
-    decay fit is decay_check's, or None where it refuses or M is not positive and
-    finite; older archives' Q_star, k and M are ignored."""
+    decay fit is decay_check's, or None where it gives none, finds the tail too short
+    or M is not positive and finite; older archives' Q_star, k and M are ignored."""
     try:
         with open(path) as fh:
             lines = fh.read().splitlines()
@@ -1151,6 +1132,6 @@ def read_profile_csv(path) -> ProfileSolution:
     try:
         with np.errstate(over="ignore"):  # radii past the float range give M = inf
             fit = decay_check(sol)  # None for a nan Q_tau too
-    except ProfileError:  # a short tail, or L(Q_tau) <= 0 by rounding just below Q1
+    except TailTooShort:
         return sol
     return replace(sol, decay=fit) if fit is not None and 0.0 < fit.M < math.inf else sol

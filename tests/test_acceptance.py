@@ -37,7 +37,7 @@ from magma_lab import (
     integrate_shot,
     ode_residual,
     rescale,
-    solve_L,
+    solve_L_info,
     spectral_derivative,
     step_rk4,
     structure_report,
@@ -171,7 +171,7 @@ def test_criterion_05_elliptic_manufactured():
     rhs = apply_L(a, u_exact)
 
     tol = 1e-12
-    u = solve_L(EllipticProblem(a=a, g=rhs, tol=tol))
+    u = solve_L_info(EllipticProblem(a=a, g=rhs, tol=tol))[0]
     rel = hs_norm(u - u_exact, 0.0) / hs_norm(u_exact, 0.0)
     assert rel <= 1e-9
 

@@ -747,8 +747,8 @@ _COARSE = ["--d", "2.76528", "--n", "2.683353", "--c", "1.55", "--bisect-tol"]
 
 
 @pytest.mark.parametrize("tol, message", [
-    ("5e-3", "ProfileError: limit -0.37642838796282185 escaped (Q_star, 1) where the final "
-             "shot ends at r = 6.87141; lower bisect_tol=0.005 to carry it further down its tail"),
+    ("5e-3", "ProfileError: the final shot's tail reads no limit at r = 6.87141; lower "
+             "bisect_tol=0.005 to carry it further down its tail"),
     ("1e-3", "TailTooShort: only 0 samples within (1e-10, 1e-2) of Q_tau, and the last, at "
              "r = 8.77811, has Q - Q_tau = 0.0124; a smaller bisect_tol carries the final shot "
              "further down its tail"),

@@ -22,7 +22,6 @@ from magma_lab import (
     elliptic,
     evolution,
     evolve,
-    solve_L,
     solve_L_info,
     spectral_derivative,
 )
@@ -92,7 +91,7 @@ def test_true_residual_contract():
     a = Field(g, 1.5 + 0.9 * np.sin(np.add(*g.meshgrid())))
     rhs = Field(g, rng.normal(size=g.shape))
     tol = 1e-11
-    u = solve_L(EllipticProblem(a=a, g=rhs, tol=tol))
+    u = solve_L_info(EllipticProblem(a=a, g=rhs, tol=tol))[0]
     res = rhs - apply_L(a, u)
     assert np.linalg.norm(res.values) <= tol * np.linalg.norm(rhs.values)
 
@@ -149,7 +148,7 @@ def test_not_converged_carries_diagnostics():
         a = Field.from_function(g, coef)
         rhs = Field.from_function(g, rhs_fn)
         with pytest.raises(NotConverged) as err:
-            solve_L(EllipticProblem(a=a, g=rhs, tol=tol, max_iter=cap))
+            solve_L_info(EllipticProblem(a=a, g=rhs, tol=tol, max_iter=cap))
         assert 1 <= err.value.iterations <= (cap or 10 * n)
         # the true residual of the last iterate, not the recursive one
         assert err.value.residual > 1e-14
@@ -161,7 +160,7 @@ def test_near_degenerate_warning():
     a = Field(g, base + 1e-5)
     rhs = Field.from_function(g, np.sin)
     with pytest.warns(NearDegenerateWarning):
-        solve_L(EllipticProblem(a=a, g=rhs, tol=1e-8, max_iter=20000))
+        solve_L_info(EllipticProblem(a=a, g=rhs, tol=1e-8, max_iter=20000))
 
 
 def test_no_warning_for_moderate_contrast():
@@ -172,7 +171,7 @@ def test_no_warning_for_moderate_contrast():
 
     with warnings.catch_warnings():
         warnings.simplefilter("error", NearDegenerateWarning)
-        solve_L(EllipticProblem(a=a, g=rhs, tol=1e-10))
+        solve_L_info(EllipticProblem(a=a, g=rhs, tol=1e-10))
 
 
 def test_preconditioner_keeps_iterations_modest():
@@ -241,10 +240,10 @@ def test_solve_transform_budget(shape, monkeypatch):
     grid = TorusGrid(shape, (2.0 * np.pi,) * len(shape))
     p = _graded_problem(grid, 1e-10)
     g_hat = np.fft.rfftn(p.g.values)
-    x0h = np.fft.rfftn(solve_L(_graded_problem(grid, 1e-4)).values)
+    x0h = np.fft.rfftn(solve_L_info(_graded_problem(grid, 1e-4))[0].values)
     cases = [(None, 1), (x0h, 2)]
     if grid.d == 2:
-        cases.append((np.fft.rfftn(solve_L(_graded_problem(grid, 1e-9)).values), 2 - 1))
+        cases.append((np.fft.rfftn(solve_L_info(_graded_problem(grid, 1e-9))[0].values), 2 - 1))
     calls, d = _count_transforms(monkeypatch), grid.d
     for guess, fixed in cases:
         calls[0] = 0
@@ -336,7 +335,7 @@ def test_recheck_returns_checked_samples(shape):
     # the tolerance in a residual formed independently from samples
     grid = TorusGrid(shape, (2.0 * np.pi,) * len(shape))
     p = _graded_problem(grid, 1e-12)
-    x0h = np.fft.rfftn(solve_L(_graded_problem(grid, 1e-4)).values)
+    x0h = np.fft.rfftn(solve_L_info(_graded_problem(grid, 1e-4))[0].values)
     kept = x0h.copy()
     for guess in (None, x0h):
         x, x_hat, info = _solve_raw(grid, p.a.values, np.fft.rfftn(p.g.values), p.tol, None, guess)
@@ -363,8 +362,9 @@ def test_solves_never_write_into_their_inputs(shape, monkeypatch):
     grid = TorusGrid(shape, (2.0 * np.pi,) * len(shape))
     p = _graded_problem(grid, 1e-10)
     a, g_hat = _readonly_copy(p.a.values), _readonly_copy(np.fft.rfftn(p.g.values))
-    guesses = [None] + [_readonly_copy(np.fft.rfftn(solve_L(_graded_problem(grid, tol)).values))
-                        for tol in (1e-4, 1e-11)]
+    guesses = [None] + [
+        _readonly_copy(np.fft.rfftn(solve_L_info(_graded_problem(grid, tol))[0].values))
+        for tol in (1e-4, 1e-11)]
     assert not np.shares_memory(_div_a_grad(grid, a, guesses[1]), guesses[1])
     for gap in (elliptic.GAP, math.inf):
         monkeypatch.setattr(elliptic, "GAP", gap)
@@ -384,7 +384,7 @@ def test_sub_floor_tolerance_gives_up_after_restart_cap():
     # solve used to restart until the 2,560-iteration cap
     grid = TorusGrid((256,), (2.0 * np.pi,))
     with pytest.raises(NotConverged) as err:
-        solve_L(_graded_problem(grid, 1e-13))
+        solve_L_info(_graded_problem(grid, 1e-13))
     assert err.value.iterations <= 100
     assert err.value.residual > 1e-13
 

@@ -21,7 +21,7 @@ PUBLIC_API = [
     "read_snapshot",
     # elliptic
     "EllipticProblem", "CGInfo", "NonPositiveCoefficient", "NotConverged",
-    "NearDegenerateWarning", "apply_L", "solve_L", "solve_L_info",
+    "NearDegenerateWarning", "apply_L", "solve_L_info",
     # evolution
     "EvolveConfig", "Verdict", "BlowupReport", "EvolveResult",
     "PositivityLost", "monitor_index", "rhs", "step_rk4", "evolve",
@@ -33,7 +33,7 @@ PUBLIC_API = [
     "Rescaling", "RescaledProfile", "F1", "F2", "F3", "structure_fn",
     "mu_curve", "q_star", "structure_report", "integrate_shot", "find_mu_c",
     "decay_check", "rescale", "embed_on_torus", "ode_residual",
-    "qr2_identity_gap", "write_profile_csv", "read_profile_csv",
+    "write_profile_csv", "read_profile_csv",
     # diagnostics
     "ConservedEnergyParams", "conserved_energy", "energy_series",
     "DispersionFit", "fit_dispersion", "NoPeak", "PeakTrack", "track_peak",
@@ -145,8 +145,7 @@ def test_only_the_dop853_generator_runs_generated_code():
 def test_shooting_reads_scipys_tableau_not_its_dense_output():
     # profile._dense reads every DOP853 interpolant; SciPy's dense-output
     # classes are the tests' oracle only.  Besides the tableau, profile takes
-    # from scipy.integrate only solve_ivp (the seam perfbench wraps) and
-    # cumulative_trapezoid (qr2_identity_gap's quadrature).
+    # from scipy.integrate only solve_ivp (the seam perfbench wraps).
     package = Path(magma_lab.__file__).parent
     tree = ast.parse((package / "profile.py").read_text())
     imported = []
@@ -156,8 +155,7 @@ def test_shooting_reads_scipys_tableau_not_its_dense_output():
         elif isinstance(node, ast.ImportFrom):
             imported += [(node.module or "", alias.name) for alias in node.names]
     assert sorted(i for i in imported if i[0].startswith("scipy.integrate")) == [
-        ("scipy.integrate", "cumulative_trapezoid"), ("scipy.integrate", "solve_ivp"),
-        ("scipy.integrate._ivp", "dop853_coefficients")]
+        ("scipy.integrate", "solve_ivp"), ("scipy.integrate._ivp", "dop853_coefficients")]
     pattern = re.compile(r"\bOdeSolution\b|\bDop853DenseOutput\b|_ivp\.rk\b")
     assert [f.name for f in sorted(package.glob("*.py")) if pattern.search(f.read_text())] == []
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import DOP853, OdeSolution, quad, solve_ivp
+from scipy.integrate import DOP853, OdeSolution, cumulative_trapezoid, quad, solve_ivp
 from scipy.integrate._ivp import dop853_coefficients
 from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY, Dop853DenseOutput, rk_step
 from scipy.optimize import brentq
@@ -42,7 +42,6 @@ from magma_lab import (
     mu_curve,
     ode_residual,
     q_star,
-    qr2_identity_gap,
     read_profile_csv,
     rescale,
     structure_fn,
@@ -437,8 +436,8 @@ def _scipy_shot(p, r_max, start=None, method=_PredictiveDOP853):
         out = prof._event_outcome(rf[0] if len(rf) else np.inf, rt[0] if len(rt) else np.inf,
                                   y_turn[0] if len(rt) else None, qs)
     else:
-        q_tau = prof._tail_limit(p, r_max, sol.y[:, -1])
-        out = ShotOutcome(ShotClass.FLAT, Q_tau=float(sol.y[0, -1] if q_tau is None else q_tau))
+        q_tau = prof._tail_limit(p, r_max, sol.y[:, -1])  # None: unsettled, as _Shot._flat
+        out = None if q_tau is None else ShotOutcome(ShotClass.FLAT, Q_tau=q_tau)
     center = sol.sol if r0 == R0 else _from_the_center(p, r0).sol
 
     def dense(r):
@@ -1110,6 +1109,23 @@ def test_ode_residual_small_on_shots(critical3):
     assert np.max(np.abs(ode_residual(samples, p))) <= 1e-7
 
 
+def qr2_identity_gap(samples: ShotSamples, p: ProfileParams) -> float:
+    """Max gap in the slope-energy identity along a shot.
+
+    0.5 Q^n Q_r^2 must equal F2(Q, mu) minus the quadrature of
+    [ (n/2) int Q_r^2/q^2 dq + (d-1) Q_r/r ] Q^n dQ along the trajectory.
+    """
+    r, Q, Qr = samples.r, samples.Q, samples.Q_r
+    inner = cumulative_trapezoid(Qr**3 / Q**2, r, initial=0.0)
+    qr_over_r = magma_lab.profile._qr_over_r(samples)
+    correction = cumulative_trapezoid(
+        ((p.n / 2.0) * inner + (p.d - 1.0) * qr_over_r) * Q**p.n * Qr, r, initial=0.0,
+    )
+    lhs = 0.5 * Q**p.n * Qr**2
+    rhs = F2(Q, p) - correction
+    return float(np.max(np.abs(lhs - rhs)))
+
+
 def test_qr2_identity_gap_small(critical3):
     _, sol = critical3
     assert qr2_identity_gap(sol.samples, sol.params) <= 1e-6
@@ -1147,6 +1163,42 @@ def test_limit_satisfies_the_first_integral_in_1d(c):
     q1 = (p.c / p.n) ** (1.0 / (p.n - 1.0))
     exact = brentq(lambda q: 1.0 - q + (q**p.n - 1.0) / p.c - mu_c, 0.3, q1, xtol=1e-15)
     assert sol.Q_tau == pytest.approx(exact, abs=1e-6)
+
+
+def test_critical_tail_past_d4_reads_q1():
+    # for d > 4 the critical tail is algebraic, Q1 + A/r^2, so its limit is Q1
+    # itself and c_bar = Q1^(1-n) c is n; the tail has no exponential fit
+    p = ProfileParams(d=7.0, n=2.150654061556261, c=1.7510869871888626)  # a shoot_grid cell
+    _, sol = find_mu_c(p, bisect_tol=1e-8)
+    assert sol.Q_tau == magma_lab.profile._q1(p)
+    assert rescale(sol, 1.0 / sol.Q_tau).scaling.c_bar == pytest.approx(p.n, rel=1e-15)
+    assert decay_check(sol) is None
+
+
+def test_algebraic_tail_follows_a_over_r_squared():
+    # Delta_r q = L'(Q1) q^2/2 near Q1 is solved by q = A/r^2 with
+    # A = 4(d-4) c Q1^2/(n(n-1)); a 1e-12 final shot on 2 r_max = 2000 is flat
+    p = ProfileParams(d=7.0, n=2.5, c=1.7)
+    _, sol = find_mu_c(p, bisect_tol=1e-12, r_max=1000.0)
+    q1 = magma_lab.profile._q1(p)
+    A = 4.0 * (p.d - 4.0) * p.c * q1**2 / (p.n * (p.n - 1.0))
+    r = 1000.0
+    assert sol.Q_tau == q1 and sol.samples.r[-1] > r
+    assert (float(magma_lab.profile._hermite(sol.samples, r)) - q1) * r**2 / A == pytest.approx(
+        1.0, rel=0.15)
+
+
+def test_slow_exponential_tail_past_d4_reads_its_limit_or_names_bisect_tol():
+    # at d = 6 this cell's tail is exponential, with its limit about 9.9e-5
+    # below Q1; at 1e-8 its final shot turns before the tail can be read
+    p = ProfileParams(d=6.0, n=2.261, c=2.031)
+    _, sol = find_mu_c(p, bisect_tol=1e-10)
+    s = sol.samples
+    assert sol.Q_tau == magma_lab.profile._tail_limit(p, s.r[-1], (s.Q[-1], s.Q_r[-1], s.Q_rr[-1]))
+    assert magma_lab.profile._q1(p) - sol.Q_tau == pytest.approx(9.93e-5, abs=1e-7)
+    assert decay_check(sol) is not None
+    with pytest.raises(ProfileError, match=r"lower bisect_tol=1e-08"):
+        find_mu_c(p, bisect_tol=1e-8)
 
 
 def test_decay_check_fit_and_none(critical3):
@@ -1291,20 +1343,24 @@ def test_profile_csv_round_trip(tmp_path, critical3):
 def test_profile_csv_without_decay(tmp_path, critical3):
     # an archive stores no fit: the one read back is decay_check's of the
     # rows, whatever the solution written held, and none where it has none:
-    # a tail too short; one ulp below Q1 at c = 2, where L(Q_tau) rounds to 0
-    # and decay_check refuses; radii past the float range, which fit M = inf
+    # a tail too short; a Q_tau off the exponential side by rounding on either
+    # side of Q1 (one ulp below it at c = 2, where L rounds to 0, and Q1 itself
+    # where L rounds to +2.2e-16); radii past the float range, which fit M = inf
     _, sol = critical3
     path = tmp_path / "bare.csv"
     write_profile_csv(path, replace(sol, decay=None))
     assert read_profile_csv(path).decay == decay_check(sol) is not None
     path.write_text(_ARCHIVE)
     assert read_profile_csv(path).decay is None
-    p = replace(sol.params, c=2.0)
-    edge = replace(sol, params=p, Q_tau=math.nextafter(magma_lab.profile._q1(p), 0.0), decay=None)
-    with pytest.raises(ProfileError, match="L <= 0"):
-        decay_check(edge)
+    q1, rate = magma_lab.profile._q1, magma_lab.profile._decay_rate
+    below = replace(sol.params, c=2.0)
+    at = replace(sol.params, n=2.2991213054944013, c=2.1393598149011104)
+    edges = [replace(sol, params=below, Q_tau=math.nextafter(q1(below), 0.0), decay=None),
+             replace(sol, params=at, Q_tau=q1(at), decay=None)]
+    assert [rate(e.params, e.Q_tau) for e in edges] == [0.0, 2.220446049250313e-16]
+    assert [decay_check(e) for e in edges] == [None, None]
     far = replace(sol, samples=replace(sol.samples, r=1e306 + 1e304 * sol.samples.r), decay=None)
-    for archived in (edge, far):
+    for archived in (*edges, far):
         write_profile_csv(path, archived)
         assert read_profile_csv(path).decay is None
 
