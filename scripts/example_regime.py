@@ -22,7 +22,6 @@ from dataclasses import replace
 from magma_lab import (
     ProfileParams,
     ShotClass,
-    decay_check,
     find_mu_c,
     integrate_shot,
     rescale,
@@ -54,7 +53,7 @@ def main() -> None:
         print(f"shot at {label} = {mu:+.6f}: {outcome.classification.value}")
 
     mu_c, sol = find_mu_c(p, bisect_tol=args.bisect_tol)
-    fit = decay_check(sol)
+    fit = sol.decay
     print(f"mu_c     = {mu_c:.15f}")
     print(f"Q_tau    = {sol.Q_tau:.15f}")
 

@@ -20,7 +20,6 @@ import numpy as np
 from magma_lab import (
     ProfileError,
     ProfileParams,
-    decay_check,
     find_mu_c,
     rescale,
     structure_report,
@@ -45,12 +44,11 @@ def main() -> None:
         try:
             Q1 = structure_report(p).Q1
             mu_c, sol = find_mu_c(p, bisect_tol=args.bisect_tol)
-            fit = decay_check(sol)
         except ProfileError as exc:
             print(f"c = {c:.4f}: {type(exc).__name__}: {exc}", file=sys.stderr)
             continue
         c_bar = rescale(sol, 1.0 / sol.Q_tau).scaling.c_bar
-        k = fit.k if fit is not None else float("nan")
+        k = sol.decay.k if sol.decay is not None else float("nan")
         rows.append(f"{c:.6f},{mu_c:.12e},{sol.Q_tau:.12f},{Q1:.12f},{c_bar:.12f},{k:.6f}")
         print(f"c = {c:.4f}  mu_c = {mu_c:+.8f}  Q_tau = {sol.Q_tau:.8f}  "
               f"c_bar = {c_bar:.6f}  k = {k:.4f}")

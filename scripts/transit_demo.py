@@ -15,7 +15,6 @@ Run (a couple of minutes at the defaults):
 from __future__ import annotations
 
 import argparse
-from dataclasses import replace
 
 import numpy as np
 
@@ -23,7 +22,6 @@ from magma_lab import (
     EvolveConfig,
     ProfileParams,
     TorusGrid,
-    decay_check,
     embed_on_torus,
     evolve,
     find_mu_c,
@@ -46,10 +44,9 @@ def main() -> None:
 
     p = ProfileParams(d=args.d, n=args.n, c=args.c)
     mu_c, sol = find_mu_c(p)
-    fit = decay_check(sol)
+    fit = sol.decay
     if fit is None:
         raise SystemExit("decay criterion fails here; no localized tail to embed")
-    sol = replace(sol, decay=fit)
 
     scaled = rescale(sol, 1.0 / sol.Q_tau)
     c_bar = scaled.scaling.c_bar

@@ -39,17 +39,15 @@ from .diagnostics import ConservedEnergyParams, energy_series, fit_dispersion, t
 from .evolution import EvolveConfig, _state_row, evolve, monitor_index
 from .grid import Field, SnapshotFormatError, TorusGrid, field_stats, read_snapshot, write_snapshot
 from .profile import (
-    ProfileError,
     ProfileParams,
     ProfileSolution,
-    _c_bar,
     _csv,
     _fmt,
-    decay_check,
     embed_on_torus,
     find_mu_c,
     integrate_shot,
     read_profile_csv,
+    rescale,
     structure_report,
     write_profile_csv,
 )
@@ -115,7 +113,6 @@ EVOLVE_OPTS: dict[str, _Opt] = {
     "t_end": _Opt(float, required=True, help="final time"),
     "init": _Opt(str, "constant:1.0", help="initial condition spec (see docs)"),
     "threshold": _Opt(float, 1e6, help="monitor value treated as blow-up"),
-    "s_monitor": _Opt(float, help="Sobolev index of the monitor (default d/2+floor(d/2)+3)"),
     "snapshot_every": _Opt(int, 0, help="store every k-th step (0: first and last only)"),
     "elliptic_tol": _Opt(float, 1e-10, help="relative residual target of the CG solves"),
 }
@@ -387,12 +384,12 @@ def _cmd_shoot(cfg: dict, ns: argparse.Namespace) -> tuple[list[_Artifact], _Rep
         params = ProfileParams(d=cfg["d"], n=cfg["n"], c=cfg["c"])
         structure = structure_report(params)
         mu_c, sol = find_mu_c(params, bisect_tol=cfg["bisect_tol"], r_max=cfg["r_max"])
-        fit = decay_check(sol)
+        fit = sol.decay
         report = [
             ("Q_star", structure.Q_star), ("Q1", structure.Q1),
             ("mu1_min", structure.mu1_min), ("mu2_min", structure.mu2_min),
             ("mu3_min", structure.mu3_min), ("mu_c", mu_c), ("Q_tau", sol.Q_tau),
-            ("c_bar", _c_bar(params, 1.0 / sol.Q_tau)),
+            ("c_bar", rescale(sol, 1.0 / sol.Q_tau).scaling.c_bar),
             ("decay_k", float("nan") if fit is None else fit.k),
             ("decay_M", None if fit is None else fit.M),
         ]
@@ -407,7 +404,7 @@ def _cmd_evolve(cfg: dict, ns: argparse.Namespace) -> tuple[list[_Artifact], _Re
         raise ValueError(f"init: {exc}") from exc
     ecfg = EvolveConfig(
         n_exponent=cfg["n"], dt=cfg["dt"], t_end=cfg["t_end"],
-        s_monitor=cfg["s_monitor"], blowup_threshold=cfg["threshold"],
+        blowup_threshold=cfg["threshold"],
         elliptic_tol=cfg["elliptic_tol"], snapshot_every=cfg["snapshot_every"],
     )
     result = evolve(phi0, ecfg)
@@ -431,17 +428,9 @@ def _sweep_task(item: tuple[float, float, float, float, float]) -> list[str]:
     try:
         params = ProfileParams(d=d, n=n, c=c)
         mu_c, sol = find_mu_c(params, bisect_tol=bisect_tol, r_max=r_max)
-        error = ""
-        try:
-            fit = decay_check(sol)
-        except ProfileError as exc:
-            fit, error = None, f"{type(exc).__name__}: {exc}"
-        k = fit.k if fit is not None else float("nan")
-        c_bar = _c_bar(params, 1.0 / sol.Q_tau)
-        return [
-            _fmt(d), _fmt(n), _fmt(c), _fmt(mu_c), _fmt(sol.Q_tau),
-            _fmt(k), _fmt(c_bar), error.replace(",", ";"),
-        ]
+        k = sol.decay.k if sol.decay is not None else float("nan")
+        c_bar = rescale(sol, 1.0 / sol.Q_tau).scaling.c_bar
+        return [_fmt(d), _fmt(n), _fmt(c), _fmt(mu_c), _fmt(sol.Q_tau), _fmt(k), _fmt(c_bar), ""]
     except Exception as exc:  # a failed cell must not abort the sweep
         msg = f"{type(exc).__name__}: {exc}".replace(",", ";").replace("\n", " ")
         return [_fmt(d), _fmt(n), _fmt(c), "", "", "", "", msg]

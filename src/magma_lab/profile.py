@@ -361,7 +361,7 @@ class ProfileSolution:
     params: ProfileParams          # mu is the critical curvature mu_c
     samples: ShotSamples
     Q_tau: float
-    decay: DecayFit | None = None  # decay_check's fit; an archive derives it on read
+    decay: DecayFit | None = None  # decay_check's fit, made by find_mu_c and on read
 
 
 SUBCASE_TOL = 1e-9
@@ -832,9 +832,10 @@ def find_mu_c(
     final shot must again not cross the floor: a flat endpoint at r_max is
     no proof that the shot stays above it further out.
 
-    Q_tau is _tail_limit's read of the final shot's end state; where it
-    gives none, the shot ended before its tail could be read, and a
-    ProfileError names bisect_tol.
+    Q_tau is _tail_limit's read of the final shot's end state, and the
+    solution carries decay_check's fit of it.  Where the tail reads no limit,
+    or decay_check finds it too short (TailTooShort), the shot ended before
+    its tail could be read, and the ProfileError names bisect_tol.
     """
     if not 0.0 <= bisect_tol < math.inf:
         raise ValueError("bisect_tol must be nonnegative and finite")
@@ -862,7 +863,8 @@ def find_mu_c(
         raise ProfileError(f"the final shot's tail reads no limit at r = {r_end:.6g}; lower "
                            f"bisect_tol={bisect_tol:g} to carry it further down its tail")
 
-    return mu_c, ProfileSolution(params=replace(p, mu=mu_c), samples=samples, Q_tau=q_tau)
+    sol = ProfileSolution(params=replace(p, mu=mu_c), samples=samples, Q_tau=q_tau)
+    return mu_c, replace(sol, decay=decay_check(sol))
 
 
 def _decay_rate(p: ProfileParams, q_tau: float) -> float:
@@ -936,7 +938,7 @@ def decay_check(sol: ProfileSolution) -> DecayFit | None:
 class Rescaling:
     """Scale factors of the symmetry Q -> q0*Q, r -> q0^{n/2} r."""
 
-    c_bar: float
+    c_bar: float  # the wave speed q0^(n-1) c
     r_scale: float
     mu_bar: float
 
@@ -948,17 +950,12 @@ class RescaledProfile:
     Q: np.ndarray
 
 
-def _c_bar(p: ProfileParams, q0_bar: float) -> float:
-    """Wave speed q0^(n-1) c after the rescaling Q -> q0*Q."""
-    return q0_bar ** (p.n - 1.0) * p.c
-
-
 def rescale(sol: ProfileSolution, q0_bar: float) -> RescaledProfile:
     if not q0_bar > 0:
         raise ValueError("scale factor must be positive")
     p = sol.params
     scaling = Rescaling(
-        c_bar=_c_bar(p, q0_bar),
+        c_bar=q0_bar ** (p.n - 1.0) * p.c,
         r_scale=q0_bar ** (p.n / 2.0),
         mu_bar=q0_bar ** (1.0 - p.n) * _require_mu(p),
     )

@@ -27,7 +27,6 @@ from magma_lab import (
     TorusGrid,
     Verdict,
     apply_L,
-    decay_check,
     embed_on_torus,
     energy_series,
     evolve,
@@ -49,15 +48,12 @@ EXAMPLE = ProfileParams(d=3.0, n=2.5, c=1.7)
 
 @pytest.fixture(scope="module")
 def example_critical():
-    mu_c, sol = find_mu_c(EXAMPLE)
-    return mu_c, replace(sol, decay=decay_check(sol))
+    return find_mu_c(EXAMPLE)
 
 
 @pytest.fixture(scope="module")
 def planar_critical():
-    p = ProfileParams(d=2.0, n=2.5, c=1.7)
-    mu_c, sol = find_mu_c(p)
-    return mu_c, replace(sol, decay=decay_check(sol))
+    return find_mu_c(ProfileParams(d=2.0, n=2.5, c=1.7))
 
 
 @pytest.mark.criterion(1, "example regime: oracle minimum, caseI shot, mu_c, decay")
@@ -83,7 +79,7 @@ def test_criterion_01_example_regime():
     mu_c, sol = find_mu_c(EXAMPLE)
     assert -0.021 < mu_c <= report.mu2_min
 
-    fit = decay_check(sol)
+    fit = sol.decay
     assert fit is not None
     assert sol.Q_tau < (1.7 / 2.5) ** (2.0 / 3.0)
     assert fit.k > 0.0

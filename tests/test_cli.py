@@ -177,11 +177,11 @@ def test_unknown_config_key_rejected(tmp_path):
     code, _, err = run_cli(["shoot", "--config", str(cfg)])
     assert code == 1
     assert "bogus" in err
-    for line in ("adaptive = true", "step_tol = 1e-8"):
+    for line in ("adaptive = true", "step_tol = 1e-8", "s_monitor = 2"):
         cfg.write_text(f"n_points = 16\nn = 2\ndt = 0.1\nt_end = 0.1\n{line}\n")
         code, _, err = run_cli(["evolve", "--config", str(cfg), "-o", str(tmp_path / "x")])
         assert code == 1
-        assert line.split(" = ")[0] in err
+        assert f":5: unknown config key {line.split(' = ')[0]!r}" in err
 
 
 @pytest.mark.parametrize("text, message", [
@@ -405,6 +405,9 @@ def test_degenerate_values_end_in_exit_code(request, tmp_path, argv):
     if request.node.callspec.id.startswith("d-1e15"):  # a stiff shot used to run for minutes
         assert proc.returncode == 2
         assert proc.stderr.startswith("numerical failure: Indeterminate: integrator failed: over ")
+    if request.node.callspec.id == "s-monitor-nan":  # no such option: a usage error
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("usage error: unrecognized arguments: --s-monitor nan")
     if request.node.callspec.id.startswith("volume"):  # phi = 1 logged nan; hs_norm read 0
         assert proc.returncode == 1
         assert proc.stderr.startswith("config error: side lengths must give a positive finite "
@@ -758,9 +761,11 @@ def test_coarse_bisect_tol_is_named(tmp_path, tol, message):
     # turns early, so its tail reads mean nothing; the error names the option
     code, out, err = run_cli(["shoot", *_COARSE, tol])
     assert (code, out, err) == (2, "", f"numerical failure: {message}\n")
-    code, _, _ = run_cli(["sweep", *_COARSE, tol, "-o", str(tmp_path / "sweep")])
+    # a sweep cell fails the same way, with no numbers: all or nothing
+    code, out, _ = run_cli(["sweep", *_COARSE, tol, "-o", str(tmp_path / "sweep")])
     row = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()[1]
-    assert code == 0 and row.endswith("," + message.replace(",", ";"))
+    assert row == "2.76528,2.683353,1.55,,,,," + message.replace(",", ";")
+    assert (code, parsed(out)) == (0, {"rows": "1", "failures": "1"})
 
 
 def test_unsettled_shot_names_the_public_error(tmp_path):
@@ -978,7 +983,6 @@ def _evolve_argv(draw) -> list[str]:
         "--init": (st.sampled_from(["constant:1", f"modes:base=1;amp=0.2,k={k1}",
                                     f"modes:base=1.5;amp=0.3,k={k2}"]), _init_spec()),
         "--threshold": (_spelled(st.floats(1.0, 1e6)), _WILD),
-        "--s-monitor": (_spelled(st.floats(0.0, 8.0)), st.one_of(_WILD, st.just("1e3"))),
         "--elliptic-tol": (st.sampled_from(["1e-10", "1e-6", "1e-13"]),
                            st.one_of(_WILD, st.sampled_from(["1e-16", "0.5", "1e3"]))),
         "--snapshot-every": (st.integers(0, 25).map(str), st.sampled_from(["-1", "x", "1.5"])),
@@ -1231,7 +1235,7 @@ def test_report_keys_in_order(case, critical_run, evolve_run, tmp_path, monkeypa
         "energy": ["diagnose", "energy", "--run", str(evolve_run), "--n", "2"],
     }[case]
     if case == "shoot-no-fit":
-        monkeypatch.setattr(magma_lab.cli, "decay_check", lambda sol: None)
+        monkeypatch.setattr(magma_lab.profile, "decay_check", lambda sol: None)
     code, out, err = run_cli(argv + ["-o", str(tmp_path / "run")])
     assert (code, err) == (0, "")
     lines = [line.partition(" = ") for line in out.splitlines()]

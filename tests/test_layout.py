@@ -97,8 +97,8 @@ def test_private_names_cross_modules_only_where_pinned():
         if isinstance(node, ast.ImportFrom) and node.level == 1
         for alias in node.names if re.match(r"_(?!_)", alias.name))
     assert imported == [
-        ("cli", "evolution", "_state_row"), ("cli", "profile", "_c_bar"),
-        ("cli", "profile", "_csv"), ("cli", "profile", "_fmt"),
+        ("cli", "evolution", "_state_row"), ("cli", "profile", "_csv"),
+        ("cli", "profile", "_fmt"),
         ("evolution", "elliptic", "_solve_raw"),
     ]
 
@@ -247,3 +247,27 @@ def test_only_decay_check_makes_a_decay_fit():
         if isinstance(node, ast.Call)
         and "DecayFit" in (getattr(node.func, "id", None), getattr(node.func, "attr", None)))
     assert makers == [("profile.py", "decay_check")]
+
+
+def test_only_find_mu_c_and_the_archive_reader_call_decay_check():
+    # a fresh profile carries find_mu_c's fit and an archive its reader's, so
+    # no caller, script or test fixture fits a profile again, nor gets another
+    # answer by skipping it
+    root = Path(__file__).resolve().parents[1]
+    files = [*Path(magma_lab.__file__).parent.glob("*.py"), *(root / "scripts").glob("*.py")]
+    assert "transit_demo.py" in [f.name for f in files]
+    callers = sorted(
+        (path.name, getattr(top, "name", None))
+        for path in files
+        for top in ast.parse(path.read_text()).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Name) and node.id == "decay_check")
+    assert callers == [("profile.py", "find_mu_c"), ("profile.py", "read_profile_csv")]
+    fixtures = [
+        (path.name, top.name)
+        for path in sorted((root / "tests").glob("*.py"))
+        for top in ast.parse(path.read_text()).body
+        if isinstance(top, ast.FunctionDef)
+        and any("fixture" in ast.unparse(dec) for dec in top.decorator_list)
+        and any(isinstance(node, ast.Name) and node.id == "decay_check" for node in ast.walk(top))]
+    assert fixtures == []

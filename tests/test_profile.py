@@ -66,17 +66,12 @@ def report3():
 
 @pytest.fixture(scope="module")
 def critical3():
-    mu_c, sol = find_mu_c(EXAMPLE)
-    fit = decay_check(sol)
-    return mu_c, replace(sol, decay=fit)
+    return find_mu_c(EXAMPLE)
 
 
 @pytest.fixture(scope="module")
 def critical2():
-    p = ProfileParams(d=2.0, n=2.5, c=1.7)
-    mu_c, sol = find_mu_c(p)
-    fit = decay_check(sol)
-    return mu_c, replace(sol, decay=fit)
+    return find_mu_c(ProfileParams(d=2.0, n=2.5, c=1.7))
 
 
 def test_params_validation():
@@ -1172,7 +1167,7 @@ def test_critical_tail_past_d4_reads_q1():
     _, sol = find_mu_c(p, bisect_tol=1e-8)
     assert sol.Q_tau == magma_lab.profile._q1(p)
     assert rescale(sol, 1.0 / sol.Q_tau).scaling.c_bar == pytest.approx(p.n, rel=1e-15)
-    assert decay_check(sol) is None
+    assert sol.decay is None
 
 
 def test_algebraic_tail_follows_a_over_r_squared():
@@ -1196,7 +1191,7 @@ def test_slow_exponential_tail_past_d4_reads_its_limit_or_names_bisect_tol():
     s = sol.samples
     assert sol.Q_tau == magma_lab.profile._tail_limit(p, s.r[-1], (s.Q[-1], s.Q_r[-1], s.Q_rr[-1]))
     assert magma_lab.profile._q1(p) - sol.Q_tau == pytest.approx(9.93e-5, abs=1e-7)
-    assert decay_check(sol) is not None
+    assert sol.decay is not None
     with pytest.raises(ProfileError, match=r"lower bisect_tol=1e-08"):
         find_mu_c(p, bisect_tol=1e-8)
 
@@ -1323,6 +1318,20 @@ def test_embedding_a_read_back_profile_is_bit_identical(tmp_path, critical2):
     assert got.values.tobytes() == want.values.tobytes()
 
 
+def test_fresh_profile_embeds_on_the_transit_torus_as_its_archive_does(tmp_path, critical2):
+    # find_mu_c's profile carries its tail fit, as the archive read back does;
+    # without it embed_on_torus bounds the tail by its last sample (1.1e-6
+    # above 1 here) and refuses the criterion-8 torus (128^2, side 44 r_scale/k)
+    _, sol = critical2
+    path = tmp_path / "profile.csv"
+    write_profile_csv(path, sol)
+    back = read_profile_csv(path)
+    assert sol.decay == back.decay is not None
+    side = 44.0 * rescale(sol, 1.0 / sol.Q_tau).scaling.r_scale / back.decay.k
+    grid = TorusGrid((128, 128), (side, side))
+    assert embed_on_torus(sol, grid).values.tobytes() == embed_on_torus(back, grid).values.tobytes()
+
+
 def test_profile_csv_round_trip(tmp_path, critical3):
     _, sol = critical3
     path_a = tmp_path / "profile.csv"
@@ -1349,7 +1358,7 @@ def test_profile_csv_without_decay(tmp_path, critical3):
     _, sol = critical3
     path = tmp_path / "bare.csv"
     write_profile_csv(path, replace(sol, decay=None))
-    assert read_profile_csv(path).decay == decay_check(sol) is not None
+    assert read_profile_csv(path).decay == sol.decay is not None
     path.write_text(_ARCHIVE)
     assert read_profile_csv(path).decay is None
     q1, rate = magma_lab.profile._q1, magma_lab.profile._decay_rate

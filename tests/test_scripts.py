@@ -11,7 +11,6 @@ from pathlib import Path
 import pytest
 
 from magma_lab import ProfileParams, read_profile_csv, rescale, structure_report
-from magma_lab.profile import _c_bar
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -35,7 +34,7 @@ def test_speed_sweep_columns_match_library(tmp_path):
     for row in rows:
         p = ProfileParams(d=3.0, n=2.5, c=float(row["c"]))
         assert row["Q1"] == f"{structure_report(p).Q1:.12f}"
-        want = _c_bar(p, 1.0 / float(row["Q_tau"]))
+        want = float(row["Q_tau"]) ** (1.0 - p.n) * p.c  # c_bar = Q_tau^(1-n) c
         assert float(row["c_bar"]) == pytest.approx(want, rel=1e-10)
 
 
