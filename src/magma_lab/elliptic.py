@@ -7,18 +7,16 @@ L_a costs 2d real transforms per iteration, the constant-coefficient
 preconditioner (I - abar*Lap)^{-1} with abar = mean(a) is the diagonal
 multiply 1/(1 + abar|k|^2), exact for constant a, and transforms and inner
 products are ``TorusGrid``'s; a warm start is coefficients too.  When the
-recursive residual meets the tolerance, the iterate goes to samples and
-back in 2 transforms.  If the residual-gap bound (Greenbaum 1997; van der
-Vorst & Ye 2000) of those samples, the recursive residual plus
-||L_a|| (||round trip|| + GAP eps (i + 1) ||x||), meets the tolerance too,
-they are returned; otherwise their true residual is re-checked by Parseval
-in 2d more transforms, and if it fails, CG restarts from it with a fresh
-search direction, at most MAX_RESTARTS times: a tolerance below the
-rounding floor then gives up.  A cold solve of i iterations makes 2d i + 2
-transforms when the bound passes and 2d(i + 1) + 2 when it is re-checked,
-a warm one 2d more.  At 1e-10 the bound passes for 93.9% of the solves of
-the criterion-7 run and 99.9% of the criterion-8 2d transit; at 1e-12 in
-1d N=256 it never does.
+recursive residual res meets the tolerance, the iterate xh goes to samples x in
+1 transform, and its Hermitian part ph, all irfft reads, is formed.  If the
+bound (Greenbaum 1997; Higham 2002, ch. 24, for the FFT round trip)
+res + ||L_a|| (||xh - ph|| + (RT + GAP (i+1)) eps ||xh||) meets the tolerance,
+x and ph are returned; else rfft(x)'s true residual is re-checked in 2d + 1
+more transforms, and if it fails, CG restarts from it with a fresh search
+direction, at most MAX_RESTARTS times: a tolerance below the rounding floor
+then gives up.  A cold solve of i iterations makes 2d i + 1 transforms when the
+bound passes and 2d(i + 1) + 2 when it is re-checked, a warm one 2d more; the
+bound passes for 90.8% of the criterion-7 run's solves at 1e-10, none at 1e-12.
 
 The iteration is bound by per-call overhead at small sizes, so it makes no
 temporary it can write in place: each transform's output is scaled in
@@ -52,6 +50,7 @@ __all__ = [
 LOW_CONTRAST_RATIO = 1e-3
 MAX_RESTARTS = 16  # converging solves at 1e-12 have needed up to 16 (README)
 GAP = 4.0  # measured residual gaps stayed below 0.19 eps (i + 1) ||L_a|| ||x||
+RT = 4.0  # measured ||rfft(irfft(xh)) - ph|| stayed below 2.4 eps ||xh||
 _EPS = float(np.finfo(float).eps)
 
 
@@ -120,6 +119,24 @@ def _div_a_grad(grid: TorusGrid, a: np.ndarray, uh: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _hermitian_part(grid: TorusGrid, xh: np.ndarray) -> tuple[np.ndarray, float]:
+    """The Hermitian part ph of rfft coefficients xh, all ``irfft`` reads, and
+    ||xh - ph||: the last axis's mean and Nyquist columns become 0.5 (X[k] +
+    conj X[-k]) over the other axes.  ph is a new array: returning CG's own
+    iterate let the allocator trim and regrow the heap after 128^2 solves."""
+    ph = xh.copy()
+    if grid.d == 1:  # each entry is its own mirror: keep the real parts
+        lo, hi = xh[0].imag, xh[-1].imag
+        ph[0], ph[-1] = xh[0].real, xh[-1].real
+        return ph, (float(lo * lo + hi * hi) / grid.size) ** 0.5
+    mirror = cols = xh[..., :: xh.shape[-1] - 1]
+    for j in range(grid.d - 1):  # X[-k]: index k to -k mod N on axis j
+        mirror = np.roll(np.flip(mirror, j), 1, j)
+    ph[..., :: ph.shape[-1] - 1] = herm = 0.5 * (cols + mirror.conj())
+    rest = cols - herm
+    return ph, float(np.sqrt(np.vdot(rest, rest).real / grid.size))
+
+
 def _solve_raw(
     grid: TorusGrid,
     a: np.ndarray,
@@ -129,9 +146,9 @@ def _solve_raw(
     x0h: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, CGInfo]:
     """Solve L_a u = g from ``g_hat = grid.rfft(g)`` and the optional guess
-    ``x0h``, also rfft coefficients.  Returns the samples ``x``, their
-    ``grid.rfft(x)`` and the CG record; the residual reported is that of ``x``,
-    or a bound on it."""
+    ``x0h``, also rfft coefficients.  Returns the samples ``x``, Hermitian
+    coefficients that ``grid.irfft`` maps to them and the CG record; the
+    residual reported is that of ``x``, or a bound on it."""
 
     def norm(uh: np.ndarray) -> float:  # the sample 2-norm, by Parseval
         return float(np.sqrt(grid.inner(uh, uh) / grid.size))
@@ -158,17 +175,15 @@ def _solve_raw(
     res_norm, iterations, p, restarts = norm(rh), 0, None, 0
     while True:
         if res_norm <= target:
-            # the recursive residual drifts from the true one by at most
-            # GAP eps (iterations + 1) ||L_a|| ||x||, and the round trip to
-            # samples drops the non-Hermitian part; re-check only when that
-            # bound fails the tolerance (a NaN bound fails it too)
+            # the recursive residual drifts from the true one by at most GAP
+            # eps (i + 1) ||L_a|| ||x||, and rfft(x) from ph by RT eps ||xh||:
+            # re-check only when that bound fails (a NaN bound fails it too)
             x = grid.irfft(xh)
-            xt = grid.rfft(x)
-            gap = GAP * _EPS * (iterations + 1) * norm(xt)
-            bound = res_norm + norm_a * (norm(xt - xh) + gap)
+            ph, off = _hermitian_part(grid, xh)
+            bound = res_norm + norm_a * (off + (RT + GAP * (iterations + 1)) * _EPS * norm(xh))
             if bound <= target:
-                return x, xt, CGInfo(iterations=iterations, residual=bound / norm_g)
-            xh = xt
+                return x, ph, CGInfo(iterations=iterations, residual=bound / norm_g)
+            xh = grid.rfft(x)
             rh = residual(xh)
             res_norm = norm(rh)
             if res_norm <= target:
