@@ -255,9 +255,9 @@ def test_solve_transform_budget(shape, monkeypatch):
 def _check_solve(grid, a, g_hat, tol, out) -> bool:
     """Assert that the returned samples meet ``tol`` in a residual formed from
     samples and that ``CGInfo.residual`` bounds it; True if the re-check was
-    skipped.  A re-checked solve reports its Parseval residual, which equals
-    the sample one up to rounding."""
-    x, x_hat, info = out
+    skipped.  A re-checked solve reports the Parseval residual of rfft(x),
+    which equals the sample one up to rounding."""
+    x, _, info = out
     g = grid.irfft(g_hat)
     res = np.linalg.norm(g - apply_L(Field(grid, a), Field(grid, x)).values) / np.linalg.norm(g)
     assert res <= tol
@@ -265,7 +265,8 @@ def _check_solve(grid, a, g_hat, tol, out) -> bool:
     def norm(uh):
         return float(np.sqrt(grid.inner(uh, uh) / grid.size))
 
-    rechecked = norm(g_hat - (x_hat - _div_a_grad(grid, a, x_hat))) / norm(g_hat)
+    xh = grid.rfft(x)
+    rechecked = norm(g_hat - (xh - _div_a_grad(grid, a, xh))) / norm(g_hat)
     if info.residual == rechecked:
         assert info.residual == pytest.approx(res, rel=1e-3)
         return False
@@ -314,9 +315,10 @@ def test_every_solve_meets_its_tolerance(monkeypatch):
 
 def test_skipping_the_recheck_changes_only_rounding(monkeypatch):
     # GAP = inf refuses every bound, so every solve is re-checked and returns
-    # rfft(x); a skipped solve returns CG's own coefficients made Hermitian,
-    # which differ from those in the last bits, and so do the later warm
-    # starts.  Every solve of both runs meets its tolerance
+    # rfft(x) plus the Richardson step; a skipped solve returns CG's own
+    # coefficients plus the step, which differ from those in the last bits,
+    # and so do the later warm starts.  Every solve of both runs meets its
+    # tolerance
     real = evolution._solve_raw
 
     def checked(grid, a, g_hat, tol, max_iter, x0h=None):
@@ -337,29 +339,35 @@ def test_skipping_the_recheck_changes_only_rounding(monkeypatch):
         np.testing.assert_allclose(skipping.report.monitor, rechecking.report.monitor, rtol=1e-12)
 
 
-@pytest.mark.parametrize("run, transforms", [(0, 1126), (1, 4626)])
-def test_short_run_transform_counts(run, transforms, monkeypatch):
-    # every transform of the two runs, pinned: a skipped solve makes no
-    # round trip through samples, which would read 1267 and 4663
+@pytest.mark.parametrize(
+    "run, transforms, cg_iterations", [(0, 902, 101), (1, 4618, 1089)], ids=["criterion7", "graded"]
+)
+def test_short_run_counts(run, transforms, cg_iterations, monkeypatch):
+    # every transform and CG iteration of the two runs, pinned.  Without the
+    # Richardson step on the returned coefficients the warm starts are worse:
+    # 1126 and 4626 transforms, 204 and 1091 iterations; with a round trip
+    # through samples for every skipped solve, 1267 and 4663 transforms
     phi0, n, dt, steps = _SHORT_RUNS[run]
     calls = _count_transforms(monkeypatch)
-    evolve(phi0, EvolveConfig(n_exponent=n, dt=dt, t_end=steps * dt, elliptic_tol=1e-10))
+    cfg = EvolveConfig(n_exponent=n, dt=dt, t_end=steps * dt, elliptic_tol=1e-10)
+    assert int(evolve(phi0, cfg).report.cg_iterations.sum()) == cg_iterations
     assert calls[0] == transforms
 
 
 def test_criterion7_tolerance_rechecks_every_solve(monkeypatch):
     # at 1e-12 in 1d N=256 the rounding bound passes no solve, so each one is
-    # re-checked and returns rfft(x), as before the bound existed
-    real, solves = evolution._solve_raw, []
+    # re-checked and reports the true residual of rfft(x), as before the
+    # bound existed
+    real, skipped = evolution._solve_raw, []
 
     def recorded(*args):
-        x, x_hat, info = real(*args)
-        solves.append(np.array_equal(x_hat, np.fft.rfftn(x)))
-        return x, x_hat, info
+        out = real(*args)
+        skipped.append(_check_solve(*args[:4], out))
+        return out
 
     monkeypatch.setattr(evolution, "_solve_raw", recorded)
     evolve(criterion7_phi0(1), EvolveConfig(n_exponent=2.0, dt=1e-3, t_end=0.04, elliptic_tol=1e-12))
-    assert solves == [True] * 160
+    assert skipped == [False] * 160
 
 
 @pytest.mark.parametrize("shape", [(256,), (64, 64)])
@@ -370,13 +378,43 @@ def test_recheck_returns_checked_samples(shape):
     p = _graded_problem(grid, 1e-12)
     x0h = np.fft.rfftn(solve_L_info(_graded_problem(grid, 1e-4))[0].values)
     kept = x0h.copy()
+    g_hat = np.fft.rfftn(p.g.values)
     for guess in (None, x0h):
-        x, x_hat, info = _solve_raw(grid, p.a.values, np.fft.rfftn(p.g.values), p.tol, None, guess)
-        assert np.array_equal(x_hat, np.fft.rfftn(x))
-        res = np.linalg.norm((p.g - apply_L(p.a, Field(grid, x))).values)
-        assert res <= p.tol * np.linalg.norm(p.g.values)
-        assert info.residual <= p.tol
+        out = _solve_raw(grid, p.a.values, g_hat, p.tol, None, guess)
+        assert not _check_solve(grid, p.a.values, g_hat, p.tol, out)  # re-checked
+        assert out[2].residual <= p.tol
     np.testing.assert_array_equal(x0h, kept)  # the caller's guess is left alone
+
+
+@pytest.mark.parametrize("shape, guess_tol", [((256,), 1e-11), ((64, 64), 1e-9)])
+@pytest.mark.parametrize("gap", [elliptic.GAP, math.inf], ids=["skipped", "rechecked"])
+def test_returned_coefficients_gain_a_richardson_step(shape, guess_tol, gap, monkeypatch):
+    # the coefficients, read only as warm starts, are Hermitian, and their
+    # error against a 1e-12 solution in the L_a energy norm is that of rfft(x)
+    # times at most Richardson's factor (max a - min a)/(max a + min a); x is
+    # still irfft of CG's iterate, the first array the solve projects.  From
+    # these guesses the bound passes, and GAP = inf forces the re-check
+    grid = TorusGrid(shape, (2.0 * np.pi,) * len(shape))
+    p = _graded_problem(grid, 1e-10)
+    a, g_hat = p.a.values, np.fft.rfftn(p.g.values)
+    ref, guess = (np.fft.rfftn(solve_L_info(_graded_problem(grid, tol))[0].values)
+                  for tol in (1e-12, guess_tol))
+    projected, real = [], elliptic._hermitian_part
+    monkeypatch.setattr(
+        elliptic, "_hermitian_part", lambda g, xh: projected.append(xh.copy()) or real(g, xh)
+    )
+    monkeypatch.setattr(elliptic, "GAP", gap)
+    out = _solve_raw(grid, a, g_hat, p.tol, None, guess)
+    x, x_hat, _ = out
+    assert _check_solve(grid, a, g_hat, p.tol, out) == (gap < math.inf)
+    assert real(grid, x_hat)[1] == 0.0
+    np.testing.assert_array_equal(x, grid.irfft(projected[0]))
+
+    def energy(uh):
+        return math.sqrt(grid.inner(uh, uh - _div_a_grad(grid, a, uh)))
+
+    factor = (a.max() - a.min()) / (a.max() + a.min())  # 0.65 in 1d, 0.94 in 2d
+    assert energy(ref - x_hat) <= factor * energy(ref - grid.rfft(x))
 
 
 def _readonly_copy(arr: np.ndarray) -> np.ndarray:
